@@ -117,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     planar = sub.add_parser("planar", help="fast complete enumeration "
                                            "for forms on R^2")
     planar.add_argument("--m", type=int, required=True)
-    planar.add_argument("--workers", type=int, default=1)
+    planar.add_argument("--workers", type=int, default=1,
+                        help="no effect: the n = 2 path scans no bases")
     planar.add_argument("--out", type=Path, default=None)
     planar.add_argument("--format", choices=("json", "csv"), default="json")
     common(planar)
@@ -133,13 +134,17 @@ def build_parser() -> argparse.ArgumentParser:
     bh = sub.add_parser("bh", help="sharp Bohnenblust-Hille constant")
     bh.add_argument("--m", type=int, required=True)
     bh.add_argument("--n", type=int, required=True)
-    bh.add_argument("--workers", type=int, default=1)
+    bh.add_argument("--workers", type=int, default=1,
+                    help="processes for the basis scan; no effect "
+                         "when n = 2 (no bases are scanned)")
     common(bh)
 
     mixed = sub.add_parser("mixed", help="sharp mixed Littlewood constant")
     mixed.add_argument("--m", type=int, required=True)
     mixed.add_argument("--n", type=int, required=True)
-    mixed.add_argument("--workers", type=int, default=1)
+    mixed.add_argument("--workers", type=int, default=1,
+                       help="processes for the basis scan; no effect "
+                            "when n = 2 (no bases are scanned)")
     common(mixed)
 
     khinchin = sub.add_parser("khinchin", help="best Khinchin constant A_q")

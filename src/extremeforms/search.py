@@ -24,12 +24,14 @@ entry of f is pinned to +1: the omitted half yields exactly the negated
 solutions, which step 4 restores because the all-minus-ones diagonal lies
 in the group.
 
-The hot loop works on integer numerators u with a common denominator D
-(the basis determinant, via the exact adjugate); Fractions appear only at
-the final conversion. For n = 2 the representative rows are mutually
-orthogonal, the anchored basis is unique (a Walsh-Hadamard matrix), and
-every solution is automatically extreme; planar_extreme_points exploits
-that shortcut to reach 2^(2^m) points directly.
+The hot loop works on integer numerators u with a common denominator D:
+the basis determinant, from a float inverse verified exactly in integers,
+or, only when that check fails, the least common denominator of the exact
+inverse. Fractions appear only at the final conversion. For n = 2 the
+representative rows are mutually orthogonal, the anchored basis is unique
+(a Walsh-Hadamard matrix), and every solution is automatically extreme;
+planar_extreme_points exploits that shortcut to reach 2^(2^m) points
+directly.
 """
 
 from __future__ import annotations
@@ -139,15 +141,12 @@ class ExtremeSet:
     """Canonically sorted, deduplicated set of extreme coefficient vectors.
 
     complete=False marks a budget-truncated run; the points present are
-    still genuine extreme points. provenance is an optional per-point
-    record and is not populated by the enumerators (certificates are
-    recomputable on demand and cheaper than storing search history).
+    still genuine extreme points.
     """
 
     m: int
     n: int
     points: tuple
-    provenance: tuple | None = field(default=None, compare=False)
     complete: bool = field(default=True, compare=False)
 
     def __len__(self) -> int:
@@ -182,16 +181,17 @@ class _IntEliminator:
     Rows are reduced against previously accepted rows in insertion order;
     each accepted row keeps a private pivot column, so a new row is
     independent exactly when its reduction is nonzero. push/pop follow the
-    depth-first search stack.
+    depth-first search stack; solution() gives exact solves, inverses and
+    null vectors.
     """
 
     def __init__(self):
         self.rows = []
         self.pivots = []
 
-    def _reduced(self, row):
+    def _reduced(self, row, start=0):
         row = list(row)
-        for stored, pivot in zip(self.rows, self.pivots):
+        for stored, pivot in zip(self.rows[start:], self.pivots[start:]):
             coeff = row[pivot]
             if coeff:
                 lead = stored[pivot]
@@ -216,109 +216,53 @@ class _IntEliminator:
         self.rows.pop()
         self.pivots.pop()
 
+    def solution(self) -> dict:
+        """Reduced row echelon form as {pivot column: row of Fractions}.
 
-def _fraction_solve(rows, rhs):
-    """Exact solution of a square system by Gauss-Jordan over Fractions."""
+        A stored row is already zero at every earlier pivot; reducing it
+        against the later rows clears it at every other pivot.
+        """
+        out = {}
+        for i, pivot in enumerate(self.pivots):
+            row = self._reduced(self.rows[i], i + 1)
+            out[pivot] = [Fraction(x, row[pivot]) for x in row]
+        return out
+
+
+def _exact_solve(rows, rhs_rows):
+    """A^-1 B as rows of Fractions, from one elimination of [A | B]."""
     size = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
-           for i, row in enumerate(rows)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        lead = aug[col][col]
-        aug[col] = [x / lead for x in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                coeff = aug[r][col]
-                aug[r] = [x - coeff * y for x, y in zip(aug[r], aug[col])]
-    return tuple(aug[r][size] for r in range(size))
-
-
-def _exact_adjugate(mat):
-    """Exact (determinant, adjugate) of an integer matrix via Fractions."""
-    size = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == r))
-                                         for i in range(size)]
-           for r, row in enumerate(mat)]
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            return 0, None
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            det = -det
-        lead = aug[col][col]
-        det *= lead
-        aug[col] = [x / lead for x in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                coeff = aug[r][col]
-                aug[r] = [x - coeff * y for x, y in zip(aug[r], aug[col])]
-    det_int = int(det)
-    adj = [[aug[r][size + c] * det_int for c in range(size)]
-           for r in range(size)]
-    out = np.empty((size, size), dtype=np.int64)
-    for r in range(size):
-        for c in range(size):
-            value = adj[r][c]
-            if value.denominator != 1:
-                raise InternalInvariantError("adjugate is not integral")
-            out[r, c] = int(value)
-    return det_int, out
+    eliminator = _IntEliminator()
+    for row, rhs in zip(rows, rhs_rows):
+        eliminator.push([*row, *rhs])
+    if sorted(eliminator.pivots) != list(range(size)):
+        raise ValueError("singular system")
+    solution = eliminator.solution()
+    return [solution[p][size:] for p in range(size)]
 
 
 def _det_adjugate(mat):
-    """(|det|, adjugate) of an invertible sign matrix, orientation fixed.
+    """(D, D * mat^-1), D a positive integer, for an invertible sign matrix.
 
-    Float inverse guess verified exactly in integers; on any mismatch the
-    exact Fraction route takes over, so the result is always bit-exact.
+    A float inverse guess verified exactly in integers gives D = |det|; on
+    any mismatch the exact route gives the least common denominator. Both
+    yield the same keys, since _process_basis gcd-reduces them against D.
     """
     size = mat.shape[0]
     as_float = mat.astype(np.float64)
     detf = np.linalg.det(as_float)
     det = int(round(detf))
-    adj = None
     if det != 0:
         guess = np.rint(np.linalg.inv(as_float) * detf).astype(np.int64)
         if np.array_equal(mat @ guess, det * np.eye(size, dtype=np.int64)):
-            adj = guess
-    if adj is None:
-        det, adj = _exact_adjugate(mat.tolist())
-        if det == 0:
-            raise InternalInvariantError("basis matrix is singular")
-    if det < 0:
-        det, adj = -det, -adj
-    return det, adj
-
-
-def _null_vector(rows, width):
-    """A nonzero rational vector orthogonal to every given row."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(width):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0),
-                     None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        lead = mat[rank][col]
-        mat[rank] = [x / lead for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                coeff = mat[r][col]
-                mat[r] = [x - coeff * y for x, y in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = next(c for c in range(width) if c not in pivots)
-    out = [Fraction(0)] * width
-    out[free] = Fraction(1)
-    for r, col in enumerate(pivots):
-        out[col] = -mat[r][free]
-    return tuple(out)
+            return (det, guess) if det > 0 else (-det, -guess)
+    try:
+        inverse = _exact_solve(mat.tolist(), np.eye(size, dtype=int).tolist())
+    except ValueError:
+        raise InternalInvariantError("basis matrix is singular") from None
+    det = math.lcm(*(x.denominator for row in inverse for x in row))
+    return det, np.array([[int(x * det) for x in row] for row in inverse],
+                         dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -353,21 +297,22 @@ def _sign_block(size):
     return block
 
 
-def _independent_subsets(rows, candidates, need, seek):
-    """Ascending candidate tuples that extend the anchor to a basis.
+def _independent_subsets(rows, candidates, need, seek, prefix=(0,)):
+    """Ascending candidate tuples that extend the prefix rows to a basis.
 
+    prefix holds the row indices pushed first, by default the anchor.
     seek is a previously completed tuple; everything up to and including
     it in depth-first order is skipped, which implements resume.
     """
     eliminator = _IntEliminator()
-    if not eliminator.push(rows[0]):
-        raise InternalInvariantError("anchor row reduced to zero")
+    if not all(eliminator.push(rows[i]) for i in prefix):
+        raise InternalInvariantError("prefix rows are dependent")
     path = []
 
     def recurse(pos, need, seek) -> Iterator[tuple]:
         if need == 0:
             if seek is None:
-                yield ()
+                yield tuple(path)
             return
         for q in range(pos, len(candidates) - need + 1):
             idx = candidates[q]
@@ -379,41 +324,55 @@ def _independent_subsets(rows, candidates, need, seek):
             if not eliminator.push(rows[idx]):
                 continue
             path.append(idx)
-            if need == 1:
-                if sub != ():
-                    yield tuple(path)
-            else:
-                yield from recurse(q + 1, need - 1, sub)
+            yield from recurse(q + 1, need - 1, sub)
             path.pop()
             eliminator.pop()
 
     yield from recurse(0, need, seek)
 
 
-def _make_cursor(kind, m, n, last):
-    return {
-        "format-version": RESUME_FORMAT_VERSION,
-        "kind": kind,
-        "m": m,
-        "n": n,
-        "last_basis": None if last is None else list(last),
-    }
+def _anchored_walk(kind, m, n, budget, resume) -> Iterator[tuple]:
+    """Budgeted depth-first walk over anchored bases, anchor index omitted.
 
+    kind "anchored-bases" draws rows from all of V, kind "pipeline" from
+    one representative per antipodal pair. The dimension and the resume
+    cursor are checked at the call; the returned iterator raises
+    BudgetExceeded, carrying a cursor that a later call accepts as resume,
+    once budget bases have been yielded.
+    """
+    size = n ** m
+    if size > MAX_PIPELINE_DIMENSION:
+        raise ResourceBudgetError(f"n^m = {size} exceeds supported dimension")
+    seek = None
+    if resume is not None:
+        if resume.get("format-version") != RESUME_FORMAT_VERSION:
+            raise ValueError("unsupported resume format")
+        if (resume.get("kind"), resume.get("m"), resume.get("n")) \
+                != (kind, m, n):
+            raise ValueError("resume state belongs to a different search")
+        if resume.get("last_basis") is not None:
+            seek = tuple(int(x) for x in resume["last_basis"])
+            if len(seek) != size - 1:
+                raise ValueError("resume cursor has the wrong depth")
+    tables = _tables(m, n)
+    vertices = tables["vertices"]
+    candidates = (tables["representatives"] if kind == "pipeline"
+                  else range(1, len(vertices)))
+    subsets = _independent_subsets(vertices, candidates, size - 1, seek)
 
-def _read_cursor(resume, kind, m, n, depth):
-    if resume is None:
-        return None
-    if resume.get("format-version") != RESUME_FORMAT_VERSION:
-        raise ValueError("unsupported resume format")
-    if (resume.get("kind"), resume.get("m"), resume.get("n")) != (kind, m, n):
-        raise ValueError("resume state belongs to a different search")
-    last = resume.get("last_basis")
-    if last is None:
-        return None
-    last = tuple(int(x) for x in last)
-    if len(last) != depth:
-        raise ValueError("resume cursor has the wrong depth")
-    return last
+    def walk():
+        last = seek
+        for count, chosen in enumerate(subsets):
+            if budget is not None and count >= budget:
+                cursor = {"format-version": RESUME_FORMAT_VERSION,
+                          "kind": kind, "m": m, "n": n,
+                          "last_basis": None if last is None else list(last)}
+                raise BudgetExceeded(f"{kind} budget {budget} exhausted",
+                                     resume=cursor)
+            yield chosen
+            last = chosen
+
+    return walk()
 
 
 # ---------------------------------------------------------------------------
@@ -429,23 +388,10 @@ def enumerate_anchored_bases(m, n, budget=None, resume=None
     out, BudgetExceeded carries a cursor accepted by a later call's
     resume argument.
     """
-    size = n ** m
-    if size > MAX_PIPELINE_DIMENSION:
-        raise ResourceBudgetError(f"n^m = {size} exceeds supported dimension")
-    tables = _tables(m, n)
-    vertices = tables["vertices"]
-    candidates = list(range(1, len(vertices)))
-    seek = _read_cursor(resume, "anchored-bases", m, n, size - 1)
-    emitted = 0
-    last = seek
-    for chosen in _independent_subsets(vertices, candidates, size - 1, seek):
-        if budget is not None and emitted >= budget:
-            raise BudgetExceeded(
-                f"basis budget {budget} exhausted",
-                resume=_make_cursor("anchored-bases", m, n, last))
+    walk = _anchored_walk("anchored-bases", m, n, budget, resume)
+    vertices = _tables(m, n)["vertices"]
+    for chosen in walk:
         yield BasisMatrix(tuple(vertices[i] for i in (0, *chosen)), 0, m, n)
-        emitted += 1
-        last = chosen
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +405,8 @@ def solve_anchored_system(basis: BasisMatrix, f: Sequence[int]) -> FormVector:
         raise ValueError(f"sign vector length {len(f)}, expected {size}")
     if any(s not in (-1, 1) for s in f):
         raise ValueError("sign vector entries must be -1 or +1")
-    coeffs = _fraction_solve(basis.rows, tuple(f))
-    return FormVector(coeffs, basis.m, basis.n)
+    solved = _exact_solve(basis.rows, [[s] for s in f])
+    return FormVector(tuple(row[0] for row in solved), basis.m, basis.n)
 
 
 # ---------------------------------------------------------------------------
@@ -500,16 +446,16 @@ def orbit(a: FormVector) -> set:
 # the assembled pipeline
 # ---------------------------------------------------------------------------
 
-def _process_basis(vmat, ball_t, sign_block, row_indices, keys):
+def _process_basis(m, n, row_indices, keys):
     """Solve all anchored sign systems for one basis; record feasible keys.
 
     Keys are gcd-reduced (denominator, numerator tuple) pairs with the
     denominator positive, a unique representation of the rational vector.
     """
-    h = vmat[row_indices]
-    det, adj = _det_adjugate(h)
-    numerators = sign_block @ adj.T
-    values = numerators @ ball_t
+    tables = _tables(m, n)
+    det, adj = _det_adjugate(tables["vmat"][row_indices])
+    numerators = _sign_block(n ** m) @ adj.T
+    values = numerators @ tables["ball"].T
     feasible = numerators[np.abs(values).max(axis=1) <= det]
     if not len(feasible):
         return
@@ -556,33 +502,12 @@ def _subtree_keys(args):
     """Worker task: all candidate keys whose basis starts at one position."""
     m, n, position = args
     tables = _tables(m, n)
-    vmat = tables["vmat"]
-    vertices = tables["vertices"]
-    reps = tables["representatives"]
-    ball_t = tables["ball"].T
-    size = n ** m
-    sign_block = _sign_block(size)
+    first = tables["representatives"][position]
     keys = set()
-    eliminator = _IntEliminator()
-    eliminator.push(vertices[0])
-    if not eliminator.push(vertices[reps[position]]):
-        return keys
-    chosen = [reps[position]]
-
-    def recurse(pos, need):
-        if need == 0:
-            _process_basis(vmat, ball_t, sign_block, [0] + chosen, keys)
-            return
-        for q in range(pos, len(reps) - need + 1):
-            idx = reps[q]
-            if not eliminator.push(vertices[idx]):
-                continue
-            chosen.append(idx)
-            recurse(q + 1, need - 1)
-            chosen.pop()
-            eliminator.pop()
-
-    recurse(position + 1, size - 2)
+    for chosen in _independent_subsets(
+            tables["vertices"], tables["representatives"][position + 1:],
+            n ** m - 2, None, prefix=(0, first)):
+        _process_basis(m, n, [0, first, *chosen], keys)
     return keys
 
 
@@ -596,19 +521,10 @@ def extreme_points(m, n, budget=None, resume=None, workers=1) -> ExtremeSet:
     any worker count because the merge is a set union followed by one
     canonical sort.
     """
+    walk = _anchored_walk("pipeline", m, n, budget, resume)
     size = n ** m
-    if size > MAX_PIPELINE_DIMENSION:
-        raise ResourceBudgetError(f"n^m = {size} exceeds supported dimension")
-    tables = _tables(m, n)
-    vertices = tables["vertices"]
-    vmat = tables["vmat"]
-    reps = tables["representatives"]
-    ball_t = tables["ball"].T
-    sign_block = _sign_block(size)
-    seek = _read_cursor(resume, "pipeline", m, n, size - 1)
-
     if budget is None and workers > 1 and size > 1:
-        positions = range(len(reps) - size + 2)
+        positions = range(len(_tables(m, n)["representatives"]) - size + 2)
         tasks = [(m, n, p) for p in positions]
         if len(tasks) > 1:
             keys = set()
@@ -619,17 +535,12 @@ def extreme_points(m, n, budget=None, resume=None, workers=1) -> ExtremeSet:
             return _finalize(m, n, keys, complete=True)
 
     keys = set()
-    processed = 0
-    last = seek
-    for chosen in _independent_subsets(vertices, reps, size - 1, seek):
-        if budget is not None and processed >= budget:
-            raise BudgetExceeded(
-                f"pipeline budget {budget} exhausted",
-                resume=_make_cursor("pipeline", m, n, last),
-                partial=_finalize(m, n, keys, complete=False))
-        _process_basis(vmat, ball_t, sign_block, [0, *chosen], keys)
-        processed += 1
-        last = chosen
+    try:
+        for chosen in walk:
+            _process_basis(m, n, [0, *chosen], keys)
+    except BudgetExceeded as stop:
+        stop.partial = _finalize(m, n, keys, complete=False)
+        raise
     return _finalize(m, n, keys, complete=True)
 
 
@@ -680,8 +591,12 @@ def is_extreme(a: FormVector) -> ExtremalityCertificate:
     extreme = bool(ball) and rank == size
     offset = None
     if ball and not extreme:
-        direction = _null_vector(tight, size) if tight else \
-            tuple(Fraction(int(i == 0)) for i in range(size))
+        # x[free] = 1 at the first non-pivot column, x[p] = -rref[p][free]
+        rref = eliminator.solution()
+        free = next(c for c in range(size) if c not in rref)
+        direction = [Fraction(int(c == free)) for c in range(size)]
+        for p, row in rref.items():
+            direction[p] = -row[free]
         slack = [(1 - abs(inner(a.coeffs, v))) / abs(inner(direction, v))
                  for v in vertices if inner(direction, v) != 0]
         if not slack:
@@ -720,13 +635,14 @@ def brute_force_vertices(m, n) -> ExtremeSet:
     if size > 9 or work > 2_000_000:
         raise ResourceBudgetError(
             f"brute force would need {work} solves; guard is 2000000")
+    sign_rows = list(zip(*product((1, -1), repeat=size)))
     found = set()
     for subset in combinations(constraints, size):
         eliminator = _IntEliminator()
         if not all(eliminator.push(row) for row in subset):
             continue
-        for signs in product((1, -1), repeat=size):
-            candidate = _fraction_solve(subset, signs)
+        # one elimination of [subset | all sign vectors as columns]
+        for candidate in zip(*_exact_solve(subset, sign_rows)):
             if all(abs(inner(candidate, c)) <= 1 for c in constraints):
                 found.add(candidate)
     points = tuple(FormVector(coeffs, m, n) for coeffs in sorted(found))

@@ -24,6 +24,7 @@ import uuid
 from fractions import Fraction
 from pathlib import Path
 
+from . import __version__
 from .core import FormVector
 from .search import ExtremeSet
 
@@ -195,12 +196,17 @@ def default_cache_dir() -> Path:
 
 
 def cache_key(command: str, m: int, n: int, extra: dict | None = None) -> str:
-    """Deterministic, filename-safe key for a cached run."""
+    """Deterministic, filename-safe key for a cached run.
+
+    The key carries the file format and the package version, so a cached
+    result never outlives a release that changes the algorithm.
+    """
 
     parts = [command, f"m{m}", f"n{n}"]
     for name in sorted(extra or {}):
         parts.append(f"{name}{extra[name]}")
     parts.append(f"v{FILE_FORMAT_VERSION}")
+    parts.append(f"pkg{__version__}")
     return "-".join(_KEY_TOKEN_PATTERN.sub("_", part) for part in parts)
 
 

@@ -119,7 +119,7 @@ def test_criterion_02_planar_lists(tmp_path, monkeypatch, capsys):
 
 
 def test_criterion_02_erratum_companion(planar4):
-    # the facts behind the expected criterion-2 failure, all verified
+    # the erratum behind criterion 2's reference list, all verified
     for point in QUADRILINEAR_2_VERIFIED:
         assert point in planar4
     for point in QUADRILINEAR_2_MISPRINT:

@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import combinations, product
 import random
 
+import numpy as np
 import pytest
 
 from extremeforms.core import (
@@ -25,6 +26,8 @@ from extremeforms.core import (
 from extremeforms.search import (
     BasisMatrix,
     BudgetExceeded,
+    InternalInvariantError,
+    _det_adjugate,
     brute_force_vertices,
     enumerate_anchored_bases,
     extreme_points,
@@ -48,6 +51,13 @@ F = Fraction
 
 def form(coeffs, m, n):
     return FormVector(tuple(coeffs), m, n)
+
+
+def assert_orthogonal_to_tight_rows(a, offset):
+    tight = [v for v in enumerate_tensor_vertices(a.m, a.n)
+             if abs(inner(a.coeffs, v)) == 1]
+    assert tight
+    assert all(inner(offset.coeffs, v) == 0 for v in tight)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +371,27 @@ def test_extreme_points_workers_deterministic(set32):
     assert [p.coeffs for p in two.points] == [p.coeffs for p in set32.points]
 
 
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 2), (1, 3), (3, 2)])
+def test_det_adjugate_exact_branch(m, n, monkeypatch):
+    # the float guess verifies on every basis the pipeline meets, so a float
+    # determinant of 0 is the only way to reach the exact branch
+    size = n ** m
+    mats = [np.array(b.rows, dtype=np.int64)
+            for b in enumerate_anchored_bases(m, n)]
+    float_pairs = [_det_adjugate(h) for h in mats]
+    expected = extreme_points(m, n)
+    monkeypatch.setattr(np.linalg, "det", lambda a: 0.0)
+    for h, (det, adj) in zip(mats, float_pairs):
+        d, exact = _det_adjugate(h)
+        assert d > 0
+        assert np.array_equal(h @ exact, d * np.eye(size, dtype=np.int64))
+        assert det % d == 0
+        assert np.array_equal(adj, (det // d) * exact)
+    assert extreme_points(m, n) == expected
+    with pytest.raises(InternalInvariantError):
+        _det_adjugate(np.ones((2, 2), dtype=np.int64))
+
+
 # ---------------------------------------------------------------------------
 # extremality certificates
 # ---------------------------------------------------------------------------
@@ -390,6 +421,23 @@ def test_is_extreme_frozen_midpoint():
     down = form(tuple(a - b for a, b in zip((h, h, 0, 0), offset.coeffs)), 2, 2)
     assert in_unit_ball(up)
     assert in_unit_ball(down)
+    # frozen: null vector with x[free] = 1 at the first non-pivot column
+    assert offset.coeffs == (-h, h, 0, 0)
+    assert_orthogonal_to_tight_rows(form((h, h, 0, 0), 2, 2), offset)
+
+
+def test_is_extreme_frozen_midpoint_r3(set23):
+    h = F(1, 2)
+    a = (-h, -h, 0, -h, h, 0, 0, 0, 0)
+    b = (0, 0, 0, 0, -1, 0, 0, 0, 0)
+    assert a in set23 and b in set23
+    mid = form((F(x + y) / 2 for x, y in zip(a, b)), 2, 3)
+    cert = is_extreme(mid)
+    assert not cert
+    assert cert.in_ball
+    assert (cert.tight_count, cert.tight_rank) == (8, 4)
+    assert cert.midpoint_offset.coeffs == (-h, h, 0, 0, 0, 0, 0, 0, 0)
+    assert_orthogonal_to_tight_rows(mid, cert.midpoint_offset)
 
 
 def test_is_extreme_frozen_outside():

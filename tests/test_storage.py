@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import extremeforms
 from extremeforms.core import FormVector
 from extremeforms.search import ExtremeSet, extreme_points
 from extremeforms.storage import (
@@ -214,6 +215,7 @@ def test_cache_key_distinguishes_runs():
     key = cache_key("enum", 2, 2)
     assert key == cache_key("enum", 2, 2)
     assert f"v{FILE_FORMAT_VERSION}" in key
+    assert f"pkg{extremeforms.__version__}" in key
     assert "/" not in key and os.sep not in key
 
 
