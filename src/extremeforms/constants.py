@@ -126,17 +126,15 @@ def maximize_convex(extreme_set: ExtremeSet, functional, name: str,
     candidates within TIE_WINDOW of the best value are considered tied and
     the lexicographically largest coefficient tuple is reported, so the
     argmax is deterministic even when the maximum is attained many times.
+    The functional is evaluated once per point.
     """
 
     if len(extreme_set) == 0:
         raise ValueError("cannot maximize over an empty extreme-point set")
-    best_value = -math.inf
-    for point in extreme_set.points:
-        value = functional(point)
-        if value > best_value:
-            best_value = value
-    tied = [point for point in extreme_set.points
-            if functional(point) >= best_value - TIE_WINDOW]
+    values = [functional(point) for point in extreme_set.points]
+    best_value = max(values)
+    tied = [point for point, value in zip(extreme_set.points, values)
+            if value >= best_value - TIE_WINDOW]
     argmax = max(tied, key=lambda point: point.coeffs)
     return ConstantReport(name=name, m=extreme_set.m, n=extreme_set.n,
                           exponent=exponent, value=best_value, argmax=argmax)

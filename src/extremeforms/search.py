@@ -517,13 +517,14 @@ def extreme_points(m, n, budget=None, resume=None, workers=1) -> ExtremeSet:
     budget bounds the number of (reduced) bases processed in this call;
     exceeding it raises BudgetExceeded whose .partial is an honest subset
     and whose .resume continues the search. workers > 1 parallelizes
-    unbudgeted runs over first-row subtrees; output is byte-identical for
-    any worker count because the merge is a set union followed by one
+    fresh, unbudgeted runs over first-row subtrees; a budgeted or resumed
+    run walks its cursor in this process. Output is byte-identical for any
+    worker count because the merge is a set union followed by one
     canonical sort.
     """
     walk = _anchored_walk("pipeline", m, n, budget, resume)
     size = n ** m
-    if budget is None and workers > 1 and size > 1:
+    if budget is None and resume is None and workers > 1 and size > 1:
         positions = range(len(_tables(m, n)["representatives"]) - size + 2)
         tasks = [(m, n, p) for p in positions]
         if len(tasks) > 1:

@@ -137,6 +137,19 @@ def test_enum_rejects_bad_arguments(cachedir, capsys, tmp_path):
     assert run(capsys, "enum", "--m", "2")[0] == 2  # missing --n
 
 
+@pytest.mark.parametrize("argv", [
+    ("enum", "--m", "2", "--n", "0"),
+    ("kg", "--m", "2", "--d", "0"),
+    ("enum", "--m", "2", "--n", "2", "--workers", "0"),
+    ("kg", "--m", "2", "--d", "1", "--restarts", "0"),
+], ids=["n", "d", "workers", "restarts"])
+def test_rejects_values_below_one(cachedir, capsys, tmp_path, monkeypatch,
+                                  argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv)[0] == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_enum_oversized_dimension(cachedir, capsys, tmp_path):
     code, _, stderr = run(capsys, "enum", "--m", "5", "--n", "2",
                           "--out", str(tmp_path / "x.json"))
@@ -153,6 +166,17 @@ def test_planar_m3(tmp_path, cachedir, capsys, planar3):
     assert code == 0
     assert "count: 256" in stdout
     assert read_extreme_set(out) == planar3
+
+
+def test_planar_cache_hit_is_byte_identical(tmp_path, cachedir, capsys):
+    first = tmp_path / "a.json"
+    second = tmp_path / "b.json"
+    code1, out1, _ = run(capsys, "planar", "--m", "3", "--out", str(first))
+    code2, out2, _ = run(capsys, "planar", "--m", "3", "--out", str(second))
+    assert code1 == code2 == 0
+    assert "cache: hit" not in out1
+    assert "cache: hit" in out2
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_planar_budget_guard(tmp_path, cachedir, capsys):
@@ -276,6 +300,16 @@ def test_blei_subcommand(cachedir, capsys):
 
 def test_blei_rejects_coarse_grid(cachedir, capsys):
     assert run(capsys, "blei", "--grid", "4")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [("khinchin", "--lambda", "3"),
+                                  ("blei", "--grid", "4")],
+                         ids=["khinchin", "blei"])
+def test_domain_error_leaves_no_cache_entry(cachedir, capsys, argv):
+    code, _, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stderr.startswith("error: ")
+    assert not cachedir.exists() or list(cachedir.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

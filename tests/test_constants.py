@@ -104,6 +104,19 @@ def test_maximize_first_coefficient(set22):
     assert report.argmax.coeffs == (F(1), F(0), F(0), F(0))
 
 
+def test_maximize_evaluates_once_per_point(set22):
+    calls = []
+
+    def functional(a):
+        calls.append(a)
+        return f_lambda(a, F(4, 3))
+
+    report = maximize_convex(set22, functional, name="counted")
+    assert len(calls) == len(set22)
+    assert abs(report.value - SQRT2) < 1e-12
+    assert report.argmax.coeffs == (F(1, 2), F(1, 2), F(1, 2), F(-1, 2))
+
+
 def test_maximize_rejects_empty():
     empty = ExtremeSet(2, 2, ())
     with pytest.raises(ValueError):

@@ -27,6 +27,7 @@ from extremeforms.search import (
     BasisMatrix,
     BudgetExceeded,
     InternalInvariantError,
+    _anchored_walk,
     _det_adjugate,
     brute_force_vertices,
     enumerate_anchored_bases,
@@ -364,6 +365,19 @@ def test_extreme_points_budget_zero():
         extreme_points(1, 3, budget=0)
     assert len(info.value.partial) == 0
     assert info.value.resume is not None
+
+
+def test_resume_at_final_basis_is_empty_for_any_worker_count():
+    # a cursor at the last basis leaves nothing to scan; a resumed run must
+    # walk its cursor even when workers > 1 asks for the process pool
+    *_, last = _anchored_walk("pipeline", 2, 3, None, None)
+    with pytest.raises(BudgetExceeded) as info:
+        extreme_points(2, 3, budget=0)
+    cursor = {**info.value.resume, "last_basis": list(last)}
+    serial = extreme_points(2, 3, resume=cursor, workers=1)
+    pooled = extreme_points(2, 3, resume=cursor, workers=2)
+    assert len(serial) == 0
+    assert pooled.coefficient_tuples() == serial.coefficient_tuples()
 
 
 def test_extreme_points_workers_deterministic(set32):
