@@ -24,10 +24,17 @@ entry of f is pinned to +1: the omitted half yields exactly the negated
 solutions, which step 4 restores because the all-minus-ones diagonal lies
 in the group.
 
-The hot loop works on integer numerators u with a common denominator D:
-the basis determinant, from a float inverse verified exactly in integers,
-or, only when that check fails, the least common denominator of the exact
-inverse. Fractions appear only at the final conversion. For n = 2 the
+The hot loop works on integer numerators u = D H^-1 f with a common
+denominator D: the basis determinant, from a float inverse verified exactly
+in integers, or, only when that check fails, the least common denominator
+of the exact inverse. Since H (D H^-1) = D I exactly, every basis row gives
+|<u, v>| = D, so only the ball rows outside the basis are tested. Their
+products with the adjugate are formed once per basis, and all sign vectors
+are tested against them in one float64 matrix product. A Hadamard bound
+proves every value involved an integer below 2^53, so the float64 result
+is exact for any summation order; _anchored_walk refuses any size where the
+bound fails. Numerators are formed only for the surviving sign vectors, and
+Fractions appear only at the final conversion. For n = 2 the
 representative rows are mutually orthogonal, the anchored basis is unique
 (a Walsh-Hadamard matrix), and every solution is automatically extreme;
 planar_extreme_points exploits that shortcut to reach 2^(2^m) points
@@ -54,7 +61,11 @@ from extremeforms.core import (
 )
 
 RESUME_FORMAT_VERSION = 1
-MAX_PIPELINE_DIMENSION = 16  # largest n^m the general pipeline will attempt
+# Largest n^m the general pipeline attempts: a resource limit (2^15 sign
+# systems per basis at 16) inside the float64 exactness bound of
+# _kernel_exact. The bound is 2^37.3 at 16 and reaches 2^53 from 22 on;
+# the next n^m with m >= 2, 25, would give 2^64.3, past int64 as well.
+MAX_PIPELINE_DIMENSION = 16
 
 
 class BudgetExceeded(RuntimeError):
@@ -265,6 +276,19 @@ def _det_adjugate(mat):
                          dtype=np.int64)
 
 
+def _kernel_exact(size) -> bool:
+    """Whether every value _process_basis forms at this size is below 2^53.
+
+    An adjugate entry is a (size-1)-minor of a sign matrix, so Hadamard's
+    inequality gives |adj| <= (size-1)^((size-1)/2). A reach entry sums
+    size adjugate entries and a value sums size reach entries, so
+    |values| <= size^2 (size-1)^((size-1)/2); every partial sum obeys the
+    same bound, so float64 is exact in any summation order. Compared
+    squared, in integers.
+    """
+    return size ** 4 * (size - 1) ** (size - 1) < 1 << 106
+
+
 # ---------------------------------------------------------------------------
 # shared tables and the depth-first basis search
 # ---------------------------------------------------------------------------
@@ -276,22 +300,26 @@ def _tables(m, n):
     negated = [index[tuple(-c for c in v)] for v in vertices]
     representatives = [i for i in range(1, len(vertices)) if i < negated[i]]
     vmat = np.array(vertices, dtype=np.int64)
-    ball_rows = [0] + representatives  # one constraint per antipodal pair
+    ball_rows = np.array([0] + representatives)  # one per antipodal pair
     return {
         "vertices": vertices,
         "vmat": vmat,
         "representatives": representatives,
+        "ball_rows": ball_rows,
         "ball": vmat[ball_rows],
     }
 
 
 @lru_cache(maxsize=8)
 def _sign_block(size):
-    """All sign vectors of the given length whose first entry is +1."""
+    """All sign vectors of the given length whose first entry is +1.
+
+    float64, the dtype of the basis kernel's products.
+    """
     count = 1 << (size - 1)
     bits = (np.arange(count, dtype=np.int64)[:, None]
             >> np.arange(size - 2, -1, -1, dtype=np.int64)[None, :]) & 1
-    block = np.empty((count, size), dtype=np.int64)
+    block = np.empty((count, size), dtype=np.float64)
     block[:, 0] = 1
     block[:, 1:] = 1 - 2 * bits
     return block
@@ -343,6 +371,9 @@ def _anchored_walk(kind, m, n, budget, resume) -> Iterator[tuple]:
     size = n ** m
     if size > MAX_PIPELINE_DIMENSION:
         raise ResourceBudgetError(f"n^m = {size} exceeds supported dimension")
+    if not _kernel_exact(size):
+        raise ResourceBudgetError(
+            f"n^m = {size}: basis kernel values may reach 2^53")
     seek = None
     if resume is not None:
         if resume.get("format-version") != RESUME_FORMAT_VERSION:
@@ -449,14 +480,22 @@ def orbit(a: FormVector) -> set:
 def _process_basis(m, n, row_indices, keys):
     """Solve all anchored sign systems for one basis; record feasible keys.
 
-    Keys are gcd-reduced (denominator, numerator tuple) pairs with the
-    denominator positive, a unique representation of the rational vector.
+    The solution of H a = f is u / D with u = adj f. A basis row gives
+    <u, v> = D f_i exactly, so only the ball rows outside the basis are
+    tested: reach = outside @ adj once, then |f . reach| <= D for every
+    sign vector f in one float64 product (exact by _kernel_exact), and u
+    only for the survivors. Keys are gcd-reduced (denominator, numerator
+    tuple) pairs with the denominator positive, a unique representation of
+    the rational vector.
     """
     tables = _tables(m, n)
     det, adj = _det_adjugate(tables["vmat"][row_indices])
-    numerators = _sign_block(n ** m) @ adj.T
-    values = numerators @ tables["ball"].T
-    feasible = numerators[np.abs(values).max(axis=1) <= det]
+    outside = tables["ball"][~np.isin(tables["ball_rows"], row_indices)]
+    reach = (outside @ adj).astype(np.float64)
+    signs = _sign_block(n ** m)
+    values = signs @ reach.T
+    keep = np.abs(values, out=values).max(axis=1, initial=0) <= det
+    feasible = (signs[keep] @ adj.T).astype(np.int64)
     if not len(feasible):
         return
     g = np.gcd.reduce(np.abs(feasible), axis=1)

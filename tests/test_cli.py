@@ -154,6 +154,9 @@ def test_enum_oversized_dimension(cachedir, capsys, tmp_path):
     code, _, stderr = run(capsys, "enum", "--m", "5", "--n", "2",
                           "--out", str(tmp_path / "x.json"))
     assert code == 3
+    code, _, _ = run(capsys, "enum", "--m", "3", "--n", "3",
+                     "--out", str(tmp_path / "y.json"))
+    assert code == 3
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ the strongest internal consistency statement available for m = 3.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from functools import lru_cache
+import hashlib
+from itertools import combinations, islice, product
+import math
 import random
 
 import numpy as np
@@ -23,12 +26,17 @@ from extremeforms.core import (
     inner,
     omega,
 )
+from extremeforms import search
 from extremeforms.search import (
+    MAX_PIPELINE_DIMENSION,
     BasisMatrix,
     BudgetExceeded,
     InternalInvariantError,
     _anchored_walk,
     _det_adjugate,
+    _kernel_exact,
+    _process_basis,
+    _tables,
     brute_force_vertices,
     enumerate_anchored_bases,
     extreme_points,
@@ -404,6 +412,75 @@ def test_det_adjugate_exact_branch(m, n, monkeypatch):
     assert extreme_points(m, n) == expected
     with pytest.raises(InternalInvariantError):
         _det_adjugate(np.ones((2, 2), dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# the basis kernel
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def int_sign_block(size):
+    return np.array([(1, *rest) for rest in product((1, -1), repeat=size - 1)],
+                    dtype=np.int64)
+
+
+def reference_basis_keys(m, n, row_indices):
+    """The kernel without reassociation: numerators for every sign vector,
+    tested against every ball row, in int64 (exact for n^m <= 16)."""
+    tables = _tables(m, n)
+    det, adj = _det_adjugate(tables["vmat"][row_indices])
+    numerators = int_sign_block(n ** m) @ adj.T
+    values = numerators @ tables["ball"].T
+    feasible = numerators[np.abs(values).max(axis=1) <= det]
+    keys = set()
+    for row in feasible.tolist():
+        g = 0
+        for x in [det, *row]:
+            g = math.gcd(g, x)
+        keys.add((det // g, tuple(x // g for x in row)))
+    return keys
+
+
+@pytest.mark.parametrize("m, n, count", [(2, 2, None), (3, 2, None),
+                                         (2, 3, None), (2, 4, 20)])
+def test_process_basis_matches_reference_kernel(m, n, count):
+    bases = list(islice(_anchored_walk("pipeline", m, n, None, None), count))
+    assert len(bases) == count if count else bases
+    for chosen in bases:
+        rows = [0, *chosen]
+        keys = set()
+        _process_basis(m, n, rows, keys)
+        assert keys == reference_basis_keys(m, n, rows), rows
+
+
+def test_partial_2_4_pinned():
+    # 320 points and their digest, recorded before the float64 kernel
+    with pytest.raises(BudgetExceeded) as info:
+        extreme_points(2, 4, budget=25)
+    part = info.value.partial
+    lines = sorted(",".join(str(c) for c in p.coeffs) for p in part)
+    assert len(part) == 320
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "764568e45115caf04aa18622f33a44d1a1ddfa536498d84cc1396a25b1302ce7")
+
+
+def test_kernel_bound_covers_every_admitted_size():
+    # the integer test agrees with size^2 (size-1)^((size-1)/2) < 2^53
+    for size in range(1, 40):
+        bound = size ** 2 * (size - 1) ** ((size - 1) / 2)
+        assert _kernel_exact(size) == (bound < 2 ** 53), size
+    assert all(_kernel_exact(s) for s in range(1, MAX_PIPELINE_DIMENSION + 1))
+    assert not _kernel_exact(25)
+
+
+def test_kernel_bound_refuses_before_any_basis(monkeypatch):
+    def never(*args):
+        raise AssertionError("a basis was processed")
+
+    monkeypatch.setattr(search, "MAX_PIPELINE_DIMENSION", 27)
+    monkeypatch.setattr(search, "_process_basis", never)
+    with pytest.raises(ResourceBudgetError, match="2\\^53"):
+        extreme_points(3, 3, budget=1)
 
 
 # ---------------------------------------------------------------------------
