@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="resume-state file from a budget-exceeded run")
 
     command("planar", "fast complete enumeration for forms on R^2",
-            "--m", "--workers", "--out", "--format")
+            "--m", "--out", "--format")
 
     verify = command("verify", "extremality certificate for one point",
                      "--m", "--n")
@@ -201,13 +201,15 @@ def _merged_set(m: int, n: int, *point_groups):
 
 def _write_resume_file(path: Path, m: int, n: int, search_resume: dict,
                        points) -> None:
+    from .storage import format_rational
+
     payload = {
         "format-version": RESUME_FILE_VERSION,
         "kind": "enum-cli",
         "m": m,
         "n": n,
         "search": search_resume,
-        "partial": [[str(c) for c in point.coeffs]
+        "partial": [[format_rational(c) for c in point.coeffs]
                     for point in sorted(points, key=lambda p: p.coeffs)],
     }
     path.write_text(json.dumps(payload, indent=1) + "\n")

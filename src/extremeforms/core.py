@@ -186,9 +186,7 @@ def is_tensor_vertex(v: Sequence[int], m: int, n: int) -> bool:
 # the sign group
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4096)
-def _cached_diagonal(factors: tuple[Vertex, ...]) -> TensorVector:
-    return omega(factors)
+_cached_diagonal = lru_cache(maxsize=4096)(omega)
 
 
 @dataclass(frozen=True)
@@ -246,12 +244,11 @@ def group_compose(g: GroupElement, h: GroupElement) -> GroupElement:
 
 def act(g: GroupElement, v):
     """Apply diag(w(g)) to a tensor vertex or a coefficient vector."""
-    diag = g.diagonal()
     if isinstance(v, FormVector):
         if (v.m, v.n) != (g.m, g.n):
             raise ValueError("group element and form have different shapes")
-        return FormVector(tuple(d * c for d, c in zip(diag, v.coeffs)),
-                          v.m, v.n)
+        return FormVector(act(g, v.coeffs), v.m, v.n)
+    diag = g.diagonal()
     if len(v) != len(diag):
         raise ValueError(f"length mismatch: {len(v)} vs {len(diag)}")
     return tuple(d * c for d, c in zip(diag, v))
@@ -260,11 +257,8 @@ def act(g: GroupElement, v):
 def transporter(u: Sequence[int], w: Sequence[int], m: int, n: int
                 ) -> GroupElement:
     """The unique g with act(g, u) = w, for u, w in V."""
-    fu = factorize(u, m, n)
-    fw = factorize(w, m, n)
-    product = tuple(tuple(a * b for a, b in zip(x, y))
-                    for x, y in zip(fu, fw))
-    return GroupElement(product)
+    return group_compose(GroupElement(factorize(u, m, n)),
+                         GroupElement(factorize(w, m, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,8 @@ import numpy as np
 from extremeforms.core import (
     FormVector,
     ResourceBudgetError,
+    act,
+    enumerate_group,
     enumerate_tensor_vertices,
     inner,
 )
@@ -465,12 +467,7 @@ def in_unit_ball(a: FormVector) -> InBallResult:
 
 def orbit(a: FormVector) -> set:
     """The sign-group orbit {a . g}; always contains -a."""
-    tables = _tables(a.m, a.n)
-    out = set()
-    for diag in tables["vertices"]:
-        out.add(FormVector(tuple(d * c for d, c in zip(diag, a.coeffs)),
-                           a.m, a.n))
-    return out
+    return {act(g, a) for g in enumerate_group(a.m, a.n)}
 
 
 # ---------------------------------------------------------------------------
@@ -498,41 +495,27 @@ def _process_basis(m, n, row_indices, keys):
     feasible = (signs[keep] @ adj.T).astype(np.int64)
     if not len(feasible):
         return
-    g = np.gcd.reduce(np.abs(feasible), axis=1)
-    g = np.gcd(g, det)
+    g = np.gcd(np.gcd.reduce(feasible, axis=1), det)
     reduced = feasible // g[:, None]
-    dens = det // g
-    for d, row in zip(dens.tolist(), reduced.tolist()):
-        keys.add((d, tuple(row)))
+    keys.update(zip((det // g).tolist(), map(tuple, reduced.tolist())))
+
+
+# _fraction(num, den) is Fraction(num, den), built once per distinct value
+_fraction = lru_cache(maxsize=1 << 16)(Fraction)
 
 
 def _finalize(m, n, keys, complete):
-    """Orbit-expand candidate keys, deduplicate, sort, build the set."""
-    tables = _tables(m, n)
-    vmat = tables["vmat"]
-    seen_orbits = set()
-    rows = []
-    for d, u in sorted(keys):
-        block = np.unique(vmat * np.asarray(u, dtype=np.int64)[None, :],
-                          axis=0)
-        rep = (d, tuple(block[0].tolist()))
-        if rep in seen_orbits:
-            continue
-        seen_orbits.add(rep)
-        for row in block.tolist():
-            rows.append((d, row))
-    fraction_cache = {}
+    """Orbit-expand candidate keys, deduplicate, sort, build the set.
 
-    def as_fraction(num, den):
-        try:
-            return fraction_cache[(num, den)]
-        except KeyError:
-            value = Fraction(num, den)
-            fraction_cache[(num, den)] = value
-            return value
-
-    decorated = [tuple(as_fraction(x, d) for x in row) for d, row in rows]
-    decorated.sort()
+    Sign flips keep a key (d, u) gcd-reduced, so the images of all keys
+    deduplicate as integer pairs in one set before any Fraction is built.
+    """
+    vmat = _tables(m, n)["vmat"]
+    images = set()
+    for d, u in keys:
+        images.update((d, tuple(row)) for row in (vmat * u).tolist())
+    decorated = sorted(tuple(_fraction(x, d) for x in row)
+                       for d, row in images)
     points = tuple(FormVector(coeffs, m, n) for coeffs in decorated)
     return ExtremeSet(m, n, points, complete=complete)
 
@@ -567,11 +550,9 @@ def extreme_points(m, n, budget=None, resume=None, workers=1) -> ExtremeSet:
         positions = range(len(_tables(m, n)["representatives"]) - size + 2)
         tasks = [(m, n, p) for p in positions]
         if len(tasks) > 1:
-            keys = set()
             with ProcessPoolExecutor(
                     max_workers=min(workers, len(tasks))) as pool:
-                for part in pool.map(_subtree_keys, tasks):
-                    keys |= part
+                keys = set().union(*pool.map(_subtree_keys, tasks))
             return _finalize(m, n, keys, complete=True)
 
     keys = set()
@@ -598,8 +579,7 @@ def planar_extreme_points(m, max_points=1 << 17) -> ExtremeSet:
     if count > max_points:
         raise ResourceBudgetError(
             f"planar set for m={m} has {count} points, cap {max_points}")
-    tables = _tables(m, 2)
-    h = tables["ball"]
+    h = _tables(m, 2)["ball"]
     size = 2 ** m
     if not np.array_equal(h @ h.T, size * np.eye(size, dtype=np.int64)):
         raise InternalInvariantError("planar basis rows are not orthogonal")
@@ -608,9 +588,8 @@ def planar_extreme_points(m, max_points=1 << 17) -> ExtremeSet:
     signs = 1 - 2 * bits
     numerators = signs @ h
     order = np.lexsort(numerators.T[::-1])
-    lut = {v: Fraction(v, size) for v in range(-size, size + 1)}
     points = tuple(
-        FormVector(tuple(lut[x] for x in row), m, 2)
+        FormVector(tuple(_fraction(x, size) for x in row), m, 2)
         for row in numerators[order].tolist())
     return ExtremeSet(m, 2, points)
 

@@ -2,10 +2,13 @@
 
 Rational coordinates travel as reduced "p/q" strings with no whitespace
 (integers omit the "/q" part), which keeps files diff-friendly and
-language-neutral while staying exactly lossless. Extreme sets serialize to
-either a JSON document or a CSV table with a leading comment line carrying
-the same metadata. Every file records a format version so that a future
-change of index convention cannot silently corrupt comparisons.
+language-neutral while staying exactly lossless. Every artifact, resume
+file and cache hit goes through format_rational and parse_rational, which
+convert each distinct value once and cache only validated values. Extreme
+sets serialize to either a JSON document or a CSV table with a leading
+comment line carrying the same metadata. Every file records a format
+version so that a future change of index convention cannot silently
+corrupt comparisons.
 
 The cache stores opaque byte payloads under deterministic keys, next to a
 SHA-256 sidecar. Writes go through a temporary file plus ``os.replace`` so
@@ -22,6 +25,7 @@ import os
 import re
 import uuid
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -38,6 +42,7 @@ _KEY_TOKEN_PATTERN = re.compile(r"[^A-Za-z0-9_.+-]")
 # rational wire format
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1 << 16)
 def format_rational(value: Fraction) -> str:
     """Render a rational as a reduced "p/q" string ("p" when q = 1)."""
 
@@ -47,7 +52,14 @@ def format_rational(value: Fraction) -> str:
 def parse_rational(text: str) -> Fraction:
     """Parse a "p/q" string strictly: no whitespace, signs, or decimals."""
 
-    if not isinstance(text, str) or _RATIONAL_PATTERN.fullmatch(text) is None:
+    if not isinstance(text, str):  # checked first: lists are unhashable
+        raise ValueError(f"not a p/q rational: {text!r}")
+    return _parse_text(text)
+
+
+@lru_cache(maxsize=1 << 16)
+def _parse_text(text: str) -> Fraction:
+    if _RATIONAL_PATTERN.fullmatch(text) is None:
         raise ValueError(f"not a p/q rational: {text!r}")
     try:
         return Fraction(text)
@@ -79,14 +91,15 @@ def write_extreme_set(path, extreme_set: ExtremeSet, fmt: str = "json") -> None:
     """Write an ExtremeSet to ``path`` as JSON or CSV (lossless)."""
 
     path = Path(path)
+    rows = [[format_rational(c) for c in p.coeffs]
+            for p in extreme_set.points]
     if fmt == "json":
         payload = {
             "format-version": FILE_FORMAT_VERSION,
             "m": extreme_set.m,
             "n": extreme_set.n,
             "count": len(extreme_set),
-            "points": [[format_rational(c) for c in p.coeffs]
-                       for p in extreme_set.points],
+            "points": rows,
         }
         if not extreme_set.complete:
             payload["complete"] = False
@@ -99,9 +112,7 @@ def write_extreme_set(path, extreme_set: ExtremeSet, fmt: str = "json") -> None:
             meta += " complete=false"
         with path.open("w", newline="") as handle:
             handle.write(meta + "\n")
-            writer = csv.writer(handle)
-            for point in extreme_set.points:
-                writer.writerow([format_rational(c) for c in point.coeffs])
+            csv.writer(handle).writerows(rows)
     else:
         raise ValueError(f"unknown format: {fmt!r} (expected json or csv)")
 
@@ -148,8 +159,7 @@ def _read_csv(text: str, path: Path) -> ExtremeSet:
     for key in ("format-version", "m", "n", "count"):
         if key not in meta:
             raise ValueError(f"{path}: metadata missing {key!r}")
-    rows = list(csv.reader(lines[1:]))
-    rows = [row for row in rows if row]
+    rows = [row for row in csv.reader(lines[1:]) if row]
     return _assemble(
         path,
         version=int(meta["format-version"]),

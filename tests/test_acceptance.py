@@ -311,21 +311,23 @@ def test_criterion_12_core_property_suites():
 
 
 def test_criterion_13_worker_determinism(tmp_path, monkeypatch, capsys):
-    # identical output files for workers 1, 2, 8 on the criterion 1-3 runs
+    # identical output files on the criterion 1-3 runs: for workers 1, 2, 8
+    # on enum, and over three runs on planar, which has no --workers
     monkeypatch.setenv("EXTREMEFORMS_CACHE", str(tmp_path / "cache"))
+    worker_flags = [("--workers", str(w)) for w in (1, 2, 8)]
     invocations = {
-        "enum22": ("enum", "--m", "2", "--n", "2"),
-        "planar3": ("planar", "--m", "3"),
-        "planar4": ("planar", "--m", "4"),
-        "enum32": ("enum", "--m", "3", "--n", "2"),
+        "enum22": (("enum", "--m", "2", "--n", "2"), worker_flags),
+        "planar3": (("planar", "--m", "3"), [()] * 3),
+        "planar4": (("planar", "--m", "4"), [()] * 3),
+        "enum32": (("enum", "--m", "3", "--n", "2"), worker_flags),
     }
-    for label, argv in invocations.items():
+    for label, (argv, variants) in invocations.items():
         outputs = []
-        for workers in (1, 2, 8):
-            out = tmp_path / f"{label}-w{workers}.json"
-            code, _, _ = run_cli(capsys, *argv, "--workers", str(workers),
+        for run, extra in enumerate(variants):
+            out = tmp_path / f"{label}-{run}.json"
+            code, _, _ = run_cli(capsys, *argv, *extra,
                                  "--out", str(out), "--no-cache")
             assert code == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2], \
-            f"{label} output differs across worker counts"
+            f"{label} output differs across runs"

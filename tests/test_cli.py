@@ -129,6 +129,20 @@ def test_enum_budget_resume_round_trip(tmp_path, cachedir, capsys):
     assert out.read_bytes() == fresh.read_bytes()
 
 
+def test_enum_resume_rejects_non_string_cell(tmp_path, cachedir, capsys):
+    out = tmp_path / "budgeted.json"
+    argv = ["enum", "--m", "2", "--n", "3", "--out", str(out),
+            "--budget", "1", "--no-cache"]
+    assert run(capsys, *argv)[0] == 3
+    resume = tmp_path / "budgeted.json.resume.json"
+    payload = json.loads(resume.read_text())
+    payload["partial"][0][0] = [1, 2]
+    resume.write_text(json.dumps(payload))
+    code, _, stderr = run(capsys, *argv, "--resume", str(resume))
+    assert code == 2
+    assert "not a p/q rational" in stderr
+
+
 def test_enum_rejects_bad_arguments(cachedir, capsys, tmp_path):
     assert run(capsys, "enum", "--m", "0", "--n", "2",
                "--out", str(tmp_path / "x.json"))[0] == 2
@@ -180,6 +194,15 @@ def test_planar_cache_hit_is_byte_identical(tmp_path, cachedir, capsys):
     assert "cache: hit" not in out1
     assert "cache: hit" in out2
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_planar_rejects_workers(tmp_path, cachedir, capsys, monkeypatch):
+    # n = 2 scans no bases, so planar has no --workers flag
+    monkeypatch.chdir(tmp_path)
+    code, _, stderr = run(capsys, "planar", "--m", "3", "--workers", "2")
+    assert code == 2
+    assert "--workers" in stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_planar_budget_guard(tmp_path, cachedir, capsys):

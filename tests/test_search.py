@@ -293,6 +293,11 @@ def test_planar_matches_general_trilinear(set32, planar3):
     assert planar3.coefficient_tuples() == set32.coefficient_tuples()
 
 
+def test_planar_matches_general_quadrilinear(planar4):
+    # the largest set _finalize is handed: 65536 points from 32768 keys
+    assert extreme_points(4, 2) == planar4
+
+
 def test_planar_trilinear_frozen(planar3):
     assert len(planar3) == 256
     for point in TRILINEAR_2_SAMPLE:

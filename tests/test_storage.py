@@ -187,6 +187,16 @@ def test_read_rejects_corruption(tmp_path, set12):
         read_extreme_set(path)
 
 
+def test_read_rejects_non_string_cell(tmp_path, set12):
+    path = tmp_path / "points.json"
+    write_extreme_set(path, set12, fmt="json")
+    payload = json.loads(path.read_text())
+    payload["points"][0][0] = [1, 2]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="point 0"):
+        read_extreme_set(path)
+
+
 def test_write_rejects_unknown_format(tmp_path, set12):
     with pytest.raises(ValueError):
         write_extreme_set(tmp_path / "x", set12, fmt="xml")
