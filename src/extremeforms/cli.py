@@ -52,8 +52,8 @@ _SHARED_FLAGS = {
     "--n": dict(type=_positive, required=True),
     "--workers": dict(type=_positive, default=1,
                       help="processes for the basis scan of a fresh, "
-                           "unbudgeted run; no effect when n = 2 (no bases "
-                           "are scanned)"),
+                           "unbudgeted run; bh and mixed refuse values "
+                           "other than 1 when n = 2 (no bases are scanned)"),
     "--out": dict(type=Path, default=None),
     "--format": dict(choices=("json", "csv"), default="json"),
     "--cache-dir": dict(type=Path, default=None,
@@ -170,37 +170,32 @@ def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path, compute,
     data = None
     if lookup and not args.no_cache:
         data = storage.cache_load(_cache_dir(args), key)
-    if data is not None:
+    hit = data is not None
+    if hit:
         out.write_bytes(data)
+        del data  # the parse below holds the file's text already
         result = storage.read_extreme_set(out)
     else:
         result = compute()
         storage.write_extreme_set(out, result, fmt=args.format)
         if result.complete and not args.no_cache:
             storage.cache_store(_cache_dir(args), key, out.read_bytes())
-    max_denominator = max((c.denominator
-                           for p in result.points for c in p.coeffs),
-                          default=1)
     print(f"count: {len(result)}")
-    print(f"max-denominator: {max_denominator}")
+    print(f"max-denominator: {result.max_denominator()}")
     print(f"wall-seconds: {time.perf_counter() - started:.3f}")
     print(f"file: {out}")
-    if data is not None:
+    if hit:
         print("cache: hit")
     return EXIT_OK
 
 
-def _merged_set(m: int, n: int, *point_groups):
-    from .core import FormVector
-    from .search import ExtremeSet
-
-    keys = {point.coeffs for group in point_groups for point in group}
-    points = tuple(FormVector(coeffs, m, n) for coeffs in sorted(keys))
-    return ExtremeSet(m, n, points, complete=True)
-
-
 def _write_resume_file(path: Path, m: int, n: int, search_resume: dict,
-                       points) -> None:
+                       pairs) -> None:
+    """Write the resume file; pairs are (d, u) rows, duplicates kept."""
+
+    from fractions import Fraction
+
+    from .search import exact_order
     from .storage import format_rational
 
     payload = {
@@ -209,14 +204,16 @@ def _write_resume_file(path: Path, m: int, n: int, search_resume: dict,
         "m": m,
         "n": n,
         "search": search_resume,
-        "partial": [[format_rational(c) for c in point.coeffs]
-                    for point in sorted(points, key=lambda p: p.coeffs)],
+        "partial": [[format_rational(Fraction(x, d)) for x in u]
+                    for d, u in exact_order(pairs)],
     }
     path.write_text(json.dumps(payload, indent=1) + "\n")
 
 
 def _load_resume_file(path: Path, m: int, n: int):
-    from .core import FormVector
+    """The partial rows as (d, u) pairs, and the search cursor."""
+
+    from .search import int64_row
     from .storage import parse_rational
 
     try:
@@ -229,10 +226,16 @@ def _load_resume_file(path: Path, m: int, n: int):
     if payload.get("m") != m or payload.get("n") != n:
         raise ValueError(f"resume file is for (m={payload.get('m')}, "
                          f"n={payload.get('n')}), not (m={m}, n={n})")
-    points = tuple(
-        FormVector(tuple(parse_rational(cell) for cell in row), m, n)
-        for row in payload.get("partial", ()))
-    return points, payload.get("search")
+    pairs = []
+    for index, row in enumerate(payload.get("partial", ())):
+        if len(row) != n ** m:
+            raise ValueError(f"{path}: point {index} has {len(row)} "
+                             f"coordinates, expected {n ** m}")
+        try:
+            pairs.append(int64_row(parse_rational(cell) for cell in row))
+        except ValueError as err:
+            raise ValueError(f"{path}: point {index}: {err}") from None
+    return pairs, payload.get("search")
 
 
 # ---------------------------------------------------------------------------
@@ -240,20 +243,21 @@ def _load_resume_file(path: Path, m: int, n: int):
 # ---------------------------------------------------------------------------
 
 def _handle_enum(args: argparse.Namespace) -> int:
-    from .search import BudgetExceeded, extreme_points
+    from .search import BudgetExceeded, ExtremeSet, extreme_points
 
     out = args.out or Path(
         f"extremeforms-enum-m{args.m}-n{args.n}.{args.format}")
-    prior_points, search_resume = (), None
+    prior_pairs, search_resume = [], None
     if args.resume is not None:
-        prior_points, search_resume = _load_resume_file(
+        prior_pairs, search_resume = _load_resume_file(
             args.resume, args.m, args.n)
 
     def compute():
         result = extreme_points(args.m, args.n, budget=args.budget,
                                 resume=search_resume, workers=args.workers)
-        if prior_points:
-            return _merged_set(args.m, args.n, prior_points, result.points)
+        if prior_pairs:
+            return ExtremeSet.from_pairs(args.m, args.n,
+                                         prior_pairs + result.pairs())
         return result
 
     try:
@@ -263,7 +267,7 @@ def _handle_enum(args: argparse.Namespace) -> int:
     except BudgetExceeded as stop:
         resume_path = Path(str(out) + ".resume.json")
         _write_resume_file(resume_path, args.m, args.n, stop.resume,
-                           prior_points + stop.partial.points)
+                           prior_pairs + stop.partial.pairs())
         print(f"resource budget exceeded; resume state: {resume_path}",
               file=sys.stderr)
         return EXIT_BUDGET
@@ -302,6 +306,10 @@ def _handle_verify(args: argparse.Namespace) -> int:
 
 def _handle_convex_constant(args: argparse.Namespace) -> int:
     """bh and mixed: a convex maximum over the extreme points of (m, n)."""
+
+    if args.n == 2 and args.workers != 1:
+        raise ValueError("--workers has no effect when n = 2 (no bases are "
+                         "scanned); omit it")
 
     def compute():
         from . import constants
@@ -389,7 +397,7 @@ def _handle_oracle(args: argparse.Namespace) -> int:
 
     brute = brute_force_vertices(args.m, args.n)
     pipeline = extreme_points(args.m, args.n)
-    equal = brute.coefficient_tuples() == pipeline.coefficient_tuples()
+    equal = brute == pipeline
     payload = {"m": args.m, "n": args.n, "equal": equal,
                "count": len(pipeline), "brute-count": len(brute)}
     print(json.dumps(payload, indent=2))

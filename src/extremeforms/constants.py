@@ -11,7 +11,10 @@ constant 2^(1 - 1/m).
 Inputs stay exact rationals throughout; only the final power and root
 evaluations use binary64. Maximizer selection uses a 1e-12 tie window and
 then picks the lexicographically largest coefficient tuple, which makes
-reports reproducible across platforms and worker counts.
+reports reproducible across platforms and worker counts. The
+Bohnenblust-Hille and mixed constants score the integer rows of the
+ExtremeSet directly, once per class of equal (d, sorted |u|), with the
+same kernel that f_lambda applies to one FormVector.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .core import FormVector
-from .search import ExtremeSet
+from .search import ExtremeSet, exact_keys, reduced_row
 
 TIE_WINDOW = 1e-12
 
@@ -93,6 +98,35 @@ def _recognize_closed_form(value: float) -> str | None:
 # functionals
 # ---------------------------------------------------------------------------
 
+def _exponent(exponent) -> Fraction:
+    lam = Fraction(exponent)
+    if lam < 1:
+        raise ValueError(f"exponent must be >= 1, got {exponent}")
+    return lam
+
+
+def _f_lambda_row(d: int, magnitudes, lam: Fraction) -> float:
+    """f_lambda of a point u / d from d and the multiset |u|, Python ints.
+
+    lambda = 1 and lambda = 2 are summed exactly before the one final
+    conversion (and square root); other exponents take one correctly
+    rounded power per entry and one math.fsum, so the value depends only
+    on the multiset.
+    """
+
+    if lam == 1:
+        return float(Fraction(sum(magnitudes), d))
+    if lam == 2:
+        return math.sqrt(float(Fraction(sum(x * x for x in magnitudes),
+                                        d * d)))
+    lam_f = float(lam)
+    total = math.fsum(float(Fraction(x, d)) ** lam_f
+                      for x in magnitudes if x)
+    if total == 0.0:
+        return 0.0
+    return total ** (1.0 / lam_f)
+
+
 def f_lambda(a: FormVector, exponent) -> float:
     """ell_lambda norm of the coefficient vector, lambda >= 1, in binary64.
 
@@ -100,23 +134,49 @@ def f_lambda(a: FormVector, exponent) -> float:
     arithmetic before the single final conversion (and square root).
     """
 
-    lam = Fraction(exponent)
-    if lam < 1:
-        raise ValueError(f"exponent must be >= 1, got {exponent}")
-    if lam == 1:
-        return float(sum(abs(c) for c in a.coeffs))
-    if lam == 2:
-        return math.sqrt(float(sum(c * c for c in a.coeffs)))
-    lam_f = float(lam)
-    total = math.fsum(float(abs(c)) ** lam_f for c in a.coeffs if c != 0)
-    if total == 0.0:
-        return 0.0
-    return total ** (1.0 / lam_f)
+    lam = _exponent(exponent)
+    d, u = reduced_row(a.coeffs)
+    return _f_lambda_row(d, [abs(x) for x in u], lam)
+
+
+def _f_lambda_rows(extreme_set: ExtremeSet, exponent) -> list:
+    """f_lambda of every row, evaluated once per (d, sorted |u|) class."""
+
+    lam = _exponent(exponent)
+    magnitudes = np.abs(extreme_set.nums)
+    magnitudes.sort(axis=1)
+    keys = list(map(tuple, np.column_stack([extreme_set.dens,
+                                            magnitudes]).tolist()))
+    classes = {key: _f_lambda_row(key[0], key[1:], lam)
+               for key in dict.fromkeys(keys)}
+    return list(map(classes.__getitem__, keys))
 
 
 # ---------------------------------------------------------------------------
 # finite maximization over extreme points
 # ---------------------------------------------------------------------------
+
+def _maximum(extreme_set: ExtremeSet, values, name: str,
+             exponent: Fraction | None) -> ConstantReport:
+    """Report the best of per-row values with the deterministic tie-break.
+
+    Rows within TIE_WINDOW of the best value are tied; the winner is the
+    lexicographically largest coefficient vector among them, compared on
+    exact integer keys.
+    """
+
+    if len(extreme_set) == 0:
+        raise ValueError("cannot maximize over an empty extreme-point set")
+    best_value = max(values)
+    tied = [i for i, value in enumerate(values)
+            if value >= best_value - TIE_WINDOW]
+    keys = exact_keys(zip(extreme_set.dens[tied].tolist(),
+                          extreme_set.nums[tied].tolist()))
+    winner = max(range(len(tied)), key=keys.__getitem__)
+    return ConstantReport(name=name, m=extreme_set.m, n=extreme_set.n,
+                          exponent=exponent, value=best_value,
+                          argmax=extreme_set.point(tied[winner]))
+
 
 def maximize_convex(extreme_set: ExtremeSet, functional, name: str,
                     exponent: Fraction | None = None) -> ConstantReport:
@@ -129,15 +189,8 @@ def maximize_convex(extreme_set: ExtremeSet, functional, name: str,
     The functional is evaluated once per point.
     """
 
-    if len(extreme_set) == 0:
-        raise ValueError("cannot maximize over an empty extreme-point set")
     values = [functional(point) for point in extreme_set.points]
-    best_value = max(values)
-    tied = [point for point, value in zip(extreme_set.points, values)
-            if value >= best_value - TIE_WINDOW]
-    argmax = max(tied, key=lambda point: point.coeffs)
-    return ConstantReport(name=name, m=extreme_set.m, n=extreme_set.n,
-                          exponent=exponent, value=best_value, argmax=argmax)
+    return _maximum(extreme_set, values, name, exponent)
 
 
 def _require_matching(m: int, n: int, extreme_set: ExtremeSet) -> None:
@@ -151,9 +204,8 @@ def bh_constant(m: int, n: int, extreme_set: ExtremeSet) -> ConstantReport:
 
     _require_matching(m, n, extreme_set)
     exponent = Fraction(2 * m, m + 1)
-    report = maximize_convex(extreme_set,
-                             lambda a: f_lambda(a, exponent),
-                             name="bohnenblust-hille", exponent=exponent)
+    report = _maximum(extreme_set, _f_lambda_rows(extreme_set, exponent),
+                      name="bohnenblust-hille", exponent=exponent)
     return replace(report, exact_note=_recognize_closed_form(report.value))
 
 

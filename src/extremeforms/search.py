@@ -33,21 +33,27 @@ products with the adjugate are formed once per basis, and all sign vectors
 are tested against them in one float64 matrix product. A Hadamard bound
 proves every value involved an integer below 2^53, so the float64 result
 is exact for any summation order; _anchored_walk refuses any size where the
-bound fails. Numerators are formed only for the surviving sign vectors, and
-Fractions appear only at the final conversion. For n = 2 the
-representative rows are mutually orthogonal, the anchored basis is unique
-(a Walsh-Hadamard matrix), and every solution is automatically extreme;
-planar_extreme_points exploits that shortcut to reach 2^(2^m) points
-directly.
+bound fails. Numerators are formed only for the surviving sign vectors. For
+n = 2 the representative rows are mutually orthogonal, the anchored basis
+is unique (a Walsh-Hadamard matrix), and every solution is automatically
+extreme; planar_extreme_points exploits that shortcut to reach 2^(2^m)
+points directly.
+
+Both searches end in an ExtremeSet of gcd-reduced integer rows (d, u) in
+two int64 arrays, sorted on exact integer keys. Fractions appear only
+where a caller asks for FormVectors (ExtremeSet.points, iteration,
+point(i)), in the certificates and exact solves (solve_anchored_system,
+in_unit_ball, is_extreme), and in the brute_force_vertices oracle, which
+keeps its own exact Fraction solve and only uses the container.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
@@ -149,31 +155,139 @@ class ExtremalityCertificate:
         return self.extreme
 
 
-@dataclass(frozen=True)
+# _fraction(num, den) is Fraction(num, den), built once per distinct value
+_fraction = lru_cache(maxsize=1 << 16)(Fraction)
+
+
+def reduced_row(coeffs) -> tuple:
+    """(d, u) with coeffs == u / d, gcd-reduced, d > 0, as Python ints."""
+    coeffs = [Fraction(c) for c in coeffs]
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return d, tuple(c.numerator * (d // c.denominator) for c in coeffs)
+
+
+def int64_row(coeffs) -> tuple:
+    """reduced_row, or ValueError unless d and every |u_i| are below 2^63.
+
+    ExtremeSet stores its rows in int64; this is its stated size limit.
+    """
+    d, u = reduced_row(coeffs)
+    if (d >> 63) or any(abs(x) >> 63 for x in u):
+        raise ValueError(f"does not fit int64 (denominator {d})")
+    return d, u
+
+
+def exact_keys(pairs) -> list:
+    """Integer keys that compare like the rational vectors u / d.
+
+    The key of (d, u) is u * (L // d), L the lcm of all the denominators,
+    so lexicographic order needs no Fraction.
+    """
+    pairs = list(pairs)
+    lcm = math.lcm(*{d for d, _ in pairs})
+    return [tuple(x * (lcm // d) for x in u) for d, u in pairs]
+
+
+def exact_order(pairs) -> list:
+    """(d, u) pairs sorted by the rational vectors u / d, duplicates kept."""
+    pairs = list(pairs)
+    keys = exact_keys(pairs)
+    return [pairs[i] for i in sorted(range(len(pairs)),
+                                     key=keys.__getitem__)]
+
+
+@dataclass(frozen=True, eq=False)
 class ExtremeSet:
     """Canonically sorted, deduplicated set of extreme coefficient vectors.
 
-    complete=False marks a budget-truncated run; the points present are
-    still genuine extreme points.
+    Row i is the point nums[i] / dens[i]: dens is int64[k], nums is
+    int64[k, n^m], each row gcd-reduced with a positive denominator, rows
+    in the lexicographic order of the rational vectors. The constructor
+    trusts its arrays; from_pairs and from_points reduce, deduplicate and
+    sort. FormVectors are built only on demand and cached. complete=False
+    marks a budget-truncated run; the points present are still genuine
+    extreme points. Equality compares m, n and the arrays.
     """
 
     m: int
     n: int
-    points: tuple
-    complete: bool = field(default=True, compare=False)
+    dens: np.ndarray
+    nums: np.ndarray
+    complete: bool = True
+
+    def __post_init__(self):
+        dens = np.asarray(self.dens, dtype=np.int64)
+        nums = np.asarray(self.nums, dtype=np.int64).reshape(
+            len(dens), self.n ** self.m)
+        object.__setattr__(self, "dens", dens)
+        object.__setattr__(self, "nums", nums)
+
+    @classmethod
+    def from_pairs(cls, m, n, pairs, complete=True) -> "ExtremeSet":
+        """From gcd-reduced (d, u) integer pairs with d > 0 and |u| < 2^63."""
+        rows = exact_order(set(pairs))
+        return cls(m, n, [d for d, _ in rows], [u for _, u in rows],
+                   complete=complete)
+
+    @classmethod
+    def from_points(cls, m, n, points, complete=True) -> "ExtremeSet":
+        """From FormVectors or rational sequences, reduced and sorted.
+
+        ValueError names the point whose row does not fit int64.
+        """
+        pairs = []
+        for index, point in enumerate(points):
+            if not isinstance(point, FormVector):
+                point = FormVector(tuple(point), m, n)
+            if (point.m, point.n) != (m, n):
+                raise ValueError(f"point {index} has shape "
+                                 f"(m={point.m}, n={point.n})")
+            try:
+                pairs.append(int64_row(point.coeffs))
+            except ValueError as err:
+                raise ValueError(f"point {index}: {err}") from None
+        return cls.from_pairs(m, n, pairs, complete=complete)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.dens)
 
     def __iter__(self):
         return iter(self.points)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExtremeSet):
+            return NotImplemented
+        return ((self.m, self.n) == (other.m, other.n)
+                and np.array_equal(self.dens, other.dens)
+                and np.array_equal(self.nums, other.nums))
+
     def __contains__(self, item) -> bool:
-        if isinstance(item, FormVector):
-            key = item.coeffs
-        else:
-            key = tuple(Fraction(c) for c in item)
-        return key in self.coefficient_tuples()
+        coeffs = item.coeffs if isinstance(item, FormVector) else tuple(item)
+        return reduced_row(coeffs) in self._pair_set
+
+    @cached_property
+    def _pair_set(self) -> frozenset:
+        return frozenset(self.pairs())
+
+    def _form(self, d, u) -> FormVector:
+        return FormVector(tuple(_fraction(x, d) for x in u), self.m, self.n)
+
+    def point(self, index) -> FormVector:
+        """Row index as a FormVector, without building the others."""
+        return self._form(int(self.dens[index]), self.nums[index].tolist())
+
+    @cached_property
+    def points(self) -> tuple:
+        return tuple(self._form(d, u) for d, u in self.pairs())
+
+    def pairs(self) -> list:
+        """The rows as (d, u) pairs of Python ints."""
+        return list(zip(self.dens.tolist(), map(tuple, self.nums.tolist())))
+
+    def max_denominator(self) -> int:
+        """Largest reduced denominator of any coordinate, d // gcd(u_i, d)."""
+        cells = self.dens[:, None] // np.gcd(self.nums, self.dens[:, None])
+        return int(cells.max(initial=1))
 
     def coefficient_tuples(self) -> frozenset:
         try:
@@ -500,24 +614,17 @@ def _process_basis(m, n, row_indices, keys):
     keys.update(zip((det // g).tolist(), map(tuple, reduced.tolist())))
 
 
-# _fraction(num, den) is Fraction(num, den), built once per distinct value
-_fraction = lru_cache(maxsize=1 << 16)(Fraction)
-
-
 def _finalize(m, n, keys, complete):
     """Orbit-expand candidate keys, deduplicate, sort, build the set.
 
     Sign flips keep a key (d, u) gcd-reduced, so the images of all keys
-    deduplicate as integer pairs in one set before any Fraction is built.
+    deduplicate as integer pairs in one set, and no Fraction is built.
     """
     vmat = _tables(m, n)["vmat"]
     images = set()
     for d, u in keys:
         images.update((d, tuple(row)) for row in (vmat * u).tolist())
-    decorated = sorted(tuple(_fraction(x, d) for x in row)
-                       for d, row in images)
-    points = tuple(FormVector(coeffs, m, n) for coeffs in decorated)
-    return ExtremeSet(m, n, points, complete=complete)
+    return ExtremeSet.from_pairs(m, n, images, complete=complete)
 
 
 def _subtree_keys(args):
@@ -587,11 +694,10 @@ def planar_extreme_points(m, max_points=1 << 17) -> ExtremeSet:
             >> np.arange(size - 1, -1, -1, dtype=np.int64)[None, :]) & 1
     signs = 1 - 2 * bits
     numerators = signs @ h
-    order = np.lexsort(numerators.T[::-1])
-    points = tuple(
-        FormVector(tuple(_fraction(x, size) for x in row), m, 2)
-        for row in numerators[order].tolist())
-    return ExtremeSet(m, 2, points)
+    # one common denominator, so this order is the exact rational order
+    nums = numerators[np.lexsort(numerators.T[::-1])]
+    g = np.gcd(np.gcd.reduce(nums, axis=1), size)
+    return ExtremeSet(m, 2, size // g, nums // g[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -664,5 +770,4 @@ def brute_force_vertices(m, n) -> ExtremeSet:
         for candidate in zip(*_exact_solve(subset, sign_rows)):
             if all(abs(inner(candidate, c)) <= 1 for c in constraints):
                 found.add(candidate)
-    points = tuple(FormVector(coeffs, m, n) for coeffs in sorted(found))
-    return ExtremeSet(m, n, points)
+    return ExtremeSet.from_points(m, n, found)

@@ -2,13 +2,19 @@
 
 Rational coordinates travel as reduced "p/q" strings with no whitespace
 (integers omit the "/q" part), which keeps files diff-friendly and
-language-neutral while staying exactly lossless. Every artifact, resume
-file and cache hit goes through format_rational and parse_rational, which
-convert each distinct value once and cache only validated values. Extreme
-sets serialize to either a JSON document or a CSV table with a leading
-comment line carrying the same metadata. Every file records a format
-version so that a future change of index convention cannot silently
-corrupt comparisons.
+language-neutral while staying exactly lossless. Extreme sets serialize to
+either a JSON document or a CSV table with a leading comment line carrying
+the same metadata. Every file records a format version so that a future
+change of index convention cannot silently corrupt comparisons.
+
+Extreme sets go between files and the integer arrays of ExtremeSet
+without a FormVector: the writer formats each distinct (u_i, d) cell once
+and joins the rows by hand, and the reader parses each distinct cell
+string once. Fractions appear only in that per-value step, in
+format_rational and parse_rational (cached, validated values only), which
+the resume file and parse_point_list use as well. A row whose reduced
+denominator or numerator does not fit int64 is refused with a ValueError
+naming the point.
 
 The cache stores opaque byte payloads under deterministic keys, next to a
 SHA-256 sidecar. Writes go through a temporary file plus ``os.replace`` so
@@ -21,16 +27,19 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import uuid
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .core import FormVector
-from .search import ExtremeSet
+from .search import ExtremeSet, int64_row
 
 FILE_FORMAT_VERSION = 1
 
@@ -87,34 +96,54 @@ def parse_point_list(text: str) -> tuple:
 # extreme-set files
 # ---------------------------------------------------------------------------
 
+def _cell_rows(extreme_set: ExtremeSet) -> list:
+    """Cell strings of every row; each distinct (u_i, d) is formatted once."""
+
+    dens, nums = extreme_set.dens, extreme_set.nums
+    cells = np.empty(nums.shape, dtype=object)
+    for d in np.unique(dens).tolist():
+        rows = dens == d
+        values, inverse = np.unique(nums[rows], return_inverse=True)
+        table = np.array([format_rational(Fraction(x, d))
+                          for x in values.tolist()], dtype=object)
+        cells[rows] = table[inverse].reshape(-1, nums.shape[1])
+    return cells.tolist()
+
+
 def write_extreme_set(path, extreme_set: ExtremeSet, fmt: str = "json") -> None:
-    """Write an ExtremeSet to ``path`` as JSON or CSV (lossless)."""
+    """Write an ExtremeSet to ``path`` as JSON or CSV (lossless).
+
+    The JSON text is assembled by hand, byte for byte the output of
+    ``json.dumps(payload, indent=1)``; cells hold only digits, "-" and
+    "/", which JSON and CSV both leave unescaped and unquoted.
+    """
 
     path = Path(path)
-    rows = [[format_rational(c) for c in p.coeffs]
-            for p in extreme_set.points]
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"unknown format: {fmt!r} (expected json or csv)")
+    rows = _cell_rows(extreme_set)
     if fmt == "json":
-        payload = {
-            "format-version": FILE_FORMAT_VERSION,
-            "m": extreme_set.m,
-            "n": extreme_set.n,
-            "count": len(extreme_set),
-            "points": rows,
-        }
+        fields = [f' "format-version": {FILE_FORMAT_VERSION}',
+                  f' "m": {extreme_set.m}',
+                  f' "n": {extreme_set.n}',
+                  f' "count": {len(rows)}']
+        if rows:
+            fields.append(' "points": [\n' + ",\n".join(
+                '  [\n   "' + '",\n   "'.join(row) + '"\n  ]'
+                for row in rows) + "\n ]")
+        else:
+            fields.append(' "points": []')
         if not extreme_set.complete:
-            payload["complete"] = False
-        path.write_text(json.dumps(payload, indent=1) + "\n")
-    elif fmt == "csv":
+            fields.append(' "complete": false')
+        path.write_text("{\n" + ",\n".join(fields) + "\n}\n")
+    else:
         meta = (f"# extremeforms format-version={FILE_FORMAT_VERSION}"
                 f" m={extreme_set.m} n={extreme_set.n}"
-                f" count={len(extreme_set)}")
+                f" count={len(rows)}")
         if not extreme_set.complete:
             meta += " complete=false"
-        with path.open("w", newline="") as handle:
-            handle.write(meta + "\n")
-            csv.writer(handle).writerows(rows)
-    else:
-        raise ValueError(f"unknown format: {fmt!r} (expected json or csv)")
+        body = "".join(",".join(row) + "\r\n" for row in rows)
+        path.write_text(meta + "\n" + body, newline="")
 
 
 def read_extreme_set(path) -> ExtremeSet:
@@ -172,6 +201,14 @@ def _read_csv(text: str, path: Path) -> ExtremeSet:
 
 
 def _assemble(path, version, m, n, count, rows, complete) -> ExtremeSet:
+    """Rows of cell strings to an ExtremeSet, in file order.
+
+    Each distinct cell string is parsed once. When the common denominator
+    L of all cells and every numerator over L fit int64, the rows are
+    reduced in numpy; otherwise row by row in Python integers, where a row
+    that does not fit int64 raises ValueError naming its point.
+    """
+
     if version != FILE_FORMAT_VERSION:
         raise ValueError(f"{path}: format-version {version} unsupported "
                          f"(expected {FILE_FORMAT_VERSION})")
@@ -179,17 +216,40 @@ def _assemble(path, version, m, n, count, rows, complete) -> ExtremeSet:
         raise ValueError(f"{path}: count field says {count} "
                          f"but {len(rows)} points present")
     width = n ** m
-    points = []
     for index, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"{path}: point {index} has {len(row)} "
                              f"coordinates, expected {width}")
+    try:
+        values = {text: parse_rational(text)
+                  for text in set(chain.from_iterable(rows))}
+    except (TypeError, ValueError):  # TypeError: an unhashable cell
+        values = None
+    if values is None:
+        return _assemble_rows(path, m, n, rows, complete)
+    lcm = math.lcm(*(v.denominator for v in values.values()))
+    scaled = [v.numerator * (lcm // v.denominator) for v in values.values()]
+    if (lcm >> 63) or any(abs(x) >> 63 for x in scaled):
+        return _assemble_rows(path, m, n, rows, complete)
+    ids = dict(zip(values, range(len(values))))
+    common = np.array(scaled, dtype=np.int64)[
+        np.fromiter(map(ids.__getitem__, chain.from_iterable(rows)),
+                    dtype=np.int64, count=len(rows) * width)
+    ].reshape(len(rows), width)
+    g = np.gcd(np.gcd.reduce(common, axis=1), lcm)
+    return ExtremeSet(m, n, lcm // g, common // g[:, None],
+                      complete=bool(complete))
+
+
+def _assemble_rows(path, m, n, rows, complete) -> ExtremeSet:
+    pairs = []
+    for index, row in enumerate(rows):
         try:
-            coeffs = tuple(parse_rational(cell) for cell in row)
+            pairs.append(int64_row(parse_rational(cell) for cell in row))
         except ValueError as err:
             raise ValueError(f"{path}: point {index}: {err}") from None
-        points.append(FormVector(coeffs, m, n))
-    return ExtremeSet(m, n, tuple(points), complete=bool(complete))
+    return ExtremeSet(m, n, [d for d, _ in pairs], [u for _, u in pairs],
+                      complete=bool(complete))
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,20 @@ def test_enum_resume_rejects_non_string_cell(tmp_path, cachedir, capsys):
     assert "not a p/q rational" in stderr
 
 
+def test_enum_resume_rejects_row_past_int64(tmp_path, cachedir, capsys):
+    out = tmp_path / "budgeted.json"
+    argv = ["enum", "--m", "2", "--n", "3", "--out", str(out),
+            "--budget", "1", "--no-cache"]
+    assert run(capsys, *argv)[0] == 3
+    resume = tmp_path / "budgeted.json.resume.json"
+    payload = json.loads(resume.read_text())
+    payload["partial"][1][0] = "1/9223372036854775808"
+    resume.write_text(json.dumps(payload))
+    code, _, stderr = run(capsys, *argv, "--resume", str(resume))
+    assert code == 2
+    assert "point 1: does not fit int64" in stderr
+
+
 def test_enum_rejects_bad_arguments(cachedir, capsys, tmp_path):
     assert run(capsys, "enum", "--m", "0", "--n", "2",
                "--out", str(tmp_path / "x.json"))[0] == 2
@@ -203,6 +217,36 @@ def test_planar_rejects_workers(tmp_path, cachedir, capsys, monkeypatch):
     assert code == 2
     assert "--workers" in stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["bh", "mixed"])
+def test_convex_constant_rejects_workers_when_planar(tmp_path, cachedir,
+                                                     capsys, monkeypatch,
+                                                     command):
+    # n = 2 scans no bases; --workers stays for n > 2 only
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run(capsys, command, "--m", "3", "--n", "2",
+                               "--workers", "2")
+    assert code == 2
+    assert "--workers" in stderr
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+    assert run(capsys, command, "--m", "2", "--n", "2",
+               "--workers", "1")[0] == 0
+
+
+def test_planar_cache_hit_rejects_row_past_int64(tmp_path, cachedir, capsys):
+    from extremeforms.storage import cache_key, cache_store
+
+    out = tmp_path / "p1.json"
+    assert run(capsys, "planar", "--m", "1", "--out", str(out))[0] == 0
+    payload = json.loads(out.read_text())
+    payload["points"][0][0] = "1/9223372036854775808"
+    cache_store(cachedir, cache_key("planar", 1, 2, extra={"fmt": "json"}),
+                json.dumps(payload).encode())
+    code, _, stderr = run(capsys, "planar", "--m", "1", "--out", str(out))
+    assert code == 2
+    assert "point 0: does not fit int64" in stderr
 
 
 def test_planar_budget_guard(tmp_path, cachedir, capsys):

@@ -118,7 +118,7 @@ def test_maximize_evaluates_once_per_point(set22):
 
 
 def test_maximize_rejects_empty():
-    empty = ExtremeSet(2, 2, ())
+    empty = ExtremeSet.from_points(2, 2, ())
     with pytest.raises(ValueError):
         maximize_convex(empty, lambda a: 0.0, name="empty")
 
@@ -296,3 +296,54 @@ def test_report_json_without_exponent(set22):
     assert payload["lambda"] is None
     assert payload["exact_note"] is None
     json.dumps(payload)
+
+
+# ---------------------------------------------------------------------------
+# the per-row kernel against a per-FormVector reference
+# ---------------------------------------------------------------------------
+
+def reference_f_lambda(a, lam):
+    """f_lambda evaluated on the point's Fractions, one cell at a time."""
+
+    if lam == 1:
+        return float(sum(abs(c) for c in a.coeffs))
+    if lam == 2:
+        return math.sqrt(float(sum(c * c for c in a.coeffs)))
+    lam_f = float(lam)
+    total = math.fsum(float(abs(c)) ** lam_f for c in a.coeffs if c != 0)
+    return total ** (1.0 / lam_f) if total else 0.0
+
+
+def reference_maximum(extreme_set, lam):
+    values = [reference_f_lambda(p, lam) for p in extreme_set.points]
+    best = max(values)
+    tied = [p for p, value in zip(extreme_set.points, values)
+            if value >= best - 1e-12]
+    return values, best, max(tied, key=lambda p: p.coeffs)
+
+
+# planar m = 4 (65536 points) runs only the Bohnenblust-Hille exponent 8/5,
+# which keeps the Fraction reference to a few seconds.
+@pytest.mark.parametrize("name, exponents", [
+    ("set23", (F(1), F(2), F(4, 3), F(8, 5), F(3, 2))),
+    ("planar3", (F(1), F(2), F(8, 5), F(3, 2))),
+    ("planar4", (F(8, 5),)),
+], ids=["set23", "planar3", "planar4"])
+def test_row_kernel_matches_per_point_reference(name, exponents, request):
+    from extremeforms.constants import _f_lambda_rows
+
+    extreme_set = request.getfixturevalue(name)
+    m, n = extreme_set.m, extreme_set.n
+    for lam in exponents:
+        values, best, argmax = reference_maximum(extreme_set, lam)
+        assert _f_lambda_rows(extreme_set, lam) == values
+        if len(extreme_set) <= 256:
+            assert [f_lambda(p, lam) for p in extreme_set.points] == values
+        if lam != F(2 * m, m + 1):
+            continue
+        bh = bh_constant(m, n, extreme_set)
+        assert bh.value == best
+        assert bh.argmax.coeffs == argmax.coeffs
+        mixed = mixed_littlewood_constant(m, n, extreme_set)
+        assert mixed.value == 2 ** (1 / (2 * m)) * best
+        assert mixed.argmax.coeffs == argmax.coeffs

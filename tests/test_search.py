@@ -31,6 +31,7 @@ from extremeforms.search import (
     MAX_PIPELINE_DIMENSION,
     BasisMatrix,
     BudgetExceeded,
+    ExtremeSet,
     InternalInvariantError,
     _anchored_walk,
     _det_adjugate,
@@ -600,6 +601,26 @@ def test_bilinear_r3_sampled_certificates(set23):
 # ---------------------------------------------------------------------------
 # type validation
 # ---------------------------------------------------------------------------
+
+def test_max_denominator_is_per_cell():
+    # 2/6 = 1/3 and 3/6 = 1/2: the row's denominator 6 is no cell's
+    hand_built = ExtremeSet(1, 2, [6], [[2, 3]])
+    assert hand_built.max_denominator() == 3
+    assert hand_built.points[0].coeffs == (F(1, 3), F(1, 2))
+    assert ExtremeSet.from_points(1, 2, ()).max_denominator() == 1
+
+
+def test_from_points_sorts_and_rejects_rows_past_int64(set22):
+    shuffled = list(set22.points)
+    random.Random(3).shuffle(shuffled)
+    assert ExtremeSet.from_points(2, 2, shuffled + shuffled[:3]) == set22
+    with pytest.raises(ValueError, match="point 1: does not fit int64"):
+        ExtremeSet.from_points(1, 2, [(F(1), F(0)),
+                                      (F(1, 2 ** 63), F(0))])
+    wide = (F(2 ** 63 - 1), F(0))
+    assert ExtremeSet.from_points(1, 2, [wide]).nums.tolist() == [
+        [2 ** 63 - 1, 0]]
+
 
 def test_basis_matrix_validation():
     with pytest.raises(ValueError):

@@ -6,6 +6,8 @@ order preserving, and the cache must reject corrupted entries via its
 checksum sidecar instead of returning damaged data.
 """
 
+import csv
+import io
 import json
 import os
 from fractions import Fraction
@@ -146,7 +148,7 @@ def test_half_integer_coordinates_survive(tmp_path, set22):
 
 
 def test_partial_set_round_trip(tmp_path, set12):
-    partial = ExtremeSet(1, 2, set12.points[:1], complete=False)
+    partial = ExtremeSet.from_points(1, 2, set12.points[:1], complete=False)
     path = tmp_path / "partial.json"
     write_extreme_set(path, partial, fmt="json")
     payload = json.loads(path.read_text())
@@ -187,6 +189,46 @@ def test_read_rejects_corruption(tmp_path, set12):
         read_extreme_set(path)
 
 
+def reference_bytes(extreme_set, fmt):
+    """The file through json.dumps or csv.writer, cell by cell."""
+
+    rows = [[format_rational(c) for c in p.coeffs] for p in extreme_set]
+    if fmt == "json":
+        payload = {"format-version": FILE_FORMAT_VERSION,
+                   "m": extreme_set.m, "n": extreme_set.n,
+                   "count": len(rows), "points": rows}
+        if not extreme_set.complete:
+            payload["complete"] = False
+        return (json.dumps(payload, indent=1) + "\n").encode()
+    handle = io.StringIO(newline="")
+    handle.write(f"# extremeforms format-version={FILE_FORMAT_VERSION}"
+                 f" m={extreme_set.m} n={extreme_set.n} count={len(rows)}"
+                 + ("" if extreme_set.complete else " complete=false")
+                 + "\n")
+    csv.writer(handle).writerows(rows)
+    return handle.getvalue().encode()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", ["set22", "set23", "planar3", "partial",
+                                  "empty"])
+def test_writer_matches_json_and_csv_modules(tmp_path, request, name, fmt):
+    if name == "partial":
+        extreme_set = ExtremeSet.from_points(
+            2, 3, request.getfixturevalue("set23").points[::7],
+            complete=False)
+    elif name == "empty":
+        extreme_set = ExtremeSet.from_points(2, 2, ())
+    else:
+        extreme_set = request.getfixturevalue(name)
+    path = tmp_path / f"points.{fmt}"
+    write_extreme_set(path, extreme_set, fmt=fmt)
+    assert path.read_bytes() == reference_bytes(extreme_set, fmt)
+    loaded = read_extreme_set(path)
+    assert loaded == extreme_set
+    assert loaded.complete == extreme_set.complete
+
+
 def test_read_rejects_non_string_cell(tmp_path, set12):
     path = tmp_path / "points.json"
     write_extreme_set(path, set12, fmt="json")
@@ -194,6 +236,25 @@ def test_read_rejects_non_string_cell(tmp_path, set12):
     payload["points"][0][0] = [1, 2]
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="point 0"):
+        read_extreme_set(path)
+
+
+TOO_WIDE = "1/9223372036854775808"  # denominator 2^63, past int64
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_read_rejects_row_past_int64(tmp_path, set12, fmt):
+    path = tmp_path / f"points.{fmt}"
+    write_extreme_set(path, set12, fmt=fmt)
+    lines = path.read_text().splitlines(keepends=True)
+    if fmt == "json":
+        payload = json.loads(path.read_text())
+        payload["points"][2][1] = TOO_WIDE
+        path.write_text(json.dumps(payload))
+    else:
+        lines[3] = lines[3].split(",")[0] + "," + TOO_WIDE + "\r\n"
+        path.write_text("".join(lines), newline="")
+    with pytest.raises(ValueError, match="point 2: does not fit int64"):
         read_extreme_set(path)
 
 
