@@ -6,7 +6,10 @@ of the bilinear unit ball; the inner sphere maximization is solved exactly
 by sign enumeration when d = 1 and otherwise by alternating maximization
 (each half-problem has the closed-form normalize-the-image solution) over
 seeded random restarts. Values from the alternating solver are therefore
-certified lower bounds, never claimed maxima.
+certified lower bounds, never claimed maxima. The restarts run as one
+batch: their starting vectors are drawn once per (k, d, restarts, seed)
+and shared by every form of that size, and each restart leaves the batch
+when its value settles.
 
 The KKT check maximizes f(a,b,c,d,h) = sqrt(a^2+b^2+2h^2) +
 sqrt(c^2+d^2+2h^2) over the constraint region a+b+c+d = 1, all pairwise
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import product
 
@@ -130,15 +134,53 @@ def _sign_enumeration(coeffs, k: int):
     return best_value, best_x, best_y
 
 
+@lru_cache(maxsize=16)
+def _sphere_starts(k: int, d: int, restarts: int, seed: int) -> np.ndarray:
+    """Seeded unit starting rows for every restart, read-only (R, k, d).
+
+    Restart r draws from the r-th child of SeedSequence(seed) and redraws
+    any row too short to normalize, so the starts depend only on the
+    arguments and are shared by every form of the same size.
+    """
+
+    starts = np.empty((restarts, k, d))
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
+        rng = np.random.default_rng(child)
+        y_vectors = rng.normal(size=(k, d))
+        norms = np.linalg.norm(y_vectors, axis=1)
+        while (norms < 1e-12).any():
+            y_vectors[norms < 1e-12] = rng.normal(
+                size=(int((norms < 1e-12).sum()), d))
+            norms = np.linalg.norm(y_vectors, axis=1)
+        starts[r] = y_vectors / norms[:, None]
+    starts.flags.writeable = False
+    return starts
+
+
 def _half_step(matrix, sources, previous):
-    """Closed-form half-problem solution: normalize the image rows."""
+    """Closed-form half-problem solution for a batch of restarts.
+
+    Normalizes each image row of matrix @ sources[r]; a row with zero image
+    keeps its previous vector. Returns the new vectors and the objective
+    sum_ij <new_i, image_i> of each restart.
+    """
 
     image = matrix @ sources
-    norms = np.linalg.norm(image, axis=1)
-    out = previous.copy()
-    moving = norms > 1e-300
-    out[moving] = image[moving] / norms[moving, None]
-    return out
+    norms = np.sqrt(np.add.reduce(image * image, axis=2))[:, :, None]
+    out = np.divide(image, norms, out=previous, where=norms > 1e-300)
+    value = np.add.reduce((out * image).reshape(len(out), -1), axis=1)
+    return out, value
+
+
+def _check_monotone(side, before, after):
+    """Raise if any restart's half-step lowered its objective."""
+
+    drops = np.flatnonzero(after + _MONOTONE_SLACK < before)
+    if len(drops):
+        r = drops[0]
+        raise InternalInvariantError(
+            f"{side} half-step decreased the objective: "
+            f"{float(before[r])} -> {float(after[r])}")
 
 
 def inner_sphere_max(T: FormVector, d: int, restarts: int = 64,
@@ -147,7 +189,9 @@ def inner_sphere_max(T: FormVector, d: int, restarts: int = 64,
 
     Exact by sign enumeration when d = 1 (and the form is small enough);
     otherwise alternating maximization from seeded random starts, which
-    yields a certified lower bound. Identical (seed, restarts) inputs give
+    yields a certified lower bound. All restarts alternate together; each
+    leaves the batch once its value settles, and the first restart with
+    the largest value wins. Identical (seed, restarts) inputs give
     identical outputs.
     """
 
@@ -169,41 +213,30 @@ def inner_sphere_max(T: FormVector, d: int, restarts: int = 64,
 
     matrix = np.array([[float(T.coeffs[i * k + j]) for j in range(k)]
                        for i in range(k)])
-    best = None
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        rng = np.random.default_rng(child)
-        y_vectors = rng.normal(size=(k, d))
-        norms = np.linalg.norm(y_vectors, axis=1)
-        while (norms < 1e-12).any():
-            y_vectors[norms < 1e-12] = rng.normal(
-                size=(int((norms < 1e-12).sum()), d))
-            norms = np.linalg.norm(y_vectors, axis=1)
-        y_vectors /= norms[:, None]
-        x_vectors = np.zeros((k, d))
-        x_vectors[:, 0] = 1.0
+    y_vectors = _sphere_starts(k, d, restarts, seed).copy()
+    x_vectors = np.zeros((restarts, k, d))
+    x_vectors[:, :, 0] = 1.0
+    value = np.full(restarts, -math.inf)
+    active = np.arange(restarts)
+    for _ in range(MAX_ITERATIONS):
+        if not len(active):
+            break
+        before = value[active]
+        xs, half = _half_step(matrix, y_vectors[active], x_vectors[active])
+        _check_monotone("x", before, half)
+        ys, full = _half_step(matrix.T, xs, y_vectors[active])
+        _check_monotone("y", half, full)
+        x_vectors[active] = xs
+        y_vectors[active] = ys
+        value[active] = full
+        settled = (np.abs(full - before)
+                   <= CONVERGENCE_TOL * np.maximum(1.0, np.abs(full)))
+        active = active[~settled]
 
-        value = -math.inf
-        for _ in range(MAX_ITERATIONS):
-            x_vectors = _half_step(matrix, y_vectors, x_vectors)
-            half = float(np.sum(x_vectors * (matrix @ y_vectors)))
-            if half + _MONOTONE_SLACK < value:
-                raise InternalInvariantError(
-                    f"x half-step decreased the objective: {value} -> {half}")
-            y_vectors = _half_step(matrix.T, x_vectors, y_vectors)
-            full = float(np.sum(y_vectors * (matrix.T @ x_vectors)))
-            if full + _MONOTONE_SLACK < half:
-                raise InternalInvariantError(
-                    f"y half-step decreased the objective: {half} -> {full}")
-            if abs(full - value) <= CONVERGENCE_TOL * max(1.0, abs(full)):
-                value = full
-                break
-            value = full
-        if best is None or value > best[0]:
-            best = (value, x_vectors.copy(), y_vectors.copy())
-
-    value, x_vectors, y_vectors = best
-    return SphereConfig(tuple(map(tuple, x_vectors)),
-                        tuple(map(tuple, y_vectors)), value)
+    best = int(np.argmax(value))
+    return SphereConfig(tuple(map(tuple, x_vectors[best])),
+                        tuple(map(tuple, y_vectors[best])),
+                        float(value[best]))
 
 
 # ---------------------------------------------------------------------------

@@ -619,11 +619,15 @@ def _finalize(m, n, keys, complete):
 
     Sign flips keep a key (d, u) gcd-reduced, so the images of all keys
     deduplicate as integer pairs in one set, and no Fraction is built.
+    Orbits partition the keys, so a key already among the images has its
+    whole orbit there and is skipped.
     """
     vmat = _tables(m, n)["vmat"]
     images = set()
-    for d, u in keys:
-        images.update((d, tuple(row)) for row in (vmat * u).tolist())
+    for key in keys:
+        if key not in images:
+            d, u = key
+            images.update((d, tuple(row)) for row in (vmat * u).tolist())
     return ExtremeSet.from_pairs(m, n, images, complete=complete)
 
 

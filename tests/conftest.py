@@ -6,7 +6,11 @@ consumer treats them as immutable.
 
 import pytest
 
-from extremeforms.search import extreme_points, planar_extreme_points
+from extremeforms.search import (
+    BudgetExceeded,
+    extreme_points,
+    planar_extreme_points,
+)
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +26,14 @@ def set32():
 @pytest.fixture(scope="session")
 def set23():
     return extreme_points(2, 3)
+
+
+@pytest.fixture(scope="session")
+def partial24():
+    """The 320-point partial (2,4) set that a 25-basis budget reaches."""
+    with pytest.raises(BudgetExceeded) as info:
+        extreme_points(2, 4, budget=25)
+    return info.value.partial
 
 
 @pytest.fixture(scope="session")

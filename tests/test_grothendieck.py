@@ -11,8 +11,10 @@ reproducibility form.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from extremeforms import grothendieck
 from extremeforms.core import FormVector
 from extremeforms.grothendieck import (
     BleiPoint,
@@ -22,7 +24,7 @@ from extremeforms.grothendieck import (
     inner_sphere_max,
     kg_lower_bound,
 )
-from extremeforms.search import extreme_points
+from extremeforms.search import InternalInvariantError, extreme_points
 
 from support import angle_grid_bilinear_max
 
@@ -140,6 +142,90 @@ def test_rejects_non_bilinear():
         inner_sphere_max(cubic, d=2)
 
 
+def per_restart_reference(T, d, restarts, seed):
+    """The solver one restart at a time, as (value, x_vectors, y_vectors)."""
+    k = T.n
+    matrix = np.array([[float(T.coeffs[i * k + j]) for j in range(k)]
+                       for i in range(k)])
+
+    def half_step(mat, sources, previous):
+        image = mat @ sources
+        norms = np.linalg.norm(image, axis=1)
+        out = previous.copy()
+        moving = norms > 1e-300
+        out[moving] = image[moving] / norms[moving, None]
+        return out
+
+    best = None
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        rng = np.random.default_rng(child)
+        y = rng.normal(size=(k, d))
+        norms = np.linalg.norm(y, axis=1)
+        while (norms < 1e-12).any():
+            y[norms < 1e-12] = rng.normal(size=(int((norms < 1e-12).sum()), d))
+            norms = np.linalg.norm(y, axis=1)
+        y /= norms[:, None]
+        x = np.zeros((k, d))
+        x[:, 0] = 1.0
+        value = -math.inf
+        for _ in range(grothendieck.MAX_ITERATIONS):
+            x = half_step(matrix, y, x)
+            y = half_step(matrix.T, x, y)
+            full = float(np.sum(y * (matrix.T @ x)))
+            if abs(full - value) <= (grothendieck.CONVERGENCE_TOL
+                                     * max(1.0, abs(full))):
+                value = full
+                break
+            value = full
+        if best is None or value > best[0]:
+            best = (value, x.copy(), y.copy())
+    value, x, y = best
+    return (value, tuple(map(tuple, x.tolist())),
+            tuple(map(tuple, y.tolist())))
+
+
+def solved(T, d, restarts, seed):
+    config = inner_sphere_max(T, d, restarts=restarts, seed=seed)
+    return config.value, config.x_vectors, config.y_vectors
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("restarts", [1, 7, 64])
+@pytest.mark.parametrize("seed", [0, 4])
+def test_batched_solver_matches_per_restart_reference(set23, d, restarts,
+                                                      seed):
+    for point in set23:
+        assert solved(point, d, restarts, seed) == per_restart_reference(
+            point, d, restarts, seed), point
+
+
+def test_batched_solver_matches_reference_on_kg_scan(partial24):
+    for point in partial24:
+        assert solved(point, 2, 64, 1) == per_restart_reference(
+            point, 2, 64, 1), point
+
+
+def test_monotone_check_still_fires(monkeypatch):
+    # with a large negative slack every step counts as a decrease; the
+    # y half-step of the first iteration is the first one checked
+    monkeypatch.setattr(grothendieck, "_MONOTONE_SLACK", -1e9)
+    with pytest.raises(InternalInvariantError,
+                       match=r"^y half-step decreased the objective: "):
+        inner_sphere_max(CHSH, d=2, restarts=4, seed=0)
+
+
+def test_cached_starts_are_read_only_and_calls_do_not_leak():
+    starts = grothendieck._sphere_starts(2, 2, 8, 11)
+    assert starts is grothendieck._sphere_starts(2, 2, 8, 11)
+    assert starts.shape == (8, 2, 2)
+    with pytest.raises(ValueError):
+        starts[0, 0, 0] = 0.0
+    first = inner_sphere_max(CHSH, d=2, restarts=8, seed=11)
+    inner_sphere_max(bilinear((1, 2, -3, 1), 2), d=2, restarts=8, seed=11)
+    assert inner_sphere_max(CHSH, d=2, restarts=8, seed=11) == first
+    assert np.array_equal(starts, grothendieck._sphere_starts(2, 2, 8, 11))
+
+
 # ---------------------------------------------------------------------------
 # truncated Grothendieck lower bounds
 # ---------------------------------------------------------------------------
@@ -168,6 +254,16 @@ def test_kg_monotone_in_d(set22):
     v1 = kg_lower_bound(2, 1, set22).value
     v2 = kg_lower_bound(2, 2, set22, restarts=8, seed=2).value
     assert v2 >= v1 - 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kg_on_partial_2_4_pinned(partial24, seed):
+    # value bits and argmax recorded with the per-restart solver
+    report = kg_lower_bound(4, 2, partial24, seed=seed)
+    assert report.value.hex() == "0x1.6a09e667f3bcep+0"
+    assert report.argmax == partial24.point(1)
+    assert [str(c) for c in report.argmax.coeffs] == [
+        "-1/2", "-1/2", "0", "0", "-1/2", "1/2"] + ["0"] * 10
 
 
 def test_kg_rejects_mismatched_set(planar3):

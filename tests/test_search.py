@@ -459,15 +459,27 @@ def test_process_basis_matches_reference_kernel(m, n, count):
         assert keys == reference_basis_keys(m, n, rows), rows
 
 
-def test_partial_2_4_pinned():
+def test_partial_2_4_pinned(partial24):
     # 320 points and their digest, recorded before the float64 kernel
-    with pytest.raises(BudgetExceeded) as info:
-        extreme_points(2, 4, budget=25)
-    part = info.value.partial
+    part = partial24
     lines = sorted(",".join(str(c) for c in p.coeffs) for p in part)
     assert len(part) == 320
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "764568e45115caf04aa18622f33a44d1a1ddfa536498d84cc1396a25b1302ce7")
+
+
+def test_finalize_ignores_extra_members_of_known_orbits(set23):
+    # orbits partition the keys: adding further members of orbits already
+    # present must leave the expanded set unchanged
+    pairs = set(set23.pairs())
+    vmat = _tables(2, 3)["vmat"]
+    keys = set(sorted(pairs)[::7])
+    extra = {(d, tuple((vmat[i] * u).tolist()))
+             for d, u in keys for i in (1, 5, 17, 30)}
+    assert extra - keys
+    base = search._finalize(2, 3, keys, complete=False)
+    assert search._finalize(2, 3, keys | extra, complete=False) == base
+    assert search._finalize(2, 3, pairs, complete=True) == set23
 
 
 def test_kernel_bound_covers_every_admitted_size():
