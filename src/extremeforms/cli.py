@@ -4,7 +4,10 @@ Subcommands map one-to-one onto the library operations; every run is
 deterministic given its flags and seed, results are cached by a key built
 from (command, parameters, format version, package version) unless
 --no-cache is passed, and cache hits reproduce the fresh output byte for
-byte because the cache stores the serialized artifact itself.
+byte because the cache stores the serialized artifact itself. An enum run
+with --budget or --resume neither reads nor writes the cache. The enum
+resume file carries its rows in the artifact cell codec of storage
+(format_rows, parse_rows); no value is formatted or parsed on its own.
 
 Exit codes: 0 success, 2 invalid input, 3 resource budget exceeded (for
 budgeted enumerations the resume state path is printed), 4 internal
@@ -153,13 +156,14 @@ def _emit_cached_json(args: argparse.Namespace, extra: dict, compute) -> int:
     return EXIT_OK
 
 
-def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path, compute,
-                      lookup: bool = True) -> int:
+def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path,
+                      compute) -> int:
     """Write an extreme-set artifact through the cache, then its summary.
 
-    A cache hit (looked up only when lookup is true) copies the stored
-    bytes to out; otherwise compute() builds the set, which is written to
-    out and stored when it is complete.
+    Only a plain run, one with neither --budget nor --resume, reads or
+    writes the cache: it always completes or raises, and its result
+    depends on its key alone. A hit copies the stored bytes to out;
+    otherwise compute() builds the set, which is written to out.
     """
 
     from . import storage
@@ -167,9 +171,9 @@ def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path, compute,
     started = time.perf_counter()
     key = storage.cache_key(args.command, args.m, n,
                             extra={"fmt": args.format})
-    data = None
-    if lookup and not args.no_cache:
-        data = storage.cache_load(_cache_dir(args), key)
+    cached = not args.no_cache and getattr(args, "budget", None) is None \
+        and getattr(args, "resume", None) is None
+    data = storage.cache_load(_cache_dir(args), key) if cached else None
     hit = data is not None
     if hit:
         out.write_bytes(data)
@@ -178,7 +182,7 @@ def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path, compute,
     else:
         result = compute()
         storage.write_extreme_set(out, result, fmt=args.format)
-        if result.complete and not args.no_cache:
+        if cached:
             storage.cache_store(_cache_dir(args), key, out.read_bytes())
     print(f"count: {len(result)}")
     print(f"max-denominator: {result.max_denominator()}")
@@ -193,49 +197,46 @@ def _write_resume_file(path: Path, m: int, n: int, search_resume: dict,
                        pairs) -> None:
     """Write the resume file; pairs are (d, u) rows, duplicates kept."""
 
-    from fractions import Fraction
-
     from .search import exact_order
-    from .storage import format_rational
+    from .storage import format_rows
 
+    rows = exact_order(pairs)
     payload = {
         "format-version": RESUME_FILE_VERSION,
         "kind": "enum-cli",
         "m": m,
         "n": n,
         "search": search_resume,
-        "partial": [[format_rational(Fraction(x, d)) for x in u]
-                    for d, u in exact_order(pairs)],
+        "partial": format_rows([d for d, _ in rows], [u for _, u in rows]),
     }
     path.write_text(json.dumps(payload, indent=1) + "\n")
 
 
 def _load_resume_file(path: Path, m: int, n: int):
-    """The partial rows as (d, u) pairs, and the search cursor."""
+    """The partial rows as (d, u) pairs, and the search cursor.
 
-    from .search import int64_row
-    from .storage import parse_rational
+    The rows are trusted, as --point is: they are parsed, not certified.
+    """
+
+    from .storage import parse_rows
 
     try:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise ValueError(f"cannot read resume file {path}: {err}") from None
-    if payload.get("format-version") != RESUME_FILE_VERSION \
+    if not isinstance(payload, dict) \
+            or payload.get("format-version") != RESUME_FILE_VERSION \
             or payload.get("kind") != "enum-cli":
         raise ValueError(f"{path} is not an enum resume file")
     if payload.get("m") != m or payload.get("n") != n:
         raise ValueError(f"resume file is for (m={payload.get('m')}, "
                          f"n={payload.get('n')}), not (m={m}, n={n})")
-    pairs = []
-    for index, row in enumerate(payload.get("partial", ())):
-        if len(row) != n ** m:
-            raise ValueError(f"{path}: point {index} has {len(row)} "
-                             f"coordinates, expected {n ** m}")
-        try:
-            pairs.append(int64_row(parse_rational(cell) for cell in row))
-        except ValueError as err:
-            raise ValueError(f"{path}: point {index}: {err}") from None
-    return pairs, payload.get("search")
+    search, partial = payload.get("search"), payload.get("partial")
+    if not isinstance(search, dict) or not isinstance(partial, list):
+        raise ValueError(f"{path}: search must be an object and partial "
+                         f"a list")
+    dens, nums = parse_rows(path, n ** m, partial)
+    return list(zip(dens.tolist(), map(tuple, nums.tolist()))), search
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +262,7 @@ def _handle_enum(args: argparse.Namespace) -> int:
         return result
 
     try:
-        return _emit_extreme_set(
-            args, args.n, out, compute,
-            lookup=args.budget is None and args.resume is None)
+        return _emit_extreme_set(args, args.n, out, compute)
     except BudgetExceeded as stop:
         resume_path = Path(str(out) + ".resume.json")
         _write_resume_file(resume_path, args.m, args.n, stop.resume,

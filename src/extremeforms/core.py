@@ -34,7 +34,7 @@ Vertex = tuple  # n signs, each -1 or +1
 TensorVector = tuple  # n^m signs
 MultiIndex = tuple  # m entries in [1, n]
 
-DEFAULT_CELL_LIMIT = 1 << 24  # |V| * n^m cells allowed in one enumeration
+CELL_LIMIT = 1 << 24  # |V| * n^m cells allowed in one enumeration
 
 
 class ResourceBudgetError(RuntimeError):
@@ -138,15 +138,13 @@ def canonical_factor_tuples(m: int, n: int) -> Iterator[tuple[Vertex, ...]]:
             return
 
 
-def enumerate_tensor_vertices(m: int, n: int,
-                              cell_limit: int = DEFAULT_CELL_LIMIT
-                              ) -> list[TensorVector]:
+def enumerate_tensor_vertices(m: int, n: int) -> list[TensorVector]:
     """The set V of all distinct vertex tensors, canonically ordered."""
     count = tensor_vertex_count(m, n)
-    if count * n ** m > cell_limit:
+    if count * n ** m > CELL_LIMIT:
         raise ResourceBudgetError(
             f"V for (m={m}, n={n}) needs {count * n ** m} cells, "
-            f"limit {cell_limit}")
+            f"limit {CELL_LIMIT}")
     return [omega(t) for t in canonical_factor_tuples(m, n)]
 
 

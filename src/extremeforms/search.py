@@ -50,7 +50,6 @@ keeps its own exact Fraction solve and only uses the container.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -74,6 +73,8 @@ RESUME_FORMAT_VERSION = 1
 # _kernel_exact. The bound is 2^37.3 at 16 and reaches 2^53 from 22 on;
 # the next n^m with m >= 2, 25, would give 2^64.3, past int64 as well.
 MAX_PIPELINE_DIMENSION = 16
+# Largest point count planar_extreme_points lists: 2^(2^m) for m <= 4.
+MAX_PLANAR_POINTS = 1 << 17
 
 
 class BudgetExceeded(RuntimeError):
@@ -290,12 +291,7 @@ class ExtremeSet:
         return int(cells.max(initial=1))
 
     def coefficient_tuples(self) -> frozenset:
-        try:
-            return self._keys
-        except AttributeError:
-            keys = frozenset(p.coeffs for p in self.points)
-            object.__setattr__(self, "_keys", keys)
-            return keys
+        return frozenset(p.coeffs for p in self.points)
 
 
 # ---------------------------------------------------------------------------
@@ -490,21 +486,27 @@ def _anchored_walk(kind, m, n, budget, resume) -> Iterator[tuple]:
     if not _kernel_exact(size):
         raise ResourceBudgetError(
             f"n^m = {size}: basis kernel values may reach 2^53")
+    tables = _tables(m, n)
+    vertices = tables["vertices"]
+    candidates = (tables["representatives"] if kind == "pipeline"
+                  else range(1, len(vertices)))
     seek = None
     if resume is not None:
-        if resume.get("format-version") != RESUME_FORMAT_VERSION:
+        if not isinstance(resume, dict) \
+                or resume.get("format-version") != RESUME_FORMAT_VERSION:
             raise ValueError("unsupported resume format")
         if (resume.get("kind"), resume.get("m"), resume.get("n")) \
                 != (kind, m, n):
             raise ValueError("resume state belongs to a different search")
         if resume.get("last_basis") is not None:
-            seek = tuple(int(x) for x in resume["last_basis"])
-            if len(seek) != size - 1:
+            seek = resume["last_basis"]
+            if not isinstance(seek, (list, tuple)) or len(seek) != size - 1:
                 raise ValueError("resume cursor has the wrong depth")
-    tables = _tables(m, n)
-    vertices = tables["vertices"]
-    candidates = (tables["representatives"] if kind == "pipeline"
-                  else range(1, len(vertices)))
+            if not all(type(x) is int and x in candidates for x in seek) \
+                    or any(a >= b for a, b in zip(seek, seek[1:])):
+                raise ValueError("resume cursor is not an ascending tuple "
+                                 "of this walk's candidate rows")
+            seek = tuple(seek)
     subsets = _independent_subsets(vertices, candidates, size - 1, seek)
 
     def walk():
@@ -661,6 +663,8 @@ def extreme_points(m, n, budget=None, resume=None, workers=1) -> ExtremeSet:
         positions = range(len(_tables(m, n)["representatives"]) - size + 2)
         tasks = [(m, n, p) for p in positions]
         if len(tasks) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(
                     max_workers=min(workers, len(tasks))) as pool:
                 keys = set().union(*pool.map(_subtree_keys, tasks))
@@ -676,7 +680,7 @@ def extreme_points(m, n, budget=None, resume=None, workers=1) -> ExtremeSet:
     return _finalize(m, n, keys, complete=True)
 
 
-def planar_extreme_points(m, max_points=1 << 17) -> ExtremeSet:
+def planar_extreme_points(m) -> ExtremeSet:
     """Fast path for n = 2: one orthogonal anchored basis, no filtering.
 
     The 2^m representative rows are mutually orthogonal (each slot
@@ -687,9 +691,10 @@ def planar_extreme_points(m, max_points=1 << 17) -> ExtremeSet:
     if m < 1:
         raise ValueError("m must be at least 1")
     count = 2 ** (2 ** m)
-    if count > max_points:
+    if count > MAX_PLANAR_POINTS:
         raise ResourceBudgetError(
-            f"planar set for m={m} has {count} points, cap {max_points}")
+            f"planar set for m={m} has {count} points, "
+            f"cap {MAX_PLANAR_POINTS}")
     h = _tables(m, 2)["ball"]
     size = 2 ** m
     if not np.array_equal(h @ h.T, size * np.eye(size, dtype=np.int64)):

@@ -8,13 +8,13 @@ the same metadata. Every file records a format version so that a future
 change of index convention cannot silently corrupt comparisons.
 
 Extreme sets go between files and the integer arrays of ExtremeSet
-without a FormVector: the writer formats each distinct (u_i, d) cell once
-and joins the rows by hand, and the reader parses each distinct cell
-string once. Fractions appear only in that per-value step, in
-format_rational and parse_rational (cached, validated values only), which
-the resume file and parse_point_list use as well. A row whose reduced
-denominator or numerator does not fit int64 is refused with a ValueError
-naming the point.
+without a FormVector, through one row codec that the enum resume file
+shares: format_rows formats each distinct (u_i, d) cell once, and
+parse_rows parses each distinct cell string once. format_rational and
+parse_rational are the per-value steps inside it, uncached; outside it
+only single values (--point, --lambda) go through them. A row whose
+reduced denominator or numerator does not fit int64 is refused with a
+ValueError naming the point.
 
 The cache stores opaque byte payloads under deterministic keys, next to a
 SHA-256 sidecar. Writes go through a temporary file plus ``os.replace`` so
@@ -32,7 +32,6 @@ import os
 import re
 import uuid
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 
@@ -51,7 +50,6 @@ _KEY_TOKEN_PATTERN = re.compile(r"[^A-Za-z0-9_.+-]")
 # rational wire format
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1 << 16)
 def format_rational(value: Fraction) -> str:
     """Render a rational as a reduced "p/q" string ("p" when q = 1)."""
 
@@ -61,14 +59,7 @@ def format_rational(value: Fraction) -> str:
 def parse_rational(text: str) -> Fraction:
     """Parse a "p/q" string strictly: no whitespace, signs, or decimals."""
 
-    if not isinstance(text, str):  # checked first: lists are unhashable
-        raise ValueError(f"not a p/q rational: {text!r}")
-    return _parse_text(text)
-
-
-@lru_cache(maxsize=1 << 16)
-def _parse_text(text: str) -> Fraction:
-    if _RATIONAL_PATTERN.fullmatch(text) is None:
+    if not isinstance(text, str) or _RATIONAL_PATTERN.fullmatch(text) is None:
         raise ValueError(f"not a p/q rational: {text!r}")
     try:
         return Fraction(text)
@@ -96,10 +87,14 @@ def parse_point_list(text: str) -> tuple:
 # extreme-set files
 # ---------------------------------------------------------------------------
 
-def _cell_rows(extreme_set: ExtremeSet) -> list:
-    """Cell strings of every row; each distinct (u_i, d) is formatted once."""
+def format_rows(dens, nums) -> list:
+    """Cell strings of the rows nums[i] / dens[i], in order, duplicates kept.
 
-    dens, nums = extreme_set.dens, extreme_set.nums
+    Each distinct (u_i, d) is formatted once.
+    """
+
+    dens = np.asarray(dens, dtype=np.int64)
+    nums = np.asarray(nums, dtype=np.int64)
     cells = np.empty(nums.shape, dtype=object)
     for d in np.unique(dens).tolist():
         rows = dens == d
@@ -108,6 +103,48 @@ def _cell_rows(extreme_set: ExtremeSet) -> list:
                           for x in values.tolist()], dtype=object)
         cells[rows] = table[inverse].reshape(-1, nums.shape[1])
     return cells.tolist()
+
+
+def parse_rows(path, width, rows) -> tuple:
+    """Rows of cell strings to (dens, nums) int64 arrays, in order.
+
+    Each distinct cell string is parsed once. When the common denominator
+    L of all cells and every numerator over L fit int64, the rows are
+    reduced in numpy; otherwise row by row in Python integers, where a row
+    that does not fit int64 (or holds a bad cell) raises ValueError naming
+    its point.
+    """
+
+    for index, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != width:
+            raise ValueError(f"{path}: point {index} is not a list of "
+                             f"{width} coordinates")
+    try:
+        values = {text: parse_rational(text)
+                  for text in set(chain.from_iterable(rows))}
+    except (TypeError, ValueError):  # TypeError: an unhashable cell
+        values = None
+    if values is not None:
+        lcm = math.lcm(*(v.denominator for v in values.values()))
+        scaled = [v.numerator * (lcm // v.denominator)
+                  for v in values.values()]
+        if not (lcm >> 63 or any(abs(x) >> 63 for x in scaled)):
+            ids = dict(zip(values, range(len(values))))
+            common = np.array(scaled, dtype=np.int64)[
+                np.fromiter(map(ids.__getitem__, chain.from_iterable(rows)),
+                            dtype=np.int64, count=len(rows) * width)
+            ].reshape(len(rows), width)
+            g = np.gcd(np.gcd.reduce(common, axis=1), lcm)
+            return lcm // g, common // g[:, None]
+    pairs = []
+    for index, row in enumerate(rows):
+        try:
+            pairs.append(int64_row(parse_rational(cell) for cell in row))
+        except ValueError as err:
+            raise ValueError(f"{path}: point {index}: {err}") from None
+    return (np.array([d for d, _ in pairs], dtype=np.int64),
+            np.array([u for _, u in pairs], dtype=np.int64).reshape(
+                len(pairs), width))
 
 
 def write_extreme_set(path, extreme_set: ExtremeSet, fmt: str = "json") -> None:
@@ -121,7 +158,7 @@ def write_extreme_set(path, extreme_set: ExtremeSet, fmt: str = "json") -> None:
     path = Path(path)
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown format: {fmt!r} (expected json or csv)")
-    rows = _cell_rows(extreme_set)
+    rows = format_rows(extreme_set.dens, extreme_set.nums)
     if fmt == "json":
         fields = [f' "format-version": {FILE_FORMAT_VERSION}',
                   f' "m": {extreme_set.m}',
@@ -151,12 +188,20 @@ def read_extreme_set(path) -> ExtremeSet:
 
     path = Path(path)
     text = path.read_text()
-    if text.lstrip()[:1] == "{":
-        return _read_json(text, path)
-    return _read_csv(text, path)
+    read = _read_json if text.lstrip()[:1] == "{" else _read_csv
+    version, m, n, count, rows, complete = read(text, path)
+    if version != FILE_FORMAT_VERSION:
+        raise ValueError(f"{path}: format-version {version} unsupported "
+                         f"(expected {FILE_FORMAT_VERSION})")
+    if count != len(rows):
+        raise ValueError(f"{path}: count field says {count} "
+                         f"but {len(rows)} points present")
+    dens, nums = parse_rows(path, n ** m, rows)
+    return ExtremeSet(m, n, dens, nums, complete=bool(complete))
 
 
-def _read_json(text: str, path: Path) -> ExtremeSet:
+def _read_json(text: str, path: Path) -> tuple:
+    """(version, m, n, count, rows, complete) of a JSON extreme-set file."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as err:
@@ -165,18 +210,12 @@ def _read_json(text: str, path: Path) -> ExtremeSet:
     for key in required:
         if key not in payload:
             raise ValueError(f"{path}: missing field {key!r}")
-    return _assemble(
-        path,
-        version=payload["format-version"],
-        m=payload["m"],
-        n=payload["n"],
-        count=payload["count"],
-        rows=payload["points"],
-        complete=payload.get("complete", True),
-    )
+    return (*(payload[key] for key in required),
+            payload.get("complete", True))
 
 
-def _read_csv(text: str, path: Path) -> ExtremeSet:
+def _read_csv(text: str, path: Path) -> tuple:
+    """(version, m, n, count, rows, complete) of a CSV extreme-set file."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# extremeforms"):
         raise ValueError(f"{path}: missing metadata comment line")
@@ -185,71 +224,13 @@ def _read_csv(text: str, path: Path) -> ExtremeSet:
         if "=" in token:
             key, _, value = token.partition("=")
             meta[key] = value
-    for key in ("format-version", "m", "n", "count"):
+    required = ("format-version", "m", "n", "count")
+    for key in required:
         if key not in meta:
             raise ValueError(f"{path}: metadata missing {key!r}")
-    rows = [row for row in csv.reader(lines[1:]) if row]
-    return _assemble(
-        path,
-        version=int(meta["format-version"]),
-        m=int(meta["m"]),
-        n=int(meta["n"]),
-        count=int(meta["count"]),
-        rows=rows,
-        complete=meta.get("complete", "true") != "false",
-    )
-
-
-def _assemble(path, version, m, n, count, rows, complete) -> ExtremeSet:
-    """Rows of cell strings to an ExtremeSet, in file order.
-
-    Each distinct cell string is parsed once. When the common denominator
-    L of all cells and every numerator over L fit int64, the rows are
-    reduced in numpy; otherwise row by row in Python integers, where a row
-    that does not fit int64 raises ValueError naming its point.
-    """
-
-    if version != FILE_FORMAT_VERSION:
-        raise ValueError(f"{path}: format-version {version} unsupported "
-                         f"(expected {FILE_FORMAT_VERSION})")
-    if count != len(rows):
-        raise ValueError(f"{path}: count field says {count} "
-                         f"but {len(rows)} points present")
-    width = n ** m
-    for index, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"{path}: point {index} has {len(row)} "
-                             f"coordinates, expected {width}")
-    try:
-        values = {text: parse_rational(text)
-                  for text in set(chain.from_iterable(rows))}
-    except (TypeError, ValueError):  # TypeError: an unhashable cell
-        values = None
-    if values is None:
-        return _assemble_rows(path, m, n, rows, complete)
-    lcm = math.lcm(*(v.denominator for v in values.values()))
-    scaled = [v.numerator * (lcm // v.denominator) for v in values.values()]
-    if (lcm >> 63) or any(abs(x) >> 63 for x in scaled):
-        return _assemble_rows(path, m, n, rows, complete)
-    ids = dict(zip(values, range(len(values))))
-    common = np.array(scaled, dtype=np.int64)[
-        np.fromiter(map(ids.__getitem__, chain.from_iterable(rows)),
-                    dtype=np.int64, count=len(rows) * width)
-    ].reshape(len(rows), width)
-    g = np.gcd(np.gcd.reduce(common, axis=1), lcm)
-    return ExtremeSet(m, n, lcm // g, common // g[:, None],
-                      complete=bool(complete))
-
-
-def _assemble_rows(path, m, n, rows, complete) -> ExtremeSet:
-    pairs = []
-    for index, row in enumerate(rows):
-        try:
-            pairs.append(int64_row(parse_rational(cell) for cell in row))
-        except ValueError as err:
-            raise ValueError(f"{path}: point {index}: {err}") from None
-    return ExtremeSet(m, n, [d for d, _ in pairs], [u for _, u in pairs],
-                      complete=bool(complete))
+    return (*(int(meta[key]) for key in required),
+            [row for row in csv.reader(lines[1:]) if row],
+            meta.get("complete", "true") != "false")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ byte-for-byte where determinism is part of the contract: cache hits,
 worker counts, and budget-resumed runs must all reproduce the same file.
 """
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -155,6 +156,87 @@ def test_enum_resume_rejects_row_past_int64(tmp_path, cachedir, capsys):
     code, _, stderr = run(capsys, *argv, "--resume", str(resume))
     assert code == 2
     assert "point 1: does not fit int64" in stderr
+
+
+def budgeted_resume_file(capsys, tmp_path, m, n):
+    """The resume file of a one-basis enum run on (m, n), and its argv."""
+    out = tmp_path / "budgeted.json"
+    argv = ["enum", "--m", str(m), "--n", str(n), "--out", str(out)]
+    assert run(capsys, *argv, "--budget", "1")[0] == 3
+    return tmp_path / "budgeted.json.resume.json", argv
+
+
+def cache_entries(cachedir):
+    return sorted(cachedir.iterdir()) if cachedir.exists() else []
+
+
+# sha256 of the resume files of `enum --m 2 --n 3 --budget 1` and of one
+# `--resume` of it, as the file format has always written them
+RESUME_23_DIGESTS = (
+    "eda0d37b482c69d7db177e824d4f7008557d3eabf7cd664ca5c2321657a985cc",
+    "d17c375f4805f69c8e3a5f3daf23f177c3a6e9c8a3584052ed39cd0f1a511c36",
+)
+
+
+def test_enum_resume_file_bytes_are_pinned(tmp_path, cachedir, capsys):
+    resume, argv = budgeted_resume_file(capsys, tmp_path, 2, 3)
+    first = hashlib.sha256(resume.read_bytes()).hexdigest()
+    code, _, _ = run(capsys, *argv, "--budget", "1", "--resume", str(resume))
+    assert code == 3
+    second = hashlib.sha256(resume.read_bytes()).hexdigest()
+    assert (first, second) == RESUME_23_DIGESTS
+    assert cache_entries(cachedir) == []
+
+
+def test_enum_resumed_run_is_not_cached(tmp_path, cachedir, capsys):
+    # resume rows are trusted input; a resumed run must not become the
+    # cached answer of the plain run, even with a bogus row appended
+    resume, argv = budgeted_resume_file(capsys, tmp_path, 2, 3)
+    payload = json.loads(resume.read_text())
+    payload["partial"].append(["1"] * 9)
+    resume.write_text(json.dumps(payload))
+    code, stdout, _ = run(capsys, *argv, "--resume", str(resume))
+    assert code == 0
+    assert "count: 91" in stdout
+    assert cache_entries(cachedir) == []
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    assert "count: 90" in stdout
+    assert "cache: hit" not in stdout
+
+
+def test_enum_completed_budget_run_is_not_cached(tmp_path, cachedir, capsys):
+    code, stdout, _ = run(capsys, "enum", "--m", "2", "--n", "2",
+                          "--out", str(tmp_path / "x.json"),
+                          "--budget", "1000")
+    assert code == 0
+    assert "count: 16" in stdout
+    assert cache_entries(cachedir) == []
+
+
+def test_enum_resume_rejects_cursor_outside_walk(tmp_path, cachedir, capsys):
+    resume, argv = budgeted_resume_file(capsys, tmp_path, 2, 4)
+    payload = json.loads(resume.read_text())
+    payload["search"]["last_basis"] = [10 ** 6] * 15
+    resume.write_text(json.dumps(payload))
+    code, _, stderr = run(capsys, *argv, "--resume", str(resume))
+    assert code == 2
+    assert "resume cursor" in stderr
+    assert cache_entries(cachedir) == []
+
+
+@pytest.mark.parametrize("edit", [
+    lambda payload: [1],
+    lambda payload: {**payload, "search": [1]},
+    lambda payload: {**payload, "partial": [1]},
+], ids=["payload", "search", "partial-row"])
+def test_enum_resume_rejects_malformed_file(tmp_path, cachedir, capsys, edit):
+    resume, argv = budgeted_resume_file(capsys, tmp_path, 2, 3)
+    resume.write_text(json.dumps(edit(json.loads(resume.read_text()))))
+    code, _, stderr = run(capsys, *argv, "--resume", str(resume))
+    assert code == 2
+    assert stderr.startswith("error: ")
+    assert cache_entries(cachedir) == []
 
 
 def test_enum_rejects_bad_arguments(cachedir, capsys, tmp_path):

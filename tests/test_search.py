@@ -12,7 +12,11 @@ from functools import lru_cache
 import hashlib
 from itertools import combinations, islice, product
 import math
+import os
+from pathlib import Path
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +61,8 @@ from known_points import (
 from support import fraction_rank
 
 F = Fraction
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def form(coeffs, m, n):
@@ -140,6 +146,44 @@ def test_anchored_bases_budget_and_resume():
     with pytest.raises(BudgetExceeded) as info:
         list(enumerate_anchored_bases(1, 3, budget=0))
     assert info.value.resume is not None
+
+
+@pytest.mark.parametrize("last_basis", [[3, 2], [1, 1], [1, 8], [0, 1]],
+                         ids=["descending", "repeated", "past-end", "anchor"])
+def test_anchored_bases_reject_cursor_outside_walk(last_basis):
+    with pytest.raises(BudgetExceeded) as info:
+        list(enumerate_anchored_bases(1, 3, budget=0))
+    cursor = {**info.value.resume, "last_basis": last_basis}
+    with pytest.raises(ValueError, match="resume cursor"):
+        list(enumerate_anchored_bases(1, 3, resume=cursor))
+
+
+def test_pipeline_rejects_cursor_off_the_representatives():
+    # the pipeline walks one row per antipodal pair; the negation of a
+    # representative is a vertex of V but not a candidate of this walk
+    tables = _tables(2, 3)
+    negated = sorted(set(range(1, len(tables["vertices"])))
+                     - set(tables["representatives"]))
+    with pytest.raises(BudgetExceeded) as info:
+        extreme_points(2, 3, budget=0)
+    cursor = {**info.value.resume, "last_basis": negated[:8]}
+    with pytest.raises(ValueError, match="resume cursor"):
+        extreme_points(2, 3, resume=cursor)
+    with pytest.raises(ValueError, match="unsupported resume format"):
+        extreme_points(2, 3, resume=[1])
+
+
+def test_imports_leave_the_process_pool_unloaded():
+    # the pool module is imported only when a parallel scan starts
+    code = ("import sys\n"
+            "import extremeforms.cli, extremeforms.search, "
+            "extremeforms.storage, extremeforms.constants, "
+            "extremeforms.grothendieck\n"
+            "sys.exit('concurrent.futures.process' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------
