@@ -29,11 +29,13 @@ denominator D: the basis determinant, from a float inverse verified exactly
 in integers, or, only when that check fails, the least common denominator
 of the exact inverse. Since H (D H^-1) = D I exactly, every basis row gives
 |<u, v>| = D, so only the ball rows outside the basis are tested. Their
-products with the adjugate are formed once per basis, and all sign vectors
-are tested against them in one float64 matrix product. A Hadamard bound
-proves every value involved an integer below 2^53, so the float64 result
-is exact for any summation order; _anchored_walk refuses any size where the
-bound fails. Numerators are formed only for the surviving sign vectors. For
+products with the adjugate are formed once per basis, and the sign vectors
+are tested against them prefix by prefix in float64: a prefix whose partial
+sum already exceeds D by more than the remaining coordinates can reach is
+dropped with all its completions. A Hadamard bound proves every value
+involved an integer below 2^53, so the float64 results are exact for any
+summation order; _anchored_walk refuses any size where the bound fails.
+Numerators are formed only for the surviving sign vectors. For
 n = 2 the representative rows are mutually orthogonal, the anchored basis
 is unique (a Walsh-Hadamard matrix), and every solution is automatically
 extreme; planar_extreme_points exploits that shortcut to reach 2^(2^m)
@@ -73,6 +75,11 @@ RESUME_FORMAT_VERSION = 1
 # _kernel_exact. The bound is 2^37.3 at 16 and reaches 2^53 from 22 on;
 # the next n^m with m >= 2, 25, would give 2^64.3, past int64 as well.
 MAX_PIPELINE_DIMENSION = 16
+# Branch-and-bound widths of the basis kernel, chosen by measurement: the
+# first KERNEL_HEAD_WIDTH coordinates of the sign vectors are enumerated
+# whole (2^8 rows), the rest in blocks of KERNEL_BLOCK_WIDTH.
+KERNEL_HEAD_WIDTH = 9
+KERNEL_BLOCK_WIDTH = 4
 # Largest point count planar_extreme_points lists: 2^(2^m) for m <= 4.
 MAX_PLANAR_POINTS = 1 << 17
 
@@ -394,9 +401,12 @@ def _kernel_exact(size) -> bool:
     An adjugate entry is a (size-1)-minor of a sign matrix, so Hadamard's
     inequality gives |adj| <= (size-1)^((size-1)/2). A reach entry sums
     size adjugate entries and a value sums size reach entries, so
-    |values| <= size^2 (size-1)^((size-1)/2); every partial sum obeys the
-    same bound, so float64 is exact in any summation order. Compared
-    squared, in integers.
+    |values| <= size^2 (size-1)^((size-1)/2). A prefix partial sum and a
+    slack (a sum of |reach| over a tail of coordinates) each sum at most
+    size reach entries and obey the same bound, and |partial| - slack,
+    a difference of two values in [0, bound], does too. Every
+    intermediate sum is of the same kind, so float64 is exact in any
+    summation order. Compared squared, in integers.
     """
     return size ** 4 * (size - 1) ** (size - 1) < 1 << 106
 
@@ -413,12 +423,14 @@ def _tables(m, n):
     representatives = [i for i in range(1, len(vertices)) if i < negated[i]]
     vmat = np.array(vertices, dtype=np.int64)
     ball_rows = np.array([0] + representatives)  # one per antipodal pair
+    # each vertex's antipodal pair as a position in ball_rows
+    pair = np.minimum(np.arange(len(vertices)), negated)
     return {
         "vertices": vertices,
         "vmat": vmat,
         "representatives": representatives,
-        "ball_rows": ball_rows,
         "ball": vmat[ball_rows],
+        "ball_position": np.searchsorted(ball_rows, pair),
     }
 
 
@@ -426,7 +438,10 @@ def _tables(m, n):
 def _sign_block(size):
     """All sign vectors of the given length whose first entry is +1.
 
-    float64, the dtype of the basis kernel's products.
+    float64, the dtype of the basis kernel's products. The kernel takes
+    its head from here and, dropping the first column, every sign vector
+    of a block's width, so it never asks for more than
+    2^(KERNEL_HEAD_WIDTH - 1) rows.
     """
     count = 1 << (size - 1)
     bits = (np.arange(count, dtype=np.int64)[:, None]
@@ -596,21 +611,48 @@ def _process_basis(m, n, row_indices, keys):
     The solution of H a = f is u / D with u = adj f. A basis row gives
     <u, v> = D f_i exactly, so only the ball rows outside the basis are
     tested: reach = outside @ adj once, then |f . reach| <= D for every
-    sign vector f in one float64 product (exact by _kernel_exact), and u
-    only for the survivors. Keys are gcd-reduced (denominator, numerator
-    tuple) pairs with the denominator positive, a unique representation of
-    the rational vector.
+    sign vector f, and u only for the survivors. The sign vectors grow
+    prefix by prefix: the head of KERNEL_HEAD_WIDTH coordinates (f_0 = +1)
+    is enumerated whole, then each surviving prefix is extended by every
+    block of KERNEL_BLOCK_WIDTH signs. slack[:, i] is the sum of |reach|
+    over the coordinates from i on, the most any completion can add, so a
+    prefix with |partial| - slack > D on some row has no feasible
+    completion and is dropped. After the last coordinate the slack is 0
+    and the test is exactly |f . reach| <= D, so the survivors are the
+    feasible sign vectors; all values are exact (_kernel_exact). Keys are
+    gcd-reduced (denominator, numerator tuple) pairs with the denominator
+    positive, a unique representation of the rational vector.
     """
     tables = _tables(m, n)
+    size = n ** m
     det, adj = _det_adjugate(tables["vmat"][row_indices])
-    outside = tables["ball"][~np.isin(tables["ball_rows"], row_indices)]
-    reach = (outside @ adj).astype(np.float64)
-    signs = _sign_block(n ** m)
-    values = signs @ reach.T
-    keep = np.abs(values, out=values).max(axis=1, initial=0) <= det
-    feasible = (signs[keep] @ adj.T).astype(np.int64)
-    if not len(feasible):
-        return
+    inside = np.zeros(len(tables["ball"]), dtype=bool)
+    inside[tables["ball_position"][row_indices]] = True
+    reach = (tables["ball"][~inside] @ adj).astype(np.float64)
+    rows = len(reach)
+    slack = np.zeros((rows, size + 1))
+    slack[:, :size] = np.abs(reach[:, ::-1]).cumsum(axis=1)[:, ::-1]
+    width = min(KERNEL_HEAD_WIDTH, size)
+    signs = _sign_block(width)
+    partial = signs @ reach[:, :width].T
+    while True:
+        live = (np.abs(partial) - slack[:, width]).max(axis=1, initial=0) \
+            <= det
+        signs, partial = signs[live], partial[live]
+        if not len(signs):
+            return
+        if width == size:
+            break
+        step = min(KERNEL_BLOCK_WIDTH, size - width)
+        block = _sign_block(step + 1)[:, 1:]
+        grown = len(signs) * len(block)
+        partial = (partial[:, None, :]
+                   + (block @ reach[:, width:width + step].T)[None]
+                   ).reshape(grown, rows)
+        signs = np.hstack([np.repeat(signs, len(block), axis=0),
+                           np.tile(block, (len(signs), 1))])
+        width += step
+    feasible = (signs @ adj.T).astype(np.int64)
     g = np.gcd(np.gcd.reduce(feasible, axis=1), det)
     reduced = feasible // g[:, None]
     keys.update(zip((det // g).tolist(), map(tuple, reduced.tolist())))

@@ -10,6 +10,9 @@ the strongest internal consistency statement available for m = 3.
 from fractions import Fraction
 from functools import lru_cache
 import hashlib
+import importlib
+import importlib.util
+import inspect
 from itertools import combinations, islice, product
 import math
 import os
@@ -492,8 +495,12 @@ def reference_basis_keys(m, n, row_indices):
 
 
 @pytest.mark.parametrize("m, n, count", [(2, 2, None), (3, 2, None),
-                                         (2, 3, None), (2, 4, 20)])
+                                         (2, 3, None), (4, 2, None),
+                                         (2, 4, 20)])
 def test_process_basis_matches_reference_kernel(m, n, count):
+    # (4, 2): no ball row lies outside its one basis, and the sign vectors
+    # are longer than the kernel's head, so the prefix loop runs on empty
+    # partial sums
     bases = list(islice(_anchored_walk("pipeline", m, n, None, None), count))
     assert len(bases) == count if count else bases
     for chosen in bases:
@@ -501,6 +508,55 @@ def test_process_basis_matches_reference_kernel(m, n, count):
         keys = set()
         _process_basis(m, n, rows, keys)
         assert keys == reference_basis_keys(m, n, rows), rows
+
+
+def test_process_basis_matches_reference_on_the_kg_scan():
+    # every 10th of the 300 bases that kg --m 4 scans by default
+    bases = list(islice(_anchored_walk("pipeline", 2, 4, None, None), 300))
+    for chosen in bases[::10]:
+        rows = [0, *chosen]
+        keys = set()
+        _process_basis(2, 4, rows, keys)
+        assert keys == reference_basis_keys(2, 4, rows), rows
+
+
+def test_kernel_never_materializes_all_sign_vectors(monkeypatch):
+    # the (2,4) kernel prunes prefixes instead of testing 2^15 sign vectors
+    sizes = []
+    block = search._sign_block
+
+    def recording(size):
+        out = block(size)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(search, "_sign_block", recording)
+    with pytest.raises(BudgetExceeded):
+        extreme_points(2, 4, budget=5)
+    assert sizes and max(sizes) <= 2 ** 8
+
+
+def test_ball_position_pairs_antipodes():
+    for m, n in [(2, 2), (2, 3), (2, 4), (4, 2)]:
+        tables = _tables(m, n)
+        vertices, ball = tables["vertices"], tables["ball"]
+        for i, v in enumerate(vertices):
+            row = ball[tables["ball_position"][i]].tolist()
+            assert row in (list(v), [-c for c in v])
+
+
+def test_trace_basis_counter_names_the_kernel():
+    # bench/trace_cli.py counts bases by wrapping this function by name; a
+    # rename would silently zero search.bases in traced runs
+    spec = importlib.util.spec_from_file_location(
+        "trace_cli", ROOT / "bench" / "trace_cli.py")
+    trace_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_cli)
+    module, name = trace_cli.BASIS_COUNTER
+    func = getattr(importlib.import_module(module), name)
+    assert callable(func)
+    assert list(inspect.signature(func).parameters) == [
+        "m", "n", "row_indices", "keys"]
 
 
 def test_partial_2_4_pinned(partial24):
