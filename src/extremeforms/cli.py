@@ -3,7 +3,8 @@
 Subcommands map one-to-one onto the library operations; every run is
 deterministic given its flags and seed, results are cached by a key built
 from (command, parameters, format version, package version) unless
---no-cache is passed, and cache hits reproduce the fresh output byte for
+--no-cache is passed (verify and oracle accept the cache flags but always
+run fresh), and cache hits reproduce the fresh output byte for
 byte because the cache stores the serialized artifact itself. An enum run
 with --budget or --resume neither reads nor writes the cache. The enum
 resume file carries its rows in the artifact cell codec of storage
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -77,7 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, summary, *flags):
         p = sub.add_parser(name, help=summary)
         for flag in (*flags, "--cache-dir", "--no-cache"):
-            p.add_argument(flag, **_SHARED_FLAGS[flag])
+            options = _SHARED_FLAGS[flag]
+            if name in ("verify", "oracle") \
+                    and flag in ("--cache-dir", "--no-cache"):
+                options = {**options, "help": "accepted and ignored: this "
+                                              "command always runs fresh"}
+            p.add_argument(flag, **options)
         return p
 
     enum = command("enum", "enumerate all extreme points through the "
@@ -162,8 +169,10 @@ def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path,
 
     Only a plain run, one with neither --budget nor --resume, reads or
     writes the cache: it always completes or raises, and its result
-    depends on its key alone. A hit copies the stored bytes to out;
-    otherwise compute() builds the set, which is written to out.
+    depends on its key alone. A hit writes the stored bytes to a sibling
+    of out and parses them there; only a valid set of the requested
+    shape replaces out, anything else raises ValueError and leaves out
+    untouched. Otherwise compute() builds the set, which is written to out.
     """
 
     from . import storage
@@ -176,9 +185,19 @@ def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path,
     data = storage.cache_load(_cache_dir(args), key) if cached else None
     hit = data is not None
     if hit:
-        out.write_bytes(data)
+        part = out.with_name(f".{out.name}.{os.getpid()}.part")
+        part.write_bytes(data)
         del data  # the parse below holds the file's text already
-        result = storage.read_extreme_set(out)
+        try:
+            result = storage.read_extreme_set(part)
+            if (result.m, result.n) != (args.m, n):
+                raise ValueError(f"holds (m={result.m}, n={result.n}), "
+                                 f"not (m={args.m}, n={n})")
+            os.replace(part, out)
+        except ValueError as err:
+            raise ValueError(f"cache entry {key}: {err}") from None
+        finally:
+            part.unlink(missing_ok=True)
     else:
         result = compute()
         storage.write_extreme_set(out, result, fmt=args.format)

@@ -6,7 +6,9 @@ most significant. The sup-norm geometry of such forms is controlled by the
 finite set V of flattened tensor products w(x_1, ..., x_m) of cube vertices
 x_i in {-1,+1}^n, and by the group G of diagonal +-1 matrices whose
 diagonals are themselves members of V. G acts on coefficient vectors by
-coordinatewise sign flips; the action is free and transitive on V.
+coordinatewise sign flips; the action is free and transitive on V, so G
+is V itself under coordinatewise product, and GroupElement holds each
+element by its row of V.
 
 Everything in this module is exact: integers for sign data, Fractions for
 coefficients, no floating point anywhere. All values are immutable, all
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 Vertex = tuple  # n signs, each -1 or +1
@@ -184,43 +185,32 @@ def is_tensor_vertex(v: Sequence[int], m: int, n: int) -> bool:
 # the sign group
 # ---------------------------------------------------------------------------
 
-_cached_diagonal = lru_cache(maxsize=4096)(omega)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GroupElement:
-    """Diagonal +-1 matrix diag(w(factors)), stored by canonical factors.
+    """Diagonal +-1 matrix diag(v), held by its sign vector v in V.
 
-    Construction accepts any factor representative and canonicalizes it:
-    a leading factor with first coordinate -1 is negated together with the
-    last factor, which leaves the diagonal unchanged.
+    G is V under coordinatewise product. Construction takes any factor
+    representative x_1, ..., x_m and stores v = w(x_1, ..., x_m), so
+    representatives of one diagonal are equal; .factors gives the
+    canonical ones back.
     """
 
-    factors: tuple
+    signs: TensorVector
+    m: int
+    n: int
 
-    def __post_init__(self):
-        factors = [tuple(x) for x in self.factors]
-        if not factors:
-            raise ValueError("need at least one factor")
-        n = len(factors[0])
-        for x in factors:
-            _check_vertex(x, n)
-        for i in range(len(factors) - 1):
-            if factors[i][0] == -1:
-                factors[i] = tuple(-c for c in factors[i])
-                factors[-1] = tuple(-c for c in factors[-1])
-        object.__setattr__(self, "factors", tuple(factors))
+    def __init__(self, factors):
+        factors = tuple(factors)
+        object.__setattr__(self, "signs", omega(factors))
+        object.__setattr__(self, "m", len(factors))
+        object.__setattr__(self, "n", len(factors[0]))
 
     @property
-    def m(self) -> int:
-        return len(self.factors)
-
-    @property
-    def n(self) -> int:
-        return len(self.factors[0])
+    def factors(self) -> tuple[Vertex, ...]:
+        return factorize(self.signs, self.m, self.n)
 
     def diagonal(self) -> TensorVector:
-        return _cached_diagonal(self.factors)
+        return self.signs
 
 
 def group_identity(m: int, n: int) -> GroupElement:
@@ -235,21 +225,19 @@ def enumerate_group(m: int, n: int) -> list[GroupElement]:
 def group_compose(g: GroupElement, h: GroupElement) -> GroupElement:
     if (g.m, g.n) != (h.m, h.n):
         raise ValueError("group elements have different shapes")
-    product = tuple(tuple(a * b for a, b in zip(x, y))
-                    for x, y in zip(g.factors, h.factors))
-    return GroupElement(product)
+    product = tuple(a * b for a, b in zip(g.signs, h.signs))
+    return GroupElement(factorize(product, g.m, g.n))
 
 
 def act(g: GroupElement, v):
-    """Apply diag(w(g)) to a tensor vertex or a coefficient vector."""
+    """Multiply a tensor vertex or a coefficient vector by g's signs."""
     if isinstance(v, FormVector):
         if (v.m, v.n) != (g.m, g.n):
             raise ValueError("group element and form have different shapes")
         return FormVector(act(g, v.coeffs), v.m, v.n)
-    diag = g.diagonal()
-    if len(v) != len(diag):
-        raise ValueError(f"length mismatch: {len(v)} vs {len(diag)}")
-    return tuple(d * c for d, c in zip(diag, v))
+    if len(v) != len(g.signs):
+        raise ValueError(f"length mismatch: {len(v)} vs {len(g.signs)}")
+    return tuple(d * c for d, c in zip(g.signs, v))
 
 
 def transporter(u: Sequence[int], w: Sequence[int], m: int, n: int

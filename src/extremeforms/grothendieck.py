@@ -5,8 +5,10 @@ to the sphere S^(d-1) is an exact finite maximum over the extreme points
 of the bilinear unit ball; the inner sphere maximization is solved exactly
 by sign enumeration when d = 1 and otherwise by alternating maximization
 (each half-problem has the closed-form normalize-the-image solution) over
-seeded random restarts. Values from the alternating solver are therefore
-certified lower bounds, never claimed maxima. The restarts run as one
+seeded random restarts. Values from the alternating solver are binary64
+values of attained configurations: lower bounds up to rounding, never
+claimed maxima, and not certified (one can land a few ulps above the true
+maximum; ROADMAP item 6 plans rational bounds). The restarts run as one
 batch: their starting vectors are drawn once per (k, d, restarts, seed)
 and shared by every form of that size, and each restart leaves the batch
 when its value settles.
@@ -188,11 +190,12 @@ def inner_sphere_max(T: FormVector, d: int, restarts: int = 64,
     """Maximize sum_ij T_ij <x_i, y_j> over unit vectors on S^(d-1).
 
     Exact by sign enumeration when d = 1 (and the form is small enough);
-    otherwise alternating maximization from seeded random starts, which
-    yields a certified lower bound. All restarts alternate together; each
-    leaves the batch once its value settles, and the first restart with
-    the largest value wins. Identical (seed, restarts) inputs give
-    identical outputs.
+    otherwise alternating maximization from seeded random starts, whose
+    value is the binary64 value of an attained configuration: a lower
+    bound up to rounding, not a certified one. All restarts alternate
+    together; each leaves the batch once its value settles, and the first
+    restart with the largest value wins. Identical (seed, restarts) inputs
+    give identical outputs.
     """
 
     if T.m != 2:

@@ -63,8 +63,6 @@ import numpy as np
 from extremeforms.core import (
     FormVector,
     ResourceBudgetError,
-    act,
-    enumerate_group,
     enumerate_tensor_vertices,
     inner,
 )
@@ -597,8 +595,9 @@ def in_unit_ball(a: FormVector) -> InBallResult:
 # ---------------------------------------------------------------------------
 
 def orbit(a: FormVector) -> set:
-    """The sign-group orbit {a . g}; always contains -a."""
-    return {act(g, a) for g in enumerate_group(a.m, a.n)}
+    """The sign-group orbit {v * a : v in V}; always contains -a."""
+    return {FormVector(tuple(s * c for s, c in zip(v, a.coeffs)), a.m, a.n)
+            for v in _tables(a.m, a.n)["vertices"]}
 
 
 # ---------------------------------------------------------------------------

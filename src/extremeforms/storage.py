@@ -43,6 +43,7 @@ from .search import ExtremeSet, int64_row
 FILE_FORMAT_VERSION = 1
 
 _RATIONAL_PATTERN = re.compile(r"-?\d+(/\d+)?\Z")
+_INTEGER_PATTERN = re.compile(r"-?\d+\Z")
 _KEY_TOKEN_PATTERN = re.compile(r"[^A-Za-z0-9_.+-]")
 
 
@@ -184,12 +185,25 @@ def write_extreme_set(path, extreme_set: ExtremeSet, fmt: str = "json") -> None:
 
 
 def read_extreme_set(path) -> ExtremeSet:
-    """Read an ExtremeSet file, validating metadata against the contents."""
+    """Read an ExtremeSet file, validating metadata types and contents.
+
+    A ValueError names any field of the wrong type or out of range.
+    """
 
     path = Path(path)
     text = path.read_text()
     read = _read_json if text.lstrip()[:1] == "{" else _read_csv
     version, m, n, count, rows, complete = read(text, path)
+    for name, value in (("format-version", version), ("m", m), ("n", n),
+                        ("count", count)):
+        if type(value) is not int:  # bool is a subclass of int
+            raise ValueError(f"{path}: field {name!r} must be an integer")
+    if m < 1 or n < 1:
+        raise ValueError(f"{path}: fields 'm' and 'n' must be at least 1")
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: field 'points' must be a list")
+    if not isinstance(complete, bool):
+        raise ValueError(f"{path}: field 'complete' must be a boolean")
     if version != FILE_FORMAT_VERSION:
         raise ValueError(f"{path}: format-version {version} unsupported "
                          f"(expected {FILE_FORMAT_VERSION})")
@@ -197,7 +211,7 @@ def read_extreme_set(path) -> ExtremeSet:
         raise ValueError(f"{path}: count field says {count} "
                          f"but {len(rows)} points present")
     dens, nums = parse_rows(path, n ** m, rows)
-    return ExtremeSet(m, n, dens, nums, complete=bool(complete))
+    return ExtremeSet(m, n, dens, nums, complete=complete)
 
 
 def _read_json(text: str, path: Path) -> tuple:
@@ -228,9 +242,14 @@ def _read_csv(text: str, path: Path) -> tuple:
     for key in required:
         if key not in meta:
             raise ValueError(f"{path}: metadata missing {key!r}")
+        if _INTEGER_PATTERN.fullmatch(meta[key]) is None:
+            raise ValueError(f"{path}: field {key!r} must be an integer")
+    complete = meta.get("complete", "true")
+    if complete not in ("true", "false"):
+        raise ValueError(f"{path}: field 'complete' must be true or false")
     return (*(int(meta[key]) for key in required),
             [row for row in csv.reader(lines[1:]) if row],
-            meta.get("complete", "true") != "false")
+            complete == "true")
 
 
 # ---------------------------------------------------------------------------

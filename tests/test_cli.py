@@ -331,6 +331,34 @@ def test_planar_cache_hit_rejects_row_past_int64(tmp_path, cachedir, capsys):
     assert "point 0: does not fit int64" in stderr
 
 
+@pytest.mark.parametrize("planted", ["mistyped", "foreign"])
+def test_planar_rejected_cache_hit_leaves_out_alone(tmp_path, cachedir,
+                                                    capsys, planted):
+    from extremeforms.storage import cache_key, cache_store
+
+    out = tmp_path / "p1.json"
+    if planted == "mistyped":
+        assert run(capsys, "planar", "--m", "1", "--out", str(out))[0] == 0
+        payload = json.loads(out.read_text())
+        payload["m"] = "1"
+        data = json.dumps(payload).encode()
+    else:  # a valid artifact of another shape
+        assert run(capsys, "planar", "--m", "3", "--out", str(out))[0] == 0
+        data = out.read_bytes()
+    cache_store(cachedir, cache_key("planar", 1, 2, extra={"fmt": "json"}),
+                data)
+    out.write_bytes(b"keep me")
+    code, stdout, stderr = run(capsys, "planar", "--m", "1",
+                               "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert "Traceback" not in stderr
+    assert ("field 'm' must be an integer" if planted == "mistyped"
+            else "holds (m=3, n=2), not (m=1, n=2)") in stderr
+    assert out.read_bytes() == b"keep me"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "p1.json"]
+
+
 def test_planar_budget_guard(tmp_path, cachedir, capsys):
     code, _, stderr = run(capsys, "planar", "--m", "5",
                           "--out", str(tmp_path / "p5.json"))

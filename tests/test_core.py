@@ -264,6 +264,27 @@ def test_act_is_self_adjoint_for_forms():
             assert inner(act(g, a).coeffs, v) == inner(coeffs, act(g, v))
 
 
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2), (2, 3), (1, 3)])
+def test_group_is_v_in_canonical_order(m, n):
+    assert [g.diagonal() for g in enumerate_group(m, n)] \
+        == enumerate_tensor_vertices(m, n)
+
+
+def test_transporter_diagonal_is_coordinatewise_product_sampled():
+    rng = random.Random(13)
+    for m, n in [(2, 2), (3, 2), (2, 3), (1, 3)]:
+        vertices = enumerate_tensor_vertices(m, n)
+        for _ in range(30):
+            u, w = rng.choice(vertices), rng.choice(vertices)
+            assert transporter(u, w, m, n).diagonal() \
+                == tuple(a * b for a, b in zip(u, w))
+
+
+def test_factor_representatives_are_one_element():
+    assert len({GroupElement(((-1, 1), (1, 1))),
+                GroupElement(((1, -1), (-1, -1)))}) == 1
+
+
 # ---------------------------------------------------------------------------
 # form vectors
 # ---------------------------------------------------------------------------

@@ -269,6 +269,18 @@ def test_orbit_frozen_examples():
     assert orbit(zero) == {zero}
 
 
+def test_orbit_is_the_group_orbit(set22, set32):
+    nonextreme = form((0, F(1, 3), 0, F(-1, 2)), 2, 2)
+    for a in (*set22.points, *set32.points, nonextreme):
+        assert orbit(a) == {act(g, a) for g in enumerate_group(a.m, a.n)}
+
+
+def test_orbit_refuses_shapes_past_the_cell_limit():
+    # |V| n^m = 2^19 * 100 cells for (2, 10), past CELL_LIMIT = 2^24
+    with pytest.raises(ResourceBudgetError):
+        orbit(form((0,) * 100, 2, 10))
+
+
 # ---------------------------------------------------------------------------
 # the full pipeline on small shapes
 # ---------------------------------------------------------------------------

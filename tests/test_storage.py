@@ -189,6 +189,37 @@ def test_read_rejects_corruption(tmp_path, set12):
         read_extreme_set(path)
 
 
+@pytest.mark.parametrize("fmt,field,value,message", [
+    ("json", "m", "1", "field 'm' must be an integer"),
+    ("json", "m", True, "field 'm' must be an integer"),
+    ("json", "count", "4", "field 'count' must be an integer"),
+    ("json", "format-version", 1.0, "field 'format-version' must be an "
+                                    "integer"),
+    ("json", "n", 0, "fields 'm' and 'n' must be at least 1"),
+    ("json", "points", 5, "field 'points' must be a list"),
+    ("json", "complete", "false", "field 'complete' must be a boolean"),
+    ("csv", "m", "x", "field 'm' must be an integer"),
+    ("csv", "count", "4.0", "field 'count' must be an integer"),
+    ("csv", "m", "0", "fields 'm' and 'n' must be at least 1"),
+    ("csv", "complete", "maybe", "field 'complete' must be true or false"),
+])
+def test_read_rejects_mistyped_metadata(tmp_path, set12, fmt, field, value,
+                                        message):
+    path = tmp_path / f"points.{fmt}"
+    write_extreme_set(path, set12, fmt=fmt)
+    if fmt == "json":
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+    else:
+        meta, body = path.read_text().split("\n", 1)
+        tokens = [t for t in meta.split() if not t.startswith(field + "=")]
+        path.write_text(" ".join(tokens + [f"{field}={value}"]) + "\n" + body,
+                        newline="")
+    with pytest.raises(ValueError, match=message):
+        read_extreme_set(path)
+
+
 def reference_bytes(extreme_set, fmt):
     """The file through json.dumps or csv.writer, cell by cell."""
 
