@@ -13,7 +13,10 @@ resume file carries its rows in the artifact cell codec of storage
 Exit codes: 0 success, 2 invalid input, 3 resource budget exceeded (for
 budgeted enumerations the resume state path is printed), 4 internal
 invariant violation. Heavy imports happen inside the handlers so that
---help and argument errors stay fast.
+--help and argument errors stay fast: verify, --help and JSON cache hits
+(bh, mixed, khinchin, two-slot, kg, blei) never load numpy. A JSON hit is
+printed only if it parses as an object whose identifying fields equal
+those a fresh run writes.
 """
 
 from __future__ import annotations
@@ -48,6 +51,15 @@ def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _non_negative(text: str) -> int:
+    """argparse type for seeds and iteration counts: an integer >= 0."""
+
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -117,13 +129,13 @@ def build_parser() -> argparse.ArgumentParser:
     kg = command("kg", "truncated Grothendieck lower bound", "--m")
     kg.add_argument("--d", type=_positive, required=True)
     kg.add_argument("--restarts", type=_positive, default=64)
-    kg.add_argument("--seed", type=int, default=0)
+    kg.add_argument("--seed", type=_non_negative, default=0)
     kg.add_argument("--budget", type=_positive, default=None,
                     help="basis budget for the bilinear scan (m >= 4)")
 
     blei = command("blei", "constrained KKT maximum (expected value 1)")
     blei.add_argument("--grid", dest="grid_density", type=int, default=24)
-    blei.add_argument("--iters", type=int, default=200)
+    blei.add_argument("--iters", type=_non_negative, default=200)
 
     command("oracle", "compare the pipeline against brute-force vertex "
                       "enumeration", "--m", "--n")
@@ -143,8 +155,14 @@ def _cache_dir(args: argparse.Namespace) -> Path:
     return default_cache_dir()
 
 
-def _emit_cached_json(args: argparse.Namespace, extra: dict, compute) -> int:
-    """Print a JSON payload, serving byte-identical bytes from the cache."""
+def _emit_cached_json(args: argparse.Namespace, extra: dict, identity: dict,
+                      compute) -> int:
+    """Print a JSON payload, serving byte-identical bytes from the cache.
+
+    identity holds the identifying fields a fresh run writes into the
+    payload. A hit is printed unchanged only if it is a JSON object whose
+    fields equal identity, types included; anything else raises ValueError.
+    """
 
     from . import storage
 
@@ -153,7 +171,20 @@ def _emit_cached_json(args: argparse.Namespace, extra: dict, compute) -> int:
     if not args.no_cache:
         data = storage.cache_load(_cache_dir(args), key)
         if data is not None:
-            sys.stdout.write(data.decode("utf-8"))
+            try:
+                text = data.decode("utf-8")
+                payload = json.loads(text)
+            except ValueError as err:
+                raise ValueError(f"cache entry {key}: not JSON: {err}") \
+                    from None
+            if not isinstance(payload, dict):
+                raise ValueError(f"cache entry {key}: not a JSON object")
+            for field, value in identity.items():
+                if field not in payload or payload[field] != value \
+                        or type(payload[field]) is not type(value):
+                    raise ValueError(f"cache entry {key}: field {field!r} "
+                                     f"does not read {value!r}")
+            sys.stdout.write(text)
             return EXIT_OK
     payload = compute()
     data = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
@@ -300,8 +331,7 @@ def _handle_planar(args: argparse.Namespace) -> int:
 
 
 def _handle_verify(args: argparse.Namespace) -> int:
-    from .core import FormVector
-    from .search import is_extreme
+    from .core import FormVector, is_extreme
     from .storage import parse_point_list
 
     coeffs = parse_point_list(args.point)
@@ -325,13 +355,16 @@ def _handle_verify(args: argparse.Namespace) -> int:
 def _handle_convex_constant(args: argparse.Namespace) -> int:
     """bh and mixed: a convex maximum over the extreme points of (m, n)."""
 
+    from fractions import Fraction
+
     if args.n == 2 and args.workers != 1:
         raise ValueError("--workers has no effect when n = 2 (no bases are "
                          "scanned); omit it")
 
     def compute():
-        from . import constants
+        # search before constants: the other order raises the peak RSS
         from .search import extreme_points, planar_extreme_points
+        from . import constants
 
         if args.n == 2:
             points = planar_extreme_points(args.m)
@@ -341,41 +374,44 @@ def _handle_convex_constant(args: argparse.Namespace) -> int:
                     else constants.mixed_littlewood_constant)
         return constant(args.m, args.n, points).to_json_dict()
 
-    return _emit_cached_json(args, {}, compute)
+    identity = {"name": ("bohnenblust-hille" if args.command == "bh"
+                         else "mixed-littlewood"),
+                "m": args.m, "n": args.n,
+                "lambda": str(Fraction(2 * args.m, args.m + 1))}
+    return _emit_cached_json(args, {}, identity, compute)
 
 
 def _handle_khinchin(args: argparse.Namespace) -> int:
     from .storage import parse_rational
 
     q = parse_rational(args.exponent)
+    identity = {"name": "khinchin-aq", "lambda": str(q)}
 
     def compute():
         from .constants import khinchin_Aq, khinchin_branch_point
 
-        return {
-            "name": "khinchin-aq",
-            "lambda": str(q),
-            "value": khinchin_Aq(q),
-            "branch-point": khinchin_branch_point(),
-        }
+        return {**identity, "value": khinchin_Aq(q),
+                "branch-point": khinchin_branch_point()}
 
-    return _emit_cached_json(args, {"q": str(q)}, compute)
+    return _emit_cached_json(args, {"q": str(q)}, identity, compute)
 
 
 def _handle_two_slot(args: argparse.Namespace) -> int:
+    identity = {"name": "two-slot", "m": args.m}
+
     def compute():
         from .constants import two_slot_constant
 
-        return {"name": "two-slot", "m": args.m,
-                "value": two_slot_constant(args.m)}
+        return {**identity, "value": two_slot_constant(args.m)}
 
-    return _emit_cached_json(args, {}, compute)
+    return _emit_cached_json(args, {}, identity, compute)
 
 
 def _handle_kg(args: argparse.Namespace) -> int:
     def compute():
-        from .grothendieck import kg_lower_bound
+        # search before grothendieck: the other order raises the peak RSS
         from .search import BudgetExceeded, extreme_points
+        from .grothendieck import kg_lower_bound
 
         budget = args.budget
         if budget is None and args.m >= 4:
@@ -395,19 +431,25 @@ def _handle_kg(args: argparse.Namespace) -> int:
 
     extra = {"d": args.d, "restarts": args.restarts,
              "seed": args.seed, "budget": args.budget}
-    return _emit_cached_json(args, extra, compute)
+    # kg_lower_bound reports the bilinear forms on R^m as (m, n) = (2, m)
+    identity = {"name": f"kg-lower-bound-d{args.d}", "m": 2, "n": args.m,
+                "lambda": None, "d": args.d, "restarts": args.restarts,
+                "seed": args.seed}
+    return _emit_cached_json(args, extra, identity, compute)
 
 
 def _handle_blei(args: argparse.Namespace) -> int:
+    identity = {"name": "blei-kkt-max", "grid": args.grid_density,
+                "iters": args.iters}
+
     def compute():
         from .grothendieck import blei_kkt_max
 
-        return {"name": "blei-kkt-max", "grid": args.grid_density,
-                "iters": args.iters,
+        return {**identity,
                 "value": blei_kkt_max(args.grid_density, args.iters)}
 
     extra = {"grid": args.grid_density, "iters": args.iters}
-    return _emit_cached_json(args, extra, compute)
+    return _emit_cached_json(args, extra, identity, compute)
 
 
 def _handle_oracle(args: argparse.Namespace) -> int:
@@ -447,8 +489,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
 
-    from .core import ResourceBudgetError
-    from .search import InternalInvariantError
+    from .core import InternalInvariantError, ResourceBudgetError
 
     try:
         return _HANDLERS[args.command](args)

@@ -10,9 +10,14 @@ coordinatewise sign flips; the action is free and transitive on V, so G
 is V itself under coordinatewise product, and GroupElement holds each
 element by its row of V.
 
-Everything in this module is exact: integers for sign data, Fractions for
-coefficients, no floating point anywhere. All values are immutable, all
-functions pure, so they can be shared freely across worker processes.
+The module also holds the exact certificate layer: fraction-free integer
+elimination (_IntEliminator, _exact_solve), the sup-norm test in_unit_ball
+and the extremality certificate is_extreme. Everything in this module is
+exact: integers for sign data, Fractions for coefficients, no floating
+point anywhere, and it imports no numpy. The CLI commands that need
+nothing else (verify, --help, and JSON cache hits) therefore never load
+numpy. All values are immutable, all functions pure, so they can be
+shared freely across worker processes.
 
 Two normalization rules are fixed here and relied on everywhere else:
 
@@ -27,6 +32,7 @@ Two normalization rules are fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -40,6 +46,10 @@ CELL_LIMIT = 1 << 24  # |V| * n^m cells allowed in one enumeration
 
 class ResourceBudgetError(RuntimeError):
     """Raised when an enumeration would exceed its configured size limit."""
+
+
+class InternalInvariantError(RuntimeError):
+    """An invariant the pipeline guarantees by construction failed."""
 
 
 # ---------------------------------------------------------------------------
@@ -283,3 +293,164 @@ class FormVector:
 
     def __neg__(self) -> "FormVector":
         return FormVector(tuple(-c for c in self.coeffs), self.m, self.n)
+
+
+# ---------------------------------------------------------------------------
+# exact elimination
+# ---------------------------------------------------------------------------
+
+class _IntEliminator:
+    """Incremental fraction-free Gaussian elimination over the integers.
+
+    Rows are reduced against previously accepted rows in insertion order;
+    each accepted row keeps a private pivot column, so a new row is
+    independent exactly when its reduction is nonzero. push/pop follow the
+    depth-first search stack; solution() gives exact solves, inverses and
+    null vectors.
+    """
+
+    def __init__(self):
+        self.rows = []
+        self.pivots = []
+
+    def _reduced(self, row, start=0):
+        row = list(row)
+        for stored, pivot in zip(self.rows[start:], self.pivots[start:]):
+            coeff = row[pivot]
+            if coeff:
+                lead = stored[pivot]
+                row = [x * lead - y * coeff for x, y in zip(row, stored)]
+                g = 0
+                for x in row:
+                    g = math.gcd(g, x)
+                if g > 1:
+                    row = [x // g for x in row]
+        return row
+
+    def push(self, row) -> bool:
+        reduced = self._reduced(row)
+        for col, x in enumerate(reduced):
+            if x:
+                self.rows.append(reduced)
+                self.pivots.append(col)
+                return True
+        return False
+
+    def pop(self):
+        self.rows.pop()
+        self.pivots.pop()
+
+    def solution(self) -> dict:
+        """Reduced row echelon form as {pivot column: row of Fractions}.
+
+        A stored row is already zero at every earlier pivot; reducing it
+        against the later rows clears it at every other pivot.
+        """
+        out = {}
+        for i, pivot in enumerate(self.pivots):
+            row = self._reduced(self.rows[i], i + 1)
+            out[pivot] = [Fraction(x, row[pivot]) for x in row]
+        return out
+
+
+def _exact_solve(rows, rhs_rows):
+    """A^-1 B as rows of Fractions, from one elimination of [A | B]."""
+    size = len(rows)
+    eliminator = _IntEliminator()
+    for row, rhs in zip(rows, rhs_rows):
+        eliminator.push([*row, *rhs])
+    if sorted(eliminator.pivots) != list(range(size)):
+        raise ValueError("singular system")
+    solution = eliminator.solution()
+    return [solution[p][size:] for p in range(size)]
+
+
+# ---------------------------------------------------------------------------
+# certificates
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class InBallResult:
+    """Outcome of the exact sup-norm test, with a violating witness if any."""
+
+    inside: bool
+    value: Fraction
+    witness: tuple | None = None
+
+    def __bool__(self) -> bool:
+        return self.inside
+
+
+@dataclass(frozen=True)
+class ExtremalityCertificate:
+    """Exact evidence for or against extremality of a coefficient vector.
+
+    When the point is inside the ball but not extreme, midpoint_offset is a
+    nonzero vector b with both a + b and a - b still in the ball, which
+    exhibits a as a proper midpoint.
+    """
+
+    extreme: bool
+    in_ball: bool
+    norm_value: Fraction
+    norm_witness: tuple | None
+    dimension: int
+    tight_count: int
+    tight_rank: int
+    tight_basis: tuple
+    midpoint_offset: FormVector | None
+
+    def __bool__(self) -> bool:
+        return self.extreme
+
+
+def in_unit_ball(a: FormVector) -> InBallResult:
+    """Exact test of max |<a, v>| <= 1 over V, first violator as witness."""
+    best = Fraction(0)
+    witness = None
+    for v in enumerate_tensor_vertices(a.m, a.n):
+        value = abs(inner(a.coeffs, v))
+        if value > best:
+            best = value
+            if value > 1:
+                witness = v
+                break
+    inside = best <= 1
+    return InBallResult(inside, best, None if inside else witness)
+
+
+def is_extreme(a: FormVector) -> ExtremalityCertificate:
+    """Exact extremality certificate via the tight-set rank criterion."""
+    size = a.n ** a.m
+    ball = in_unit_ball(a)
+    vertices = enumerate_tensor_vertices(a.m, a.n)
+    tight = [v for v in vertices if abs(inner(a.coeffs, v)) == 1]
+    eliminator = _IntEliminator()
+    basis = [v for v in tight if eliminator.push(v)]
+    rank = len(basis)
+    extreme = bool(ball) and rank == size
+    offset = None
+    if ball and not extreme:
+        # x[free] = 1 at the first non-pivot column, x[p] = -rref[p][free]
+        rref = eliminator.solution()
+        free = next(c for c in range(size) if c not in rref)
+        direction = [Fraction(int(c == free)) for c in range(size)]
+        for p, row in rref.items():
+            direction[p] = -row[free]
+        slack = [(1 - abs(inner(a.coeffs, v))) / abs(inner(direction, v))
+                 for v in vertices if inner(direction, v) != 0]
+        if not slack:
+            raise InternalInvariantError("tensor vertices failed to span")
+        eps = min(slack)
+        offset = FormVector(tuple(eps * b for b in direction), a.m, a.n)
+    return ExtremalityCertificate(
+        extreme=extreme,
+        in_ball=bool(ball),
+        norm_value=ball.value,
+        norm_witness=ball.witness,
+        dimension=size,
+        tight_count=len(tight),
+        tight_rank=rank,
+        tight_basis=tuple(basis),
+        midpoint_offset=offset,
+    )

@@ -308,6 +308,8 @@ def blei_kkt_max(grid_density: int = 24, refine_iters: int = 200) -> float:
 
     if grid_density < 8:
         raise ValueError(f"grid_density must be >= 8, got {grid_density}")
+    if refine_iters < 0:
+        raise ValueError(f"refine_iters must be >= 0, got {refine_iters}")
     grid = np.linspace(-0.5, 1.5, grid_density)
     scored = []
     for a in grid:

@@ -20,6 +20,11 @@ The cache stores opaque byte payloads under deterministic keys, next to a
 SHA-256 sidecar. Writes go through a temporary file plus ``os.replace`` so
 concurrent readers never observe a torn entry, and a checksum mismatch is
 treated as a miss rather than an error.
+
+Only the extreme-set functions (format_rows, parse_rows, write_extreme_set,
+read_extreme_set) work on arrays, and they import numpy and search when
+called. The cache and the single-value parsers load nothing heavy, so
+verify, --help and JSON cache hits run without numpy.
 """
 
 from __future__ import annotations
@@ -34,11 +39,12 @@ import uuid
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .search import ExtremeSet, int64_row
+
+if TYPE_CHECKING:
+    from .search import ExtremeSet
 
 FILE_FORMAT_VERSION = 1
 
@@ -94,6 +100,8 @@ def format_rows(dens, nums) -> list:
     Each distinct (u_i, d) is formatted once.
     """
 
+    import numpy as np
+
     dens = np.asarray(dens, dtype=np.int64)
     nums = np.asarray(nums, dtype=np.int64)
     cells = np.empty(nums.shape, dtype=object)
@@ -115,6 +123,10 @@ def parse_rows(path, width, rows) -> tuple:
     that does not fit int64 (or holds a bad cell) raises ValueError naming
     its point.
     """
+
+    import numpy as np
+
+    from .search import int64_row
 
     for index, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != width:
@@ -189,6 +201,8 @@ def read_extreme_set(path) -> ExtremeSet:
 
     A ValueError names any field of the wrong type or out of range.
     """
+
+    from .search import ExtremeSet
 
     path = Path(path)
     text = path.read_text()

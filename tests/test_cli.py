@@ -9,12 +9,16 @@ worker counts, and budget-resumed runs must all reproduce the same file.
 import hashlib
 import json
 import math
+import os
 from fractions import Fraction
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
 from extremeforms.cli import main
-from extremeforms.storage import read_extreme_set
+from extremeforms.storage import cache_key, cache_store, read_extreme_set
 
 F = Fraction
 
@@ -260,6 +264,20 @@ def test_rejects_values_below_one(cachedir, capsys, tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("blei", "--grid", "8", "--iters", "-1"),
+    ("kg", "--m", "2", "--d", "1", "--seed", "-1"),
+], ids=["iters", "seed"])
+def test_rejects_negative_seed_and_iters(cachedir, capsys, tmp_path,
+                                         monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert f"argument {argv[-2]}: must be >= 0, got -1" in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_enum_oversized_dimension(cachedir, capsys, tmp_path):
     code, _, stderr = run(capsys, "enum", "--m", "5", "--n", "2",
                           "--out", str(tmp_path / "x.json"))
@@ -482,6 +500,66 @@ def test_blei_rejects_coarse_grid(cachedir, capsys):
     assert run(capsys, "blei", "--grid", "4")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("bh", "--m", "2", "--n", "2"),
+    ("mixed", "--m", "2", "--n", "3"),
+    ("khinchin", "--lambda", "4/3"),
+    ("two-slot", "--m", "3"),
+    ("kg", "--m", "2", "--d", "2", "--restarts", "2", "--seed", "5"),
+    ("blei", "--grid", "8", "--iters", "3"),
+], ids=["bh", "mixed", "khinchin", "two-slot", "kg", "blei"])
+def test_json_cache_hit_prints_the_stored_bytes(cachedir, capsys, argv):
+    # every fresh payload passes the identity check of its own hit
+    fresh = run(capsys, *argv)
+    assert fresh[0] == 0
+    assert run(capsys, *argv) == fresh
+    assert len(cache_entries(cachedir)) == 2
+
+
+@pytest.mark.parametrize("m, planted, field", [
+    (3, b'{"name": "bogus"}', "name"),
+    (3, b'{"name": "two-slot", "value": 1.5}', "m"),
+    (3, b'{"name": "two-slot", "m": 4, "value": 1.5}', "m"),
+    (3, b'{"name": "two-slot", "m": 3.0, "value": 1.5}', "m"),
+    (1, b'{"name": "two-slot", "m": true, "value": 1.0}', "m"),
+    (3, b'["two-slot", 3]', None),
+    (3, b'{"name": "two-slot",', None),
+    (3, b'\xff{}', None),
+], ids=["name", "missing", "other-m", "float-m", "bool-m", "array",
+        "truncated", "not-utf8"])
+def test_json_cache_hit_rejects_foreign_payload(cachedir, capsys, m, planted,
+                                                field):
+    key = cache_key("two-slot", m, 0, extra={})
+    cache_store(cachedir, key, planted)
+    code, stdout, stderr = run(capsys, "two-slot", "--m", str(m))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith(f"error: cache entry {key}: ")
+    if field is not None:
+        assert f"field {field!r} does not read" in stderr
+
+
+@pytest.mark.parametrize("source, target, field", [
+    (("bh", "--m", "2", "--n", "2"), ("mixed", "--m", "2", "--n", "2"),
+     "name"),
+    (("kg", "--m", "2", "--d", "2", "--restarts", "2", "--seed", "1"),
+     ("kg", "--m", "2", "--d", "2", "--restarts", "2", "--seed", "0"),
+     "seed"),
+], ids=["bh-as-mixed", "kg-other-seed"])
+def test_json_cache_hit_rejects_another_commands_result(cachedir, capsys,
+                                                        source, target,
+                                                        field):
+    code, stdout, _ = run(capsys, *source, "--no-cache")
+    assert code == 0
+    key = (cache_key("mixed", 2, 2, extra={}) if target[0] == "mixed" else
+           cache_key("kg", 2, 0, extra={"d": 2, "restarts": 2, "seed": 0,
+                                        "budget": None}))
+    cache_store(cachedir, key, stdout.encode())
+    code, stdout, stderr = run(capsys, *target)
+    assert (code, stdout) == (2, "")
+    assert f"error: cache entry {key}: field {field!r}" in stderr
+
+
 @pytest.mark.parametrize("argv", [("khinchin", "--lambda", "3"),
                                   ("blei", "--grid", "4")],
                          ids=["khinchin", "blei"])
@@ -490,6 +568,55 @@ def test_domain_error_leaves_no_cache_entry(cachedir, capsys, argv):
     assert code == 2
     assert stderr.startswith("error: ")
     assert not cachedir.exists() or list(cachedir.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# commands that never load numpy
+# ---------------------------------------------------------------------------
+
+# Runs main on its arguments (or only imports storage, given none) in a
+# fresh interpreter, then fails naming any heavy module it loaded.
+NUMPY_FREE_CHECK = (
+    "import sys\n"
+    "import extremeforms.storage\n"
+    "from extremeforms.cli import main\n"
+    "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "heavy = sorted({'numpy', 'extremeforms.search'} & set(sys.modules))\n"
+    "sys.exit(f'exit {code}, loaded {heavy}' if code or heavy else 0)")
+
+
+def run_numpy_free(*argv):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", NUMPY_FREE_CHECK, *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("point, verdict", [
+    ("0,0,0,1", "extreme; rank 4 of 4"),
+    ("1/2,1/2,0,0", "not extreme; rank 2 of 4"),
+    ("1,1,0,0", "outside the unit ball"),
+], ids=["extreme", "midpoint", "outside"])
+def test_verify_loads_no_numpy(cachedir, point, verdict):
+    stdout = run_numpy_free("verify", "--m", "2", "--n", "2",
+                            "--point", point)
+    assert stdout.startswith(verdict)
+
+
+@pytest.mark.parametrize("argv", [("two-slot", "--m", "3"),
+                                  ("bh", "--m", "2", "--n", "2")],
+                         ids=["two-slot", "bh"])
+def test_json_cache_hit_loads_no_numpy(cachedir, capsys, argv):
+    code, fresh, _ = run(capsys, *argv)
+    assert code == 0
+    assert run_numpy_free(*argv) == fresh
+
+
+def test_storage_import_loads_no_numpy():
+    assert run_numpy_free() == ""
 
 
 # ---------------------------------------------------------------------------

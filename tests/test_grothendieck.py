@@ -290,3 +290,8 @@ def test_blei_kkt_max_is_one():
 def test_blei_kkt_max_rejects_coarse_grid():
     with pytest.raises(ValueError):
         blei_kkt_max(grid_density=4)
+
+
+def test_blei_kkt_max_rejects_negative_iterations():
+    with pytest.raises(ValueError, match="refine_iters must be >= 0"):
+        blei_kkt_max(grid_density=8, refine_iters=-1)

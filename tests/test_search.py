@@ -189,6 +189,17 @@ def test_imports_leave_the_process_pool_unloaded():
     assert done.returncode == 0, done.stderr
 
 
+def test_certificate_layer_is_core_reexported():
+    # the exact layer lives in core, which loads no numpy; search keeps
+    # the old names bound to the same objects
+    from extremeforms import core
+
+    for name in ("is_extreme", "in_unit_ball", "InBallResult",
+                 "ExtremalityCertificate", "InternalInvariantError",
+                 "_IntEliminator", "_exact_solve"):
+        assert getattr(search, name) is getattr(core, name), name
+
+
 # ---------------------------------------------------------------------------
 # solving anchored systems
 # ---------------------------------------------------------------------------
