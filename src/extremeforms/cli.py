@@ -45,29 +45,24 @@ KG_DEFAULT_BUDGET_LARGE = 300
 # parser
 # ---------------------------------------------------------------------------
 
-def _positive(text: str) -> int:
-    """argparse type for sizes and counts: an integer >= 1."""
+def _at_least(low: int):
+    """argparse type for sizes, counts and seeds: an integer >= low."""
 
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    def integer(text: str) -> int:  # argparse names it in "invalid ..."
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {low}, got {value}")
+        return value
 
-
-def _non_negative(text: str) -> int:
-    """argparse type for seeds and iteration counts: an integer >= 0."""
-
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return integer
 
 
 # Flags shared by several subcommands, each defined once.
 _SHARED_FLAGS = {
-    "--m": dict(type=_positive, required=True),
-    "--n": dict(type=_positive, required=True),
-    "--workers": dict(type=_positive, default=1,
+    "--m": dict(type=_at_least(1), required=True),
+    "--n": dict(type=_at_least(1), required=True),
+    "--workers": dict(type=_at_least(1), default=1,
                       help="processes for the basis scan of a fresh, "
                            "unbudgeted run; bh and mixed refuse values "
                            "other than 1 when n = 2 (no bases are scanned)"),
@@ -102,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     enum = command("enum", "enumerate all extreme points through the "
                            "general pipeline",
                    "--m", "--n", "--workers", "--out", "--format")
-    enum.add_argument("--budget", type=_positive, default=None,
+    enum.add_argument("--budget", type=_at_least(1), default=None,
                       help="max anchored bases to process this run")
     enum.add_argument("--resume", type=Path, default=None,
                       help="resume-state file from a budget-exceeded run")
@@ -127,15 +122,15 @@ def build_parser() -> argparse.ArgumentParser:
     command("two-slot", "the constant 2^(1-1/m)", "--m")
 
     kg = command("kg", "truncated Grothendieck lower bound", "--m")
-    kg.add_argument("--d", type=_positive, required=True)
-    kg.add_argument("--restarts", type=_positive, default=64)
-    kg.add_argument("--seed", type=_non_negative, default=0)
-    kg.add_argument("--budget", type=_positive, default=None,
+    kg.add_argument("--d", type=_at_least(1), required=True)
+    kg.add_argument("--restarts", type=_at_least(1), default=64)
+    kg.add_argument("--seed", type=_at_least(0), default=0)
+    kg.add_argument("--budget", type=_at_least(1), default=None,
                     help="basis budget for the bilinear scan (m >= 4)")
 
     blei = command("blei", "constrained KKT maximum (expected value 1)")
     blei.add_argument("--grid", dest="grid_density", type=int, default=24)
-    blei.add_argument("--iters", type=_non_negative, default=200)
+    blei.add_argument("--iters", type=_at_least(0), default=200)
 
     command("oracle", "compare the pipeline against brute-force vertex "
                       "enumeration", "--m", "--n")

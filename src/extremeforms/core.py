@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterator, Sequence
 
 Vertex = tuple  # n signs, each -1 or +1
@@ -132,21 +133,8 @@ def canonical_factor_tuples(m: int, n: int) -> Iterator[tuple[Vertex, ...]]:
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    restricted = 1 << (n - 1)
-    free = 1 << n
-    codes = [0] * m
-    while True:
-        yield tuple(vertex_from_code(c, n) for c in codes)
-        slot = m - 1
-        while slot >= 0:
-            codes[slot] += 1
-            cap = free if slot == m - 1 else restricted
-            if codes[slot] < cap:
-                break
-            codes[slot] = 0
-            slot -= 1
-        if slot < 0:
-            return
+    codes = product(*[range(2 ** (n - 1))] * (m - 1), range(2 ** n))
+    return (tuple(vertex_from_code(c, n) for c in t) for t in codes)
 
 
 def enumerate_tensor_vertices(m: int, n: int) -> list[TensorVector]:

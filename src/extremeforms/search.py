@@ -44,7 +44,7 @@ points directly.
 Both searches end in an ExtremeSet of gcd-reduced integer rows (d, u) in
 two int64 arrays, sorted on exact integer keys. Fractions appear only
 where a caller asks for FormVectors (ExtremeSet.points, iteration,
-point(i)), in the exact solves (solve_anchored_system), and in the
+point(i)), in _det_adjugate's exact fallback, and in the
 brute_force_vertices oracle, which keeps its own exact Fraction solve and
 only uses the container.
 
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -108,33 +108,6 @@ class BudgetExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 # result types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BasisMatrix:
-    """Square matrix whose rows are independent tensor vertices.
-
-    Rows follow the canonical order of V, so the all-ones anchor sits at
-    position 0. Invertibility is the producer's contract; construction
-    validates shape, sign entries, distinctness, and the anchor.
-    """
-
-    rows: tuple
-    anchor_position: int
-    m: int
-    n: int
-
-    def __post_init__(self):
-        size = self.n ** self.m
-        if len(self.rows) != size:
-            raise ValueError(f"{len(self.rows)} rows for dimension {size}")
-        for row in self.rows:
-            if len(row) != size or any(c not in (-1, 1) for c in row):
-                raise ValueError("rows must be sign vectors of length n^m")
-        if len(set(self.rows)) != len(self.rows):
-            raise ValueError("duplicate rows")
-        if self.rows[self.anchor_position] != tuple([1] * size):
-            raise ValueError("anchor row is not the all-ones tensor")
-
 
 # _fraction(num, den) is Fraction(num, den), built once per distinct value
 _fraction = lru_cache(maxsize=1 << 16)(Fraction)
@@ -393,14 +366,15 @@ def _independent_subsets(rows, candidates, need, seek, prefix=(0,)):
     yield from recurse(0, need, seek)
 
 
-def _anchored_walk(kind, m, n, budget, resume) -> Iterator[tuple]:
+def _anchored_walk(m, n, budget, resume) -> Iterator[tuple]:
     """Budgeted depth-first walk over anchored bases, anchor index omitted.
 
-    kind "anchored-bases" draws rows from all of V, kind "pipeline" from
-    one representative per antipodal pair. The dimension and the resume
-    cursor are checked at the call; the returned iterator raises
-    BudgetExceeded, carrying a cursor that a later call accepts as resume,
-    once budget bases have been yielded.
+    Rows are drawn from one representative per antipodal pair. The
+    dimension and the resume cursor are checked at the call; the returned
+    iterator raises BudgetExceeded, carrying a cursor that a later call
+    accepts as resume, once budget bases have been yielded. The cursor
+    names its search "kind": "pipeline", and enum resume files store it
+    byte for byte.
     """
     size = n ** m
     if size > MAX_PIPELINE_DIMENSION:
@@ -409,16 +383,14 @@ def _anchored_walk(kind, m, n, budget, resume) -> Iterator[tuple]:
         raise ResourceBudgetError(
             f"n^m = {size}: basis kernel values may reach 2^53")
     tables = _tables(m, n)
-    vertices = tables["vertices"]
-    candidates = (tables["representatives"] if kind == "pipeline"
-                  else range(1, len(vertices)))
+    candidates = tables["representatives"]
     seek = None
     if resume is not None:
         if not isinstance(resume, dict) \
                 or resume.get("format-version") != RESUME_FORMAT_VERSION:
             raise ValueError("unsupported resume format")
         if (resume.get("kind"), resume.get("m"), resume.get("n")) \
-                != (kind, m, n):
+                != ("pipeline", m, n):
             raise ValueError("resume state belongs to a different search")
         if resume.get("last_basis") is not None:
             seek = resume["last_basis"]
@@ -429,55 +401,22 @@ def _anchored_walk(kind, m, n, budget, resume) -> Iterator[tuple]:
                 raise ValueError("resume cursor is not an ascending tuple "
                                  "of this walk's candidate rows")
             seek = tuple(seek)
-    subsets = _independent_subsets(vertices, candidates, size - 1, seek)
+    subsets = _independent_subsets(tables["vertices"], candidates, size - 1,
+                                   seek)
 
     def walk():
         last = seek
         for count, chosen in enumerate(subsets):
             if budget is not None and count >= budget:
                 cursor = {"format-version": RESUME_FORMAT_VERSION,
-                          "kind": kind, "m": m, "n": n,
+                          "kind": "pipeline", "m": m, "n": n,
                           "last_basis": None if last is None else list(last)}
-                raise BudgetExceeded(f"{kind} budget {budget} exhausted",
+                raise BudgetExceeded(f"pipeline budget {budget} exhausted",
                                      resume=cursor)
             yield chosen
             last = chosen
 
     return walk()
-
-
-# ---------------------------------------------------------------------------
-# step 1: anchored bases
-# ---------------------------------------------------------------------------
-
-def enumerate_anchored_bases(m, n, budget=None, resume=None
-                             ) -> Iterator[BasisMatrix]:
-    """Every basis of R^(n^m) drawn from V that contains the anchor.
-
-    Yields each unordered basis exactly once, rows in canonical order.
-    budget bounds the number of bases yielded by this call; when it runs
-    out, BudgetExceeded carries a cursor accepted by a later call's
-    resume argument.
-    """
-    walk = _anchored_walk("anchored-bases", m, n, budget, resume)
-    vertices = _tables(m, n)["vertices"]
-    for chosen in walk:
-        yield BasisMatrix(tuple(vertices[i] for i in (0, *chosen)), 0, m, n)
-
-
-# ---------------------------------------------------------------------------
-# step 2: exact solving
-# ---------------------------------------------------------------------------
-
-def solve_anchored_system(basis: BasisMatrix, f: Sequence[int]) -> FormVector:
-    """The unique a with <a, row_i> = f_i for every row of the basis."""
-    size = basis.n ** basis.m
-    if len(f) != size:
-        raise ValueError(f"sign vector length {len(f)}, expected {size}")
-    if any(s not in (-1, 1) for s in f):
-        raise ValueError("sign vector entries must be -1 or +1")
-    solved = _exact_solve(basis.rows, [[s] for s in f])
-    return FormVector(tuple(row[0] for row in solved), basis.m, basis.n)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +527,7 @@ def extreme_points(m, n, budget=None, resume=None, workers=1) -> ExtremeSet:
     worker count because the merge is a set union followed by one
     canonical sort.
     """
-    walk = _anchored_walk("pipeline", m, n, budget, resume)
+    walk = _anchored_walk(m, n, budget, resume)
     size = n ** m
     if budget is None and resume is None and workers > 1 and size > 1:
         positions = range(len(_tables(m, n)["representatives"]) - size + 2)

@@ -199,7 +199,9 @@ def write_extreme_set(path, extreme_set: ExtremeSet, fmt: str = "json") -> None:
 def read_extreme_set(path) -> ExtremeSet:
     """Read an ExtremeSet file, validating metadata types and contents.
 
-    A ValueError names any field of the wrong type or out of range.
+    A ValueError names any field of the wrong type or out of range, and
+    the first point that does not strictly follow its predecessor: the
+    ExtremeSet constructor trusts its rows to be sorted and distinct.
     """
 
     from .search import ExtremeSet
@@ -225,7 +227,39 @@ def read_extreme_set(path) -> ExtremeSet:
         raise ValueError(f"{path}: count field says {count} "
                          f"but {len(rows)} points present")
     dens, nums = parse_rows(path, n ** m, rows)
+    del text, rows  # the cells are parsed; free them before the check
+    index = _first_unordered_row(dens, nums)
+    if index is not None:
+        raise ValueError(f"{path}: point {index} does not strictly follow "
+                         f"point {index - 1}")
     return ExtremeSet(m, n, dens, nums, complete=complete)
+
+
+def _first_unordered_row(dens, nums):
+    """Index of the first row not above its predecessor, or None.
+
+    Rows are compared as rational vectors: as numerators over their
+    common denominator, in int64 when every such numerator stays below
+    2^62 (so a difference of two fits), else on search.exact_keys.
+    """
+
+    import numpy as np
+
+    if len(dens) < 2:
+        return None
+    lcm = math.lcm(*set(dens.tolist()))
+    if lcm < 1 << 62 and int(np.abs(nums).max()) * (
+            lcm // int(dens.min())) < 1 << 62:
+        common = nums * (lcm // dens)[:, None]
+        step = common[1:] - common[:-1]
+        lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+        unordered = np.flatnonzero(lead <= 0)
+        return int(unordered[0]) + 1 if len(unordered) else None
+    from .search import exact_keys
+
+    keys = exact_keys(zip(dens.tolist(), map(tuple, nums.tolist())))
+    return next((i for i in range(1, len(keys)) if keys[i] <= keys[i - 1]),
+                None)
 
 
 def _read_json(text: str, path: Path) -> tuple:

@@ -377,6 +377,25 @@ def test_planar_rejected_cache_hit_leaves_out_alone(tmp_path, cachedir,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "p1.json"]
 
 
+def test_enum_rejects_cache_hit_with_unordered_rows(tmp_path, cachedir,
+                                                   capsys):
+    # a valid (2,2) artifact with row 1 repeated before row 0
+    out = tmp_path / "e22.json"
+    assert run(capsys, "enum", "--m", "2", "--n", "2", "--out", str(out),
+               "--no-cache")[0] == 0
+    payload = json.loads(out.read_text())
+    payload["points"].insert(0, payload["points"][1])
+    payload["count"] += 1
+    cache_store(cachedir, cache_key("enum", 2, 2, extra={"fmt": "json"}),
+                json.dumps(payload).encode())
+    out.unlink()
+    code, stdout, stderr = run(capsys, "enum", "--m", "2", "--n", "2",
+                               "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert "point 1 does not strictly follow point 0" in stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
+
+
 def test_planar_budget_guard(tmp_path, cachedir, capsys):
     code, _, stderr = run(capsys, "planar", "--m", "5",
                           "--out", str(tmp_path / "p5.json"))

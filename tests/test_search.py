@@ -31,12 +31,10 @@ from extremeforms.core import (
     enumerate_group,
     enumerate_tensor_vertices,
     inner,
-    omega,
 )
 from extremeforms import search
 from extremeforms.search import (
     MAX_PIPELINE_DIMENSION,
-    BasisMatrix,
     BudgetExceeded,
     ExtremeSet,
     InternalInvariantError,
@@ -46,13 +44,11 @@ from extremeforms.search import (
     _process_basis,
     _tables,
     brute_force_vertices,
-    enumerate_anchored_bases,
     extreme_points,
     in_unit_ball,
     is_extreme,
     orbit,
     planar_extreme_points,
-    solve_anchored_system,
 )
 from known_points import (
     BILINEAR_2x2_ALL,
@@ -80,66 +76,41 @@ def assert_orthogonal_to_tight_rows(a, offset):
 
 
 # ---------------------------------------------------------------------------
-# anchored bases
+# the anchored-basis walk
 # ---------------------------------------------------------------------------
 
-def test_anchored_bases_m1_n1():
-    bases = list(enumerate_anchored_bases(1, 1))
-    assert len(bases) == 1
-    assert bases[0].rows == ((1,),)
-
-
-def test_anchored_bases_m1_n2_frozen():
-    bases = list(enumerate_anchored_bases(1, 2))
-    row_sets = {frozenset(b.rows) for b in bases}
-    # the pair {(1,1), (-1,-1)} is dependent and must not appear
-    assert row_sets == {frozenset({(1, 1), (1, -1)}),
-                        frozenset({(1, 1), (-1, 1)})}
-
-
-def test_anchored_bases_2_2_count_matches_subset_oracle():
-    vertices = enumerate_tensor_vertices(2, 2)
-    anchor = vertices[0]
-    others = vertices[1:]
-    oracle_count = 0
-    for triple in combinations(others, 3):
-        if fraction_rank([anchor, *triple]) == 4:
-            oracle_count += 1
-    assert oracle_count == 8
-    bases = list(enumerate_anchored_bases(2, 2))
-    assert len(bases) == oracle_count
-
-
-@pytest.mark.parametrize("m,n", [(2, 2), (1, 3)])
+@pytest.mark.parametrize("m,n", [(2, 2), (1, 3), (2, 3)])
 def test_anchored_bases_are_valid(m, n):
-    vertices = enumerate_tensor_vertices(m, n)
-    order = {v: i for i, v in enumerate(vertices)}
-    seen = set()
-    for basis in enumerate_anchored_bases(m, n):
-        assert basis.rows[basis.anchor_position] == vertices[0]
-        indices = [order[r] for r in basis.rows]
-        assert indices == sorted(indices), "rows not in canonical order"
-        assert fraction_rank(basis.rows) == n ** m
-        key = frozenset(basis.rows)
-        assert key not in seen, "basis emitted twice"
-        seen.add(key)
+    # the walk yields ascending tuples of distinct representatives that
+    # complete the anchor to a basis, as many as a float rank count over
+    # every subset of the representatives finds
+    tables = _tables(m, n)
+    vmat, representatives = tables["vmat"], tables["representatives"]
+    size = n ** m
+    bases = list(_anchored_walk(m, n, None, None))
+    for chosen in bases:
+        assert list(chosen) == sorted(set(chosen)), chosen
+        assert set(chosen) <= set(representatives), chosen
+    assert len(set(bases)) == len(bases), "basis emitted twice"
+    ranks = np.linalg.matrix_rank(vmat[[[0, *chosen] for chosen in bases]])
+    assert (ranks == size).all()
+    subsets = vmat[[[0, *chosen] for chosen
+                    in combinations(representatives, size - 1)]]
+    oracle_count = int((np.linalg.matrix_rank(subsets) == size).sum())
+    assert len(bases) == oracle_count
+    assert oracle_count == {(2, 2): 1, (1, 3): 3, (2, 3): 2304}[m, n]
 
 
 def test_anchored_bases_budget_and_resume():
-    # For m=1, n=3 the anchor is (1,1,1) and the other two rows are drawn
-    # from the 7 remaining vertices of {-1,1}^3.  Of the C(7,2) = 21 pairs,
-    # 6 contain -anchor (rank deficient with the anchor) and 3 are antipodal
-    # pairs (rank 2 total), leaving 12 valid anchored bases.
-    full = [b.rows for b in enumerate_anchored_bases(1, 3)]
-    assert len(full) == 12
-
+    # budget-1 steps, each resumed from the previous cursor, reassemble the
+    # unbudgeted (2,3) walk
+    full = list(_anchored_walk(2, 3, None, None))
     collected = []
     resume = None
-    for _ in range(40):
+    for _ in range(len(full) + 1):
         try:
-            for basis in enumerate_anchored_bases(1, 3, budget=1,
-                                                  resume=resume):
-                collected.append(basis.rows)
+            for chosen in _anchored_walk(2, 3, 1, resume):
+                collected.append(chosen)
         except BudgetExceeded as stop:
             resume = stop.resume
         else:
@@ -147,18 +118,24 @@ def test_anchored_bases_budget_and_resume():
     assert collected == full
 
     with pytest.raises(BudgetExceeded) as info:
-        list(enumerate_anchored_bases(1, 3, budget=0))
+        list(_anchored_walk(2, 3, 0, None))
     assert info.value.resume is not None
 
 
-@pytest.mark.parametrize("last_basis", [[3, 2], [1, 1], [1, 8], [0, 1]],
-                         ids=["descending", "repeated", "past-end", "anchor"])
-def test_anchored_bases_reject_cursor_outside_walk(last_basis):
+@pytest.mark.parametrize("bad", ["descending", "repeated", "past-end",
+                                 "anchor"])
+def test_anchored_bases_reject_cursor_outside_walk(bad):
+    tables = _tables(2, 3)
+    first = tables["representatives"][:8]
+    last_basis = {"descending": first[::-1],
+                  "repeated": [first[0], *first[:7]],
+                  "past-end": [*first[:7], len(tables["vertices"])],
+                  "anchor": [0, *first[:7]]}[bad]
     with pytest.raises(BudgetExceeded) as info:
-        list(enumerate_anchored_bases(1, 3, budget=0))
+        extreme_points(2, 3, budget=0)
     cursor = {**info.value.resume, "last_basis": last_basis}
     with pytest.raises(ValueError, match="resume cursor"):
-        list(enumerate_anchored_bases(1, 3, resume=cursor))
+        extreme_points(2, 3, resume=cursor)
 
 
 def test_pipeline_rejects_cursor_off_the_representatives():
@@ -198,50 +175,6 @@ def test_certificate_layer_is_core_reexported():
                  "ExtremalityCertificate", "InternalInvariantError",
                  "_IntEliminator", "_exact_solve"):
         assert getattr(search, name) is getattr(core, name), name
-
-
-# ---------------------------------------------------------------------------
-# solving anchored systems
-# ---------------------------------------------------------------------------
-
-def _planar_bilinear_basis():
-    bases = list(enumerate_anchored_bases(2, 2))
-    rows = frozenset({omega(((1, 1), (1, 1))), omega(((1, 1), (-1, 1))),
-                      omega(((-1, 1), (1, 1))), omega(((-1, 1), (-1, 1)))})
-    for basis in bases:
-        if frozenset(basis.rows) == rows:
-            return basis
-    raise AssertionError("expected basis not enumerated")
-
-
-def test_solve_anchored_system_frozen():
-    basis = _planar_bilinear_basis()
-    a = solve_anchored_system(basis, (1, 1, 1, 1))
-    assert a.coeffs == (0, 0, 0, 1)
-    # canonical row order puts (1,-1,-1,1) third and (-1,-1,1,1) last,
-    # so the sign pattern below pins the -1 to the (1,-1,-1,1) row
-    assert basis.rows == ((1, 1, 1, 1), (-1, 1, -1, 1),
-                          (1, -1, -1, 1), (-1, -1, 1, 1))
-    b = solve_anchored_system(basis, (1, 1, -1, 1))
-    assert b.coeffs == (F(-1, 2), F(1, 2), F(1, 2), F(1, 2))
-
-
-@pytest.mark.parametrize("m,n", [(2, 2), (1, 3)])
-def test_solve_substitution_identity(m, n):
-    rng = random.Random(5)
-    for basis in enumerate_anchored_bases(m, n):
-        f = tuple(rng.choice((1, -1)) for _ in range(n ** m))
-        a = solve_anchored_system(basis, f)
-        for row, want in zip(basis.rows, f):
-            assert inner(a.coeffs, row) == want
-
-
-def test_solve_rejects_bad_sign_vector():
-    basis = _planar_bilinear_basis()
-    with pytest.raises(ValueError):
-        solve_anchored_system(basis, (1, 1, 1))
-    with pytest.raises(ValueError):
-        solve_anchored_system(basis, (1, 1, 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +387,7 @@ def test_extreme_points_budget_zero():
 def test_resume_at_final_basis_is_empty_for_any_worker_count():
     # a cursor at the last basis leaves nothing to scan; a resumed run must
     # walk its cursor even when workers > 1 asks for the process pool
-    *_, last = _anchored_walk("pipeline", 2, 3, None, None)
+    *_, last = _anchored_walk(2, 3, None, None)
     with pytest.raises(BudgetExceeded) as info:
         extreme_points(2, 3, budget=0)
     cursor = {**info.value.resume, "last_basis": list(last)}
@@ -469,15 +402,25 @@ def test_extreme_points_workers_deterministic(set32):
     assert [p.coeffs for p in two.points] == [p.coeffs for p in set32.points]
 
 
-@pytest.mark.parametrize("m, n", [(1, 2), (2, 2), (1, 3), (3, 2)])
+def _first_bases_points(m, n, count):
+    """The extreme points that the first count bases of the walk reach."""
+    try:
+        return extreme_points(m, n, budget=count)
+    except BudgetExceeded as stop:
+        return stop.partial
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 2), (1, 3), (3, 2), (2, 3)])
 def test_det_adjugate_exact_branch(m, n, monkeypatch):
     # the float guess verifies on every basis the pipeline meets, so a float
-    # determinant of 0 is the only way to reach the exact branch
+    # determinant of 0 is the only way to reach the exact branch; the first
+    # 50 bases of each walk (every basis below (2,3)) go through both
     size = n ** m
-    mats = [np.array(b.rows, dtype=np.int64)
-            for b in enumerate_anchored_bases(m, n)]
+    vmat = _tables(m, n)["vmat"]
+    mats = [vmat[[0, *chosen]]
+            for chosen in islice(_anchored_walk(m, n, None, None), 50)]
     float_pairs = [_det_adjugate(h) for h in mats]
-    expected = extreme_points(m, n)
+    expected = _first_bases_points(m, n, 50)
     monkeypatch.setattr(np.linalg, "det", lambda a: 0.0)
     for h, (det, adj) in zip(mats, float_pairs):
         d, exact = _det_adjugate(h)
@@ -485,7 +428,7 @@ def test_det_adjugate_exact_branch(m, n, monkeypatch):
         assert np.array_equal(h @ exact, d * np.eye(size, dtype=np.int64))
         assert det % d == 0
         assert np.array_equal(adj, (det // d) * exact)
-    assert extreme_points(m, n) == expected
+    assert _first_bases_points(m, n, 50) == expected
     with pytest.raises(InternalInvariantError):
         _det_adjugate(np.ones((2, 2), dtype=np.int64))
 
@@ -524,7 +467,7 @@ def test_process_basis_matches_reference_kernel(m, n, count):
     # (4, 2): no ball row lies outside its one basis, and the sign vectors
     # are longer than the kernel's head, so the prefix loop runs on empty
     # partial sums
-    bases = list(islice(_anchored_walk("pipeline", m, n, None, None), count))
+    bases = list(islice(_anchored_walk(m, n, None, None), count))
     assert len(bases) == count if count else bases
     for chosen in bases:
         rows = [0, *chosen]
@@ -535,7 +478,7 @@ def test_process_basis_matches_reference_kernel(m, n, count):
 
 def test_process_basis_matches_reference_on_the_kg_scan():
     # every 10th of the 300 bases that kg --m 4 scans by default
-    bases = list(islice(_anchored_walk("pipeline", 2, 4, None, None), 300))
+    bases = list(islice(_anchored_walk(2, 4, None, None), 300))
     for chosen in bases[::10]:
         rows = [0, *chosen]
         keys = set()
@@ -755,12 +698,3 @@ def test_from_points_sorts_and_rejects_rows_past_int64(set22):
     wide = (F(2 ** 63 - 1), F(0))
     assert ExtremeSet.from_points(1, 2, [wide]).nums.tolist() == [
         [2 ** 63 - 1, 0]]
-
-
-def test_basis_matrix_validation():
-    with pytest.raises(ValueError):
-        BasisMatrix(((1, 1, 1, 1), (1, 1, 1, 1), (1, -1, 1, -1),
-                     (1, 1, -1, -1)), 0, 2, 2)  # duplicate row
-    with pytest.raises(ValueError):
-        BasisMatrix(((1, -1, 1, -1), (1, 1, 1, 1), (1, 1, -1, -1),
-                     (1, -1, -1, 1)), 0, 2, 2)  # anchor not at position 0

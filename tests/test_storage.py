@@ -289,6 +289,40 @@ def test_read_rejects_row_past_int64(tmp_path, set12, fmt):
         read_extreme_set(path)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("fault", ["swapped", "repeated"])
+def test_read_rejects_rows_out_of_order(tmp_path, set22, fmt, fault):
+    # the ExtremeSet constructor trusts its rows to be sorted and distinct
+    path = tmp_path / f"points.{fmt}"
+    write_extreme_set(path, set22, fmt=fmt)
+    if fmt == "json":
+        payload = json.loads(path.read_text())
+        rows = payload["points"]
+        rows[1], rows[2] = (rows[2], rows[1]) if fault == "swapped" \
+            else (rows[1], rows[1])
+        path.write_text(json.dumps(payload))
+    else:  # line 0 holds the metadata, so row i is line i + 1
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2], lines[3] = (lines[3], lines[2]) if fault == "swapped" \
+            else (lines[2], lines[2])
+        path.write_text("".join(lines), newline="")
+    with pytest.raises(ValueError,
+                       match="point 2 does not strictly follow point 1"):
+        read_extreme_set(path)
+
+
+def test_read_orders_rows_past_2_62(tmp_path):
+    # numerators this wide are compared on exact keys instead of in int64
+    path = tmp_path / "wide.json"
+    wide = ExtremeSet(1, 2, [1, 1], [[2 ** 62 - 1, 0], [2 ** 62, 0]])
+    write_extreme_set(path, wide)
+    assert read_extreme_set(path) == wide
+    write_extreme_set(path, ExtremeSet(1, 2, [1, 1], wide.nums[::-1]))
+    with pytest.raises(ValueError,
+                       match="point 1 does not strictly follow point 0"):
+        read_extreme_set(path)
+
+
 def test_write_rejects_unknown_format(tmp_path, set12):
     with pytest.raises(ValueError):
         write_extreme_set(tmp_path / "x", set12, fmt="xml")
