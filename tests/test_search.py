@@ -101,6 +101,23 @@ def test_anchored_bases_are_valid(m, n):
     assert oracle_count == {(2, 2): 1, (1, 3): 3, (2, 3): 2304}[m, n]
 
 
+def test_anchored_bases_2_2_count_matches_subset_oracle():
+    # exact rank scan: over all of V the anchor completes to 8 bases; the
+    # walk draws only from the sign-group representatives, and yields
+    # exactly the bases an exact scan over those finds
+    vertices = enumerate_tensor_vertices(2, 2)
+    anchor = vertices[0]
+    full_count = sum(1 for triple in combinations(vertices[1:], 3)
+                     if fraction_rank([anchor, *triple]) == 4)
+    assert full_count == 8
+    representatives = _tables(2, 2)["representatives"]
+    oracle = [triple for triple in combinations(representatives, 3)
+              if fraction_rank([anchor, *(vertices[i] for i in triple)]) == 4]
+    bases = list(_anchored_walk(2, 2, None, None))
+    assert bases == oracle
+    assert len(bases) == 1
+
+
 def test_anchored_bases_budget_and_resume():
     # budget-1 steps, each resumed from the previous cursor, reassemble the
     # unbudgeted (2,3) walk
