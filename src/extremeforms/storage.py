@@ -97,7 +97,9 @@ def parse_point_list(text: str) -> tuple:
 def format_rows(dens, nums) -> list:
     """Cell strings of the rows nums[i] / dens[i], in order, duplicates kept.
 
-    Each distinct (u_i, d) is formatted once.
+    Each distinct (u_i, d) is formatted once: the rows are grouped by a
+    set of their denominators, and a block's cells index the sorted table
+    of its distinct numerators. np.unique would import numpy.ma.
     """
 
     import numpy as np
@@ -105,12 +107,15 @@ def format_rows(dens, nums) -> list:
     dens = np.asarray(dens, dtype=np.int64)
     nums = np.asarray(nums, dtype=np.int64)
     cells = np.empty(nums.shape, dtype=object)
-    for d in np.unique(dens).tolist():
+    for d in set(dens.tolist()):
         rows = dens == d
-        values, inverse = np.unique(nums[rows], return_inverse=True)
+        block = nums[rows]
+        ordered = np.sort(block, axis=None)
+        values = ordered[np.concatenate(([True],
+                                         ordered[1:] != ordered[:-1]))]
         table = np.array([format_rational(Fraction(x, d))
                           for x in values.tolist()], dtype=object)
-        cells[rows] = table[inverse].reshape(-1, nums.shape[1])
+        cells[rows] = table[values.searchsorted(block)]
     return cells.tolist()
 
 

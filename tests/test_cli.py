@@ -638,6 +638,29 @@ def test_storage_import_loads_no_numpy():
     assert run_numpy_free() == ""
 
 
+NUMPY_MA_CHECK = (
+    "import sys\n"
+    "from extremeforms.cli import main\n"
+    "codes = [main(['enum', '--m', '2', '--n', '4', '--budget', '25']),\n"
+    "         main(['planar', '--m', '3'])]\n"
+    "loaded = 'numpy.ma' in sys.modules\n"
+    "sys.exit(f'exit {codes}, numpy.ma loaded: {loaded}'\n"
+    "         if codes != [3, 0] or loaded else 0)")
+
+
+def test_artifact_writes_load_no_numpy_ma(tmp_path, cachedir):
+    # writing a resume file and a fresh artifact formats rows without
+    # np.unique, which imports numpy.ma
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", NUMPY_MA_CHECK], env=env,
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "extremeforms-enum-m2-n4.json.resume.json").exists()
+    assert (tmp_path / "extremeforms-planar-m3.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------

@@ -585,6 +585,183 @@ def test_kernel_bound_refuses_before_any_basis(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# orbits of bases under the anchor's stabilizer
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m, n, order", [(2, 2, 8), (3, 2, 48), (2, 3, 72),
+                                         (2, 4, 1152), (4, 2, 384)])
+def test_stabilizer_is_the_coordinate_group(m, n, order):
+    perms, table = search._stabilizer(m, n)
+    size = n ** m
+    assert order == math.factorial(n) ** m * math.factorial(m)
+    assert perms.shape == (order, size)
+    assert table.shape == (order, len(_tables(m, n)["vertices"]))
+    assert table.dtype == np.uint8
+    assert (np.sort(perms, axis=1) == np.arange(size)).all()
+    # distinct, and closed under composition: h after g sends i to
+    # perms[h, perms[g, i]]; entries are below 16, so 4 bits each
+    weights = np.left_shift(np.uint64(1),
+                            4 * np.arange(size, dtype=np.uint64))
+
+    def codes(rows):
+        return (rows.astype(np.uint64) * weights).sum(axis=-1)
+
+    elements = np.sort(codes(perms))
+    assert (elements[1:] != elements[:-1]).all()
+    for g in perms:
+        assert np.isin(codes(perms[:, g]), elements).all()
+    # each element fixes the anchor, maps V onto V, and the table holds
+    # the ball position of each image
+    tables = _tables(m, n)
+    vertices = tables["vertices"]
+    index = {v: i for i, v in enumerate(vertices)}
+    for g, positions in zip(perms, table):
+        images = np.empty_like(tables["vmat"])
+        images[:, g] = tables["vmat"]
+        targets = [index[v] for v in map(tuple, images.tolist())]
+        assert targets[0] == 0
+        assert sorted(targets) == list(range(len(vertices)))
+        assert positions.tolist() == tables["ball_position"][targets].tolist()
+
+
+def test_stabilizer_is_trivial_for_linear_forms():
+    perms, table = search._stabilizer(1, 3)
+    assert perms.tolist() == [[0, 1, 2]]
+    assert table is None
+    assert search._stabilizer(1, 10)[1] is None  # 512 pairs, past 64 bits
+
+
+def _orbit_path_keys(m, n, chosen, monkeypatch):
+    """The keys _orbit_keys adds for one basis, and the rows it solved."""
+    solved = []
+    kernel = search._process_basis
+
+    def recording(m, n, row_indices, keys):
+        solved.append(list(row_indices))
+        kernel(m, n, row_indices, keys)
+
+    monkeypatch.setattr(search, "_process_basis", recording)
+    keys = set()
+    search._orbit_keys(m, n, [chosen], keys)
+    monkeypatch.setattr(search, "_process_basis", kernel)
+    return keys, solved
+
+
+@pytest.mark.parametrize("m, n, count", [(2, 3, None), (2, 4, 300)])
+def test_orbit_keys_match_the_kernel_on_each_basis(m, n, count, monkeypatch):
+    # g^-1 applied to the keys of the canonical image of B is keys(B)
+    moved = 0
+    for chosen in islice(_anchored_walk(m, n, None, None), count):
+        keys, solved = _orbit_path_keys(m, n, chosen, monkeypatch)
+        assert len(solved) == 1
+        moved += solved[0] != [0, *chosen]
+        direct = set()
+        _process_basis(m, n, [0, *chosen], direct)
+        assert keys == direct, chosen
+    assert moved > 0
+
+
+# a (2,4) extreme point of the 1/6 class, found by a linear program and
+# certified by is_extreme; it is tight on 48 vertices, the anchor among them
+SIXTH_CLASS_2_4 = (6, (1, 1, 1, 1, 1, -1, 1, 1, -1, 0, -1, 2, -1, 0, 1, 0))
+
+
+def test_orbit_keys_match_the_kernel_off_the_two_scan_classes(monkeypatch):
+    # every point of (2,3) and of the 300-basis (2,4) scan is tight on all
+    # of V, so each of those bases finds a group-invariant key set and
+    # cannot tell g from g^-1; a basis tight for a 1/6-class point can
+    d, u = SIXTH_CLASS_2_4
+    point = form([F(x, d) for x in u], 2, 4)
+    assert is_extreme(point).extreme
+    tables = _tables(2, 4)
+    tight = [int(i) for i in tables["ball_rows"][1:]
+             if abs(inner(point.coeffs, tables["vertices"][i])) == 1]
+    chosen = []
+    for i in tight:
+        if np.linalg.matrix_rank(tables["vmat"][[0, *chosen, i]]) \
+                == len(chosen) + 2:
+            chosen.append(i)
+    assert len(chosen) == 15
+    keys = set()
+    _process_basis(2, 4, [0, *chosen], keys)
+    assert SIXTH_CLASS_2_4 in keys
+    perms, table = search._stabilizer(2, 4)
+    images = [tables["ball_rows"][np.sort(positions[chosen])].tolist()
+              for positions in table[::97]]
+    key_sets = set()
+    for basis in [chosen, *images]:
+        found, _ = _orbit_path_keys(2, 4, tuple(basis), monkeypatch)
+        direct = set()
+        _process_basis(2, 4, [0, *basis], direct)
+        assert found == direct, basis
+        key_sets.add(frozenset(found))
+    assert len(key_sets) > 1  # the images do not all share one key set
+
+
+def per_basis_points(m, n, budget=None, resume=None):
+    """The pipeline as it ran before orbits of bases: the kernel on every
+    basis of the walk. (points, cursor), cursor None for a complete run."""
+    walk = _anchored_walk(m, n, budget, resume)
+    keys = set()
+    try:
+        for chosen in walk:
+            _process_basis(m, n, [0, *chosen], keys)
+    except BudgetExceeded as stop:
+        return search._finalize(m, n, keys, complete=False), stop.resume
+    return search._finalize(m, n, keys, complete=True), None
+
+
+def orbit_points(m, n, budget=None, resume=None, workers=1):
+    try:
+        return extreme_points(m, n, budget, resume, workers), None
+    except BudgetExceeded as stop:
+        return stop.partial, stop.resume
+
+
+@pytest.mark.parametrize("m, n, budget", [
+    (2, 4, 1), (2, 4, 15), (2, 4, 16), (2, 4, 17), (2, 4, 25), (2, 4, 300),
+    (1, 10, 5)])
+def test_orbit_walk_matches_the_per_basis_walk(m, n, budget):
+    # budgets on both sides of the chunk edges, and a resume; (1,10) has
+    # 512 antipodal pairs, past a 64-bit mask, and takes the identity group
+    expected, cursor = per_basis_points(m, n, budget)
+    points, resume = orbit_points(m, n, budget)
+    assert cursor is not None
+    assert resume == cursor
+    assert points == expected
+    assert points.complete == expected.complete
+    assert orbit_points(m, n, budget, resume) == per_basis_points(
+        m, n, budget, cursor)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_orbit_walk_matches_the_per_basis_walk_unbudgeted(workers):
+    expected, _ = per_basis_points(2, 3)
+    points, cursor = orbit_points(2, 3, workers=workers)
+    assert cursor is None
+    assert points == expected
+
+
+@pytest.mark.parametrize("m, n, budget, runs", [(2, 3, None, 42),
+                                                (2, 4, 300, 58),
+                                                (2, 4, 25, 13)])
+def test_kernel_runs_once_per_orbit(m, n, budget, runs, monkeypatch):
+    # the orbit counts of the walked bases; the walk calls the kernel by
+    # its module-global name, which bench/trace_cli.py wraps as well
+    calls = []
+    kernel = search._process_basis
+
+    def counting(*args):
+        calls.append(args[2])
+        kernel(*args)
+
+    monkeypatch.setattr(search, "_process_basis", counting)
+    orbit_points(m, n, budget, workers=1)
+    assert len(calls) == runs
+    assert len({tuple(rows) for rows in calls}) == runs
+
+
+# ---------------------------------------------------------------------------
 # extremality certificates
 # ---------------------------------------------------------------------------
 
