@@ -195,10 +195,12 @@ def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path,
 
     Only a plain run, one with neither --budget nor --resume, reads or
     writes the cache: it always completes or raises, and its result
-    depends on its key alone. A hit writes the stored bytes to a sibling
-    of out and parses them there; only a valid set of the requested
-    shape replaces out, anything else raises ValueError and leaves out
-    untouched. Otherwise compute() builds the set, which is written to out.
+    depends on its key alone. A hit parses the bytes cache_load returned
+    (storage.read_extreme_set with data, which names the cache entry in
+    its errors); only a valid set of the requested shape is then written
+    to a sibling of out that replaces out, and anything else raises
+    ValueError and leaves out untouched. Otherwise compute() builds the
+    set, which is written to out.
     """
 
     from . import storage
@@ -211,17 +213,17 @@ def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path,
     data = storage.cache_load(_cache_dir(args), key) if cached else None
     hit = data is not None
     if hit:
-        part = out.with_name(f".{out.name}.{os.getpid()}.part")
-        part.write_bytes(data)
-        del data  # the parse below holds the file's text already
         try:
-            result = storage.read_extreme_set(part)
+            result = storage.read_extreme_set(_cache_dir(args) / key, data)
             if (result.m, result.n) != (args.m, n):
                 raise ValueError(f"holds (m={result.m}, n={result.n}), "
                                  f"not (m={args.m}, n={n})")
-            os.replace(part, out)
         except ValueError as err:
             raise ValueError(f"cache entry {key}: {err}") from None
+        part = out.with_name(f".{out.name}.{os.getpid()}.part")
+        try:
+            part.write_bytes(data)
+            os.replace(part, out)
         finally:
             part.unlink(missing_ok=True)
     else:

@@ -482,14 +482,24 @@ _POSITION_BIT = np.array([1 << bit for bit in range(63, -1, -1)],
 ORBIT_CHUNK = 16
 
 
-def _orbit_keys(m, n, bases, keys):
+@lru_cache(maxsize=16)
+def _orbit_cache(m, n) -> dict:
+    """The orbit cache (see _chunk_keys) that every pool task of one
+    worker process shares, so the tasks of a worker solve each orbit once.
+    It lives as long as the worker; a serial run keeps its own dict, so
+    nothing outlives the call in the caller's process."""
+    return {}
+
+
+def _orbit_keys(m, n, bases, keys, cache=None):
     """Add the keys of every basis the walk yields, one kernel run per orbit.
 
     bases yields tuples of row indices, anchor omitted; they reach
     _chunk_keys ORBIT_CHUNK at a time, and a BudgetExceeded from the walk
-    is raised again after the bases already drawn are added.
+    is raised again after the bases already drawn are added. cache maps
+    canonical masks to keys, a fresh dict unless given.
     """
-    cache = {}
+    cache = {} if cache is None else cache
     chunk = []
     try:
         for basis in bases:
@@ -628,14 +638,17 @@ def _finalize(m, n, keys, complete):
 
 
 def _subtree_keys(args):
-    """Worker task: all candidate keys whose basis starts at one position."""
+    """Worker task: all candidate keys whose basis starts at one position.
+
+    The tasks a worker process runs share its _orbit_cache.
+    """
     m, n, position = args
     tables = _tables(m, n)
     first = tables["representatives"][position]
     keys = set()
     _orbit_keys(m, n, ((first, *chosen) for chosen in _independent_subsets(
         tables["vertices"], tables["representatives"][position + 1:],
-        n ** m - 2, None, prefix=(0, first))), keys)
+        n ** m - 2, None, prefix=(0, first))), keys, _orbit_cache(m, n))
     return keys
 
 

@@ -8,13 +8,21 @@ the same metadata. Every file records a format version so that a future
 change of index convention cannot silently corrupt comparisons.
 
 Extreme sets go between files and the integer arrays of ExtremeSet
-without a FormVector, through one row codec that the enum resume file
-shares: format_rows formats each distinct (u_i, d) cell once, and
-parse_rows parses each distinct cell string once. format_rational and
-parse_rational are the per-value steps inside it, uncached; outside it
-only single values (--point, --lambda) go through them. A row whose
-reduced denominator or numerator does not fit int64 is refused with a
-ValueError naming the point.
+without a FormVector. format_rows formats each distinct (u_i, d) cell
+once, and parse_rows parses each distinct cell string once; the enum
+resume file shares both. format_rational and parse_rational are the
+per-value steps inside them, uncached; outside them only single values
+(--point, --lambda) go through them. A row whose reduced denominator or
+numerator does not fit int64 is refused with a ValueError naming the point.
+
+The JSON layout is byte for byte json.dumps(payload, indent=1), built from
+the _JSON_* pieces below. write_extreme_set joins the suffixed cells of all
+rows in one string, and read_extreme_set first tries _read_writer_json, a
+numpy reader that accepts only a file those same pieces spell out exactly,
+cell by cell in canonical form and rows in strict order. Any other file
+(another JSON layout, a long cell, a fault of any kind, and every CSV file)
+goes through json.loads or the csv module, then parse_rows, which give
+every error message; the fast reader never raises.
 
 The cache stores opaque byte payloads under deterministic keys, next to a
 SHA-256 sidecar. Writes go through a temporary file plus ``os.replace`` so
@@ -22,15 +30,16 @@ concurrent readers never observe a torn entry, and a checksum mismatch is
 treated as a miss rather than an error.
 
 Only the extreme-set functions (format_rows, parse_rows, write_extreme_set,
-read_extreme_set) work on arrays, and they import numpy and search when
-called. The cache and the single-value parsers load nothing heavy, so
-verify, --help and JSON cache hits run without numpy.
+read_extreme_set and their helpers) work on arrays, and they import numpy
+and search when called. The cache and the single-value parsers load
+nothing heavy, so verify, --help and JSON cache hits run without numpy.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -51,6 +60,25 @@ FILE_FORMAT_VERSION = 1
 _RATIONAL_PATTERN = re.compile(r"-?\d+(/\d+)?\Z")
 _INTEGER_PATTERN = re.compile(r"-?\d+\Z")
 _KEY_TOKEN_PATTERN = re.compile(r"[^A-Za-z0-9_.+-]")
+
+# The JSON artifact, as write_extreme_set writes it and _read_writer_json
+# checks it: _JSON_HEAD, then "]" for no points or _JSON_OPEN, the cells
+# with _JSON_CELL_SEP between two cells of a row and _JSON_ROW_SEP between
+# rows, and _JSON_CLOSE; then _JSON_INCOMPLETE for a partial set, and
+# _JSON_END. The separators hold the quotes around the cells.
+_JSON_HEAD = ('{{\n "format-version": {version},\n "m": {m},\n "n": {n},\n'
+              ' "count": {count},\n "points": [')
+_JSON_OPEN = '\n  [\n   "'
+_JSON_CELL_SEP = '",\n   "'
+_JSON_ROW_SEP = '"\n  ],\n  [\n   "'
+_JSON_CLOSE = '"\n  ]\n ]'
+_JSON_INCOMPLETE = ',\n "complete": false'
+_JSON_END = "\n}\n"
+# the four integers of a head, in order; "format-version", "m", "n" and
+# "count" hold no digit
+_HEAD_NUMBERS = re.compile(rb"\D*(\d{1,18})" * 4)
+# rows per block of the fast reader, which bounds its index arrays
+READ_BLOCK_ROWS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -94,29 +122,59 @@ def parse_point_list(text: str) -> tuple:
 # extreme-set files
 # ---------------------------------------------------------------------------
 
-def format_rows(dens, nums) -> list:
-    """Cell strings of the rows nums[i] / dens[i], in order, duplicates kept.
+def _cell_blocks(dens, nums):
+    """(rows, index, cells) for each denominator d of the rows nums / dens.
 
-    Each distinct (u_i, d) is formatted once: the rows are grouped by a
-    set of their denominators, and a block's cells index the sorted table
-    of its distinct numerators. np.unique would import numpy.ma.
+    rows masks the rows over d, cells formats the distinct numerators of
+    their block in ascending order, and index maps each entry of the
+    block to its cell. The blocks come from a set of the denominators and
+    a sort: np.unique would import numpy.ma.
     """
 
     import numpy as np
 
     dens = np.asarray(dens, dtype=np.int64)
     nums = np.asarray(nums, dtype=np.int64)
-    cells = np.empty(nums.shape, dtype=object)
     for d in set(dens.tolist()):
         rows = dens == d
         block = nums[rows]
         ordered = np.sort(block, axis=None)
         values = ordered[np.concatenate(([True],
                                          ordered[1:] != ordered[:-1]))]
-        table = np.array([format_rational(Fraction(x, d))
-                          for x in values.tolist()], dtype=object)
-        cells[rows] = table[values.searchsorted(block)]
+        yield rows, values.searchsorted(block), [
+            format_rational(Fraction(x, d)) for x in values.tolist()]
+
+
+def format_rows(dens, nums) -> list:
+    """Cell strings of the rows nums[i] / dens[i], in order, duplicates kept.
+
+    Each distinct (u_i, d) is formatted once (_cell_blocks).
+    """
+
+    import numpy as np
+
+    cells = np.empty(np.shape(nums), dtype=object)
+    for rows, index, table in _cell_blocks(dens, nums):
+        cells[rows] = np.array(table, dtype=object)[index]
     return cells.tolist()
+
+
+def _suffixed_cells(dens, nums, sep, row_sep) -> list:
+    """The cells of all rows in order, each followed by sep, the last cell
+    of a row by row_sep instead; joined, they are the body of a file.
+
+    Every distinct (u_i, d) is formatted and suffixed once.
+    """
+
+    import numpy as np
+
+    cells = np.empty(np.shape(nums), dtype=object)
+    for rows, index, table in _cell_blocks(dens, nums):
+        cells[rows, :-1] = np.array([c + sep for c in table],
+                                    dtype=object)[index[:, :-1]]
+        cells[rows, -1] = np.array([c + row_sep for c in table],
+                                   dtype=object)[index[:, -1]]
+    return cells.ravel().tolist()
 
 
 def parse_rows(path, width, rows) -> tuple:
@@ -143,17 +201,12 @@ def parse_rows(path, width, rows) -> tuple:
     except (TypeError, ValueError):  # TypeError: an unhashable cell
         values = None
     if values is not None:
-        lcm = math.lcm(*(v.denominator for v in values.values()))
-        scaled = [v.numerator * (lcm // v.denominator)
-                  for v in values.values()]
-        if not (lcm >> 63 or any(abs(x) >> 63 for x in scaled)):
-            ids = dict(zip(values, range(len(values))))
-            common = np.array(scaled, dtype=np.int64)[
-                np.fromiter(map(ids.__getitem__, chain.from_iterable(rows)),
-                            dtype=np.int64, count=len(rows) * width)
-            ].reshape(len(rows), width)
-            g = np.gcd(np.gcd.reduce(common, axis=1), lcm)
-            return lcm // g, common // g[:, None]
+        ids = dict(zip(values, range(len(values))))
+        reduced = _reduced_rows(list(values.values()), np.fromiter(
+            map(ids.__getitem__, chain.from_iterable(rows)), dtype=np.int64,
+            count=len(rows) * width).reshape(len(rows), width))
+        if reduced is not None:
+            return reduced
     pairs = []
     for index, row in enumerate(rows):
         try:
@@ -165,54 +218,84 @@ def parse_rows(path, width, rows) -> tuple:
                 len(pairs), width))
 
 
+def _reduced_rows(values, index):
+    """(dens, nums) of the rows values[index], one row of index per row of
+    Fractions, gcd-reduced over the lcm L of all the denominators in
+    values; None unless L and every numerator over L fit int64."""
+
+    import numpy as np
+
+    lcm = math.lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (lcm // v.denominator) for v in values]
+    if lcm >> 63 or any(abs(x) >> 63 for x in scaled):
+        return None
+    common = np.array(scaled, dtype=np.int64)[index]
+    g = np.gcd(np.gcd.reduce(common, axis=1), lcm)
+    return lcm // g, common // g[:, None]
+
+
 def write_extreme_set(path, extreme_set: ExtremeSet, fmt: str = "json") -> None:
     """Write an ExtremeSet to ``path`` as JSON or CSV (lossless).
 
-    The JSON text is assembled by hand, byte for byte the output of
-    ``json.dumps(payload, indent=1)``; cells hold only digits, "-" and
-    "/", which JSON and CSV both leave unescaped and unquoted.
+    The JSON text is assembled from the _JSON_* pieces, byte for byte the
+    output of ``json.dumps(payload, indent=1)``, and the CSV text as
+    ``csv.writer`` writes it; cells hold only digits, "-" and "/", which
+    JSON and CSV both leave unescaped and unquoted. The whole file is one
+    join of suffixed cells (_suffixed_cells), the head and the tail fixed
+    onto its first and last cell.
     """
 
     path = Path(path)
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown format: {fmt!r} (expected json or csv)")
-    rows = format_rows(extreme_set.dens, extreme_set.nums)
+    count = len(extreme_set)
     if fmt == "json":
-        fields = [f' "format-version": {FILE_FORMAT_VERSION}',
-                  f' "m": {extreme_set.m}',
-                  f' "n": {extreme_set.n}',
-                  f' "count": {len(rows)}']
-        if rows:
-            fields.append(' "points": [\n' + ",\n".join(
-                '  [\n   "' + '",\n   "'.join(row) + '"\n  ]'
-                for row in rows) + "\n ]")
-        else:
-            fields.append(' "points": []')
-        if not extreme_set.complete:
-            fields.append(' "complete": false')
-        path.write_text("{\n" + ",\n".join(fields) + "\n}\n")
+        head = _JSON_HEAD.format(version=FILE_FORMAT_VERSION,
+                                 m=extreme_set.m, n=extreme_set.n,
+                                 count=count)
+        tail = ("" if extreme_set.complete else _JSON_INCOMPLETE) + _JSON_END
+        if not count:
+            path.write_text(head + "]" + tail)
+            return
+        cells = _suffixed_cells(extreme_set.dens, extreme_set.nums,
+                                _JSON_CELL_SEP, _JSON_ROW_SEP)
+        cells[0] = head + _JSON_OPEN + cells[0]
+        cells[-1] = cells[-1][:-len(_JSON_ROW_SEP)] + _JSON_CLOSE + tail
+        path.write_text("".join(cells))
     else:
         meta = (f"# extremeforms format-version={FILE_FORMAT_VERSION}"
                 f" m={extreme_set.m} n={extreme_set.n}"
-                f" count={len(rows)}")
+                f" count={count}")
         if not extreme_set.complete:
             meta += " complete=false"
-        body = "".join(",".join(row) + "\r\n" for row in rows)
-        path.write_text(meta + "\n" + body, newline="")
+        cells = _suffixed_cells(extreme_set.dens, extreme_set.nums, ",",
+                                "\r\n") if count else []
+        path.write_text("".join([meta + "\n", *cells]), newline="")
 
 
-def read_extreme_set(path) -> ExtremeSet:
+def read_extreme_set(path, data: bytes | None = None) -> ExtremeSet:
     """Read an ExtremeSet file, validating metadata types and contents.
 
-    A ValueError names any field of the wrong type or out of range, and
-    the first point that does not strictly follow its predecessor: the
+    data, when given, is the file's content, and path only names it in
+    errors. A JSON file exactly as write_extreme_set writes it is read by
+    _read_writer_json; any other file is decoded as Path.read_text would
+    and parsed by json.loads or the csv module, then parse_rows. A
+    ValueError names any field of the wrong type or out of range, and the
+    first point that does not strictly follow its predecessor: the
     ExtremeSet constructor trusts its rows to be sorted and distinct.
     """
 
     from .search import ExtremeSet
 
     path = Path(path)
-    text = path.read_text()
+    if data is None:
+        data = path.read_bytes()
+    fast = _read_writer_json(data)
+    if fast is not None:
+        m, n, dens, nums, complete = fast
+        return ExtremeSet(m, n, dens, nums, complete=complete)
+    text = io.TextIOWrapper(io.BytesIO(data)).read()
+    del data
     read = _read_json if text.lstrip()[:1] == "{" else _read_csv
     version, m, n, count, rows, complete = read(text, path)
     for name, value in (("format-version", version), ("m", m), ("n", n),
@@ -238,6 +321,124 @@ def read_extreme_set(path) -> ExtremeSet:
         raise ValueError(f"{path}: point {index} does not strictly follow "
                          f"point {index - 1}")
     return ExtremeSet(m, n, dens, nums, complete=complete)
+
+
+def _read_writer_json(data: bytes):
+    """(m, n, dens, nums, complete) of a file write_extreme_set would
+    write byte for byte, else None; never raises.
+
+    Every byte is checked. The head and the tail must equal the _JSON_*
+    pieces for the counts they hold, and the quotes between them must
+    bound count * n^m cells, each pair of neighbours separated by exactly
+    _JSON_CELL_SEP or, at a row's end, _JSON_ROW_SEP. The rows go in
+    blocks of READ_BLOCK_ROWS. A cell of 1 to 7 bytes and its length pack
+    into one uint64 key; a block's distinct keys are parsed once each (a
+    longer cell sends the file to the general path), and each must read
+    back as itself through format_rational. The rows of a block are then
+    reduced as parse_rows reduces them (_reduced_rows), over the lcm of
+    the block's denominators, and must strictly ascend
+    (_first_unordered_row). A file that fails any of these checks,
+    including every file the general path would refuse, gives None.
+    """
+
+    import numpy as np
+
+    numbers = _HEAD_NUMBERS.match(data[:256])
+    if numbers is None:
+        return None
+    # the version is checked with the whole head below; the bounds keep
+    # n ** m cheap, and other sizes take the general path
+    m, n, count = map(int, numbers.groups()[1:])
+    if not (1 <= m <= 64 and 1 <= n <= 64 and count >= 1):
+        return None
+    head = (_JSON_HEAD.format(version=FILE_FORMAT_VERSION, m=m, n=n,
+                              count=count) + _JSON_OPEN).encode()
+    for complete in (True, False):
+        tail = (_JSON_CLOSE + ("" if complete else _JSON_INCOMPLETE)
+                + _JSON_END).encode()
+        if data.endswith(tail):
+            break
+    else:
+        return None
+    if not data.startswith(head):
+        return None
+    width = n ** m
+    buf = np.frombuffer(data, dtype=np.uint8)
+    first, last = len(head) - 1, len(data) - len(tail)
+    quotes = np.flatnonzero(buf[first:last + 1] == ord('"')) + first
+    if len(quotes) != 2 * count * width:
+        return None
+    quotes = quotes.reshape(count, width, 2)
+    # words[p] is the little-endian uint64 of the 8 bytes from position p
+    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data,
+                       strides=(1,))
+    masks = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.uint64)
+    values = {}
+    dens = np.empty(count, dtype=np.int64)
+    nums = np.empty((count, width), dtype=np.int64)
+    for start in range(0, count, READ_BLOCK_ROWS):
+        block = quotes[max(start - 1, 0):start + READ_BLOCK_ROWS]
+        opens, closes = block[..., 0], block[..., 1]
+        if not (_separated(words, closes[:, :-1], opens[:, 1:],
+                           _JSON_CELL_SEP.encode())
+                and _separated(words, closes[:-1, -1], opens[1:, 0],
+                               _JSON_ROW_SEP.encode())):
+            return None
+        if start:  # the first row closed the previous block
+            opens, closes = opens[1:], closes[1:]
+        lengths = closes - opens - 1
+        if lengths.max() > 7:  # an empty cell fails _canonical_cell
+            return None
+        keys = (words[opens + 1] & masks[lengths]) | (
+            lengths.astype(np.uint64) << np.uint64(56))
+        ordered = np.sort(keys, axis=None)
+        distinct = ordered[np.concatenate(([True],
+                                           ordered[1:] != ordered[:-1]))]
+        distinct_keys = distinct.tolist()
+        try:
+            values.update((key, _canonical_cell(key))
+                          for key in distinct_keys if key not in values)
+        except ValueError:
+            return None
+        reduced = _reduced_rows([values[key] for key in distinct_keys],
+                                distinct.searchsorted(keys))
+        if reduced is None:
+            return None
+        dens[start:start + len(keys)], nums[start:start + len(keys)] = \
+            reduced
+    del quotes, block, opens, closes  # free the positions for the check
+    if _first_unordered_row(dens, nums) is not None:
+        return None
+    return m, n, dens, nums, complete
+
+
+def _separated(words, closes, opens, sep: bytes) -> bool:
+    """Whether sep, quotes included, runs from each closing quote to the
+    opening quote paired with it; words[p] holds the 8 bytes from p."""
+
+    import numpy as np
+
+    if not (opens - closes == len(sep) - 1).all():
+        return False
+    for at in range(0, len(sep), 8):
+        chunk = sep[at:at + 8]
+        mask = np.uint64((1 << 8 * len(chunk)) - 1)
+        if not ((words[closes + at] & mask)
+                == np.uint64(int.from_bytes(chunk, "little"))).all():
+            return False
+    return True
+
+
+def _canonical_cell(key: int) -> Fraction:
+    """The rational a packed cell key spells, or ValueError unless the
+    cell is ASCII and exactly format_rational of its value."""
+
+    length = key >> 56
+    text = key.to_bytes(8, "little")[:length].decode("ascii")
+    value = parse_rational(text)
+    if format_rational(value) != text:
+        raise ValueError(f"not canonical: {text!r}")
+    return value
 
 
 def _first_unordered_row(dens, nums):

@@ -396,6 +396,37 @@ def test_enum_rejects_cache_hit_with_unordered_rows(tmp_path, cachedir,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
 
 
+@pytest.mark.parametrize("argv", [("planar", "--m", "3"),
+                                  ("enum", "--m", "2", "--n", "2")])
+def test_canonical_cache_hit_never_calls_json_loads(tmp_path, cachedir,
+                                                    capsys, monkeypatch,
+                                                    argv):
+    # a hit on an entry the writer wrote takes the fast reader
+    from extremeforms import storage
+
+    out = tmp_path / "artifact.json"
+    code, fresh, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    artifact = out.read_bytes()
+    out.unlink()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called")
+
+    monkeypatch.setattr(storage.json, "loads", refuse)
+    code, hit, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == artifact
+
+    def masked(stdout):
+        return [line for line in stdout.splitlines()
+                if not line.startswith("wall-seconds:")]
+
+    assert masked(hit) == masked(fresh) + ["cache: hit"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.json",
+                                                          "cache"]
+
+
 def test_planar_budget_guard(tmp_path, cachedir, capsys):
     code, _, stderr = run(capsys, "planar", "--m", "5",
                           "--out", str(tmp_path / "p5.json"))

@@ -761,6 +761,27 @@ def test_kernel_runs_once_per_orbit(m, n, budget, runs, monkeypatch):
     assert len({tuple(rows) for rows in calls}) == runs
 
 
+def test_pool_tasks_of_one_process_share_the_orbit_cache(monkeypatch, set23):
+    # the 8 first-row tasks of (2,3), run as one worker process runs them,
+    # solve each of the 42 orbits once; their union is the serial set
+    calls = []
+    kernel = search._process_basis
+
+    def counting(*args):
+        calls.append(args[2])
+        kernel(*args)
+
+    monkeypatch.setattr(search, "_process_basis", counting)
+    search._orbit_cache.cache_clear()
+    tasks = [(2, 3, p) for p in
+             range(len(_tables(2, 3)["representatives"]) - 9 + 2)]
+    assert len(tasks) == 8
+    keys = set().union(*map(search._subtree_keys, tasks))
+    search._orbit_cache.cache_clear()
+    assert len({tuple(rows) for rows in calls}) == len(calls) == 42
+    assert search._finalize(2, 3, keys, complete=True) == set23
+
+
 # ---------------------------------------------------------------------------
 # extremality certificates
 # ---------------------------------------------------------------------------

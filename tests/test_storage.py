@@ -15,8 +15,13 @@ from fractions import Fraction
 import pytest
 
 import extremeforms
+from extremeforms import storage
 from extremeforms.core import FormVector
-from extremeforms.search import ExtremeSet, extreme_points
+from extremeforms.search import (
+    ExtremeSet,
+    extreme_points,
+    planar_extreme_points,
+)
 from extremeforms.storage import (
     FILE_FORMAT_VERSION,
     cache_key,
@@ -321,6 +326,106 @@ def test_read_orders_rows_past_2_62(tmp_path):
     with pytest.raises(ValueError,
                        match="point 1 does not strictly follow point 0"):
         read_extreme_set(path)
+
+
+# ---------------------------------------------------------------------------
+# the fast reader of the writer's own JSON against the general path
+# ---------------------------------------------------------------------------
+
+def read_outcome(path, data=None):
+    """What read_extreme_set gives: the set's fields, or the error text."""
+
+    try:
+        read = read_extreme_set(path, data)
+    except ValueError as err:
+        return "error", str(err)
+    return "set", (read.m, read.n, read.dens.dtype, read.dens.tolist(),
+                   read.nums.dtype, read.nums.tolist(), read.complete)
+
+
+def check_fast_reader(path, data, monkeypatch):
+    """The fast reader's answer on data, checked against the general path;
+    read_extreme_set must give what the general path alone gives."""
+
+    fast = storage._read_writer_json(data)
+    with monkeypatch.context() as general_only:
+        general_only.setattr(storage, "_read_writer_json", lambda data: None)
+        expected = read_outcome(path, data)
+    assert read_outcome(path, data) == expected
+    if fast is not None:
+        m, n, dens, nums, complete = fast
+        assert expected == ("set", (m, n, dens.dtype, dens.tolist(),
+                                    nums.dtype, nums.tolist(), complete))
+    return fast, expected
+
+
+LONG_CELLS = ExtremeSet(1, 2, [12345678, 1234], [[-1, 0], [1, 0]])
+SEVEN_BYTE_CELLS = ExtremeSet(1, 2, [1234, 1234], [[-1, 0], [1, 0]])
+
+
+@pytest.mark.parametrize("name", ["planar1", "planar2", "planar3", "planar4",
+                                  "set22", "set23", "set32", "partial24",
+                                  "long", "seven"])
+def test_fast_reader_matches_the_general_path(tmp_path, request, monkeypatch,
+                                              name):
+    if name == "planar1":
+        extreme_set = planar_extreme_points(1)
+    elif name == "long":  # "-1/12345678" is past the 7 bytes of a key
+        extreme_set = LONG_CELLS
+    elif name == "seven":  # "-1/1234" is exactly 7
+        extreme_set = SEVEN_BYTE_CELLS
+    else:
+        extreme_set = request.getfixturevalue(name)
+    path = tmp_path / "points.json"
+    write_extreme_set(path, extreme_set)
+    fast, expected = check_fast_reader(path, path.read_bytes(), monkeypatch)
+    assert (fast is None) == (name == "long")
+    assert expected[0] == "set"
+    assert read_extreme_set(path) == extreme_set
+    assert read_extreme_set(path).complete == (name != "partial24")
+
+
+def mutations(data: bytes, seed: int):
+    """Seeded variants of a canonical artifact, each with its kind."""
+
+    import random
+
+    rng = random.Random(seed)
+    alphabet = b'0123456789-/", \n[]{}:x'
+    rows = data.split(b"\n  [\n")  # rows[0] holds the head
+    for _ in range(120):
+        at = rng.randrange(len(data))
+        byte = rng.choice(alphabet)
+        yield "flip", data[:at] + bytes([byte]) + data[at + 1:]
+        yield "insert", data[:at] + bytes([byte]) + data[at:]
+        yield "delete", data[:at] + data[at + 1:]
+    for _ in range(20):
+        i, j = sorted(rng.sample(range(1, len(rows) - 1), 2))
+        swapped = rows[:]
+        swapped[i], swapped[j] = rows[j], rows[i]
+        yield "swap", b"\n  [\n".join(swapped)
+    count = int(data.split(b'"count": ')[1].split(b",")[0])
+    for other in (count - 1, count + 1, 0, 10 * count):
+        yield "count", data.replace(b'"count": %d' % count,
+                                    b'"count": %d' % other)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fast_reader_on_mutated_artifacts(tmp_path, set23, monkeypatch, seed):
+    # flipped, inserted and deleted bytes, swapped rows and a wrong count:
+    # the fast reader gives None or what the general path reads, and
+    # read_extreme_set errs exactly as the general path does
+    path = tmp_path / "points.json"
+    write_extreme_set(path, set23)
+    seen = {}
+    for kind, data in mutations(path.read_bytes(), seed):
+        # a mutation may spell another valid set, which both then read
+        _, expected = check_fast_reader(path, data, monkeypatch)
+        seen.setdefault(kind, set()).add(expected[0])
+    assert set(seen) == {"flip", "insert", "delete", "swap", "count"}
+    assert seen["swap"] == seen["count"] == {"error"}
+    # some mutations the general path still reads: a space in the layout
+    assert "set" in seen["insert"] | seen["delete"] | seen["flip"]
 
 
 def test_write_rejects_unknown_format(tmp_path, set12):
