@@ -105,8 +105,8 @@ def _exponent(exponent) -> Fraction:
     return lam
 
 
-def _f_lambda_row(d: int, magnitudes, lam: Fraction) -> float:
-    """f_lambda of a point u / d from d and the multiset |u|, Python ints.
+def _f_lambda_row(row, lam: Fraction) -> float:
+    """f_lambda of a point u / d from row = [d, *|u|], Python ints.
 
     lambda = 1 and lambda = 2 are summed exactly before the one final
     conversion (and square root); other exponents take one correctly
@@ -114,6 +114,7 @@ def _f_lambda_row(d: int, magnitudes, lam: Fraction) -> float:
     on the multiset.
     """
 
+    d, magnitudes = row[0], row[1:]
     if lam == 1:
         return float(Fraction(sum(magnitudes), d))
     if lam == 2:
@@ -136,20 +137,24 @@ def f_lambda(a: FormVector, exponent) -> float:
 
     lam = _exponent(exponent)
     d, u = reduced_row(a.coeffs)
-    return _f_lambda_row(d, [abs(x) for x in u], lam)
+    return _f_lambda_row([d, *map(abs, u)], lam)
 
 
-def _f_lambda_rows(extreme_set: ExtremeSet, exponent) -> list:
-    """f_lambda of every row, evaluated once per (d, sorted |u|) class."""
+def _f_lambda_rows(extreme_set: ExtremeSet, exponent) -> np.ndarray:
+    """f_lambda of every row as float64, once per (d, sorted |u|) class.
+
+    A class key is the bytes of the contiguous int64 row [d, sorted |u|],
+    read through a void view; no tuple is formed per row.
+    """
 
     lam = _exponent(exponent)
     magnitudes = np.abs(extreme_set.nums)
     magnitudes.sort(axis=1)
-    keys = list(map(tuple, np.column_stack([extreme_set.dens,
-                                            magnitudes]).tolist()))
-    classes = {key: _f_lambda_row(key[0], key[1:], lam)
-               for key in dict.fromkeys(keys)}
-    return list(map(classes.__getitem__, keys))
+    rows = np.column_stack([extreme_set.dens, magnitudes])
+    keys = rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel().tolist()
+    classes = {key: _f_lambda_row(np.frombuffer(key, np.int64).tolist(), lam)
+               for key in set(keys)}
+    return np.fromiter(map(classes.__getitem__, keys), np.float64, len(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +165,17 @@ def _maximum(extreme_set: ExtremeSet, values, name: str,
              exponent: Fraction | None) -> ConstantReport:
     """Report the best of per-row values with the deterministic tie-break.
 
-    Rows within TIE_WINDOW of the best value are tied; the winner is the
+    values holds one number per row, in a list or a float64 array. Rows
+    within TIE_WINDOW of the best value are tied; the winner is the
     lexicographically largest coefficient vector among them, compared on
     exact integer keys.
     """
 
     if len(extreme_set) == 0:
         raise ValueError("cannot maximize over an empty extreme-point set")
-    best_value = max(values)
-    tied = [i for i, value in enumerate(values)
-            if value >= best_value - TIE_WINDOW]
+    values = np.asarray(values, dtype=np.float64)
+    best_value = float(values.max())
+    tied = np.flatnonzero(values >= best_value - TIE_WINDOW).tolist()
     keys = exact_keys(zip(extreme_set.dens[tied].tolist(),
                           extreme_set.nums[tied].tolist()))
     winner = max(range(len(tied)), key=keys.__getitem__)

@@ -246,9 +246,16 @@ class ExtremeSet:
         return list(zip(self.dens.tolist(), map(tuple, self.nums.tolist())))
 
     def max_denominator(self) -> int:
-        """Largest reduced denominator of any coordinate, d // gcd(u_i, d)."""
-        cells = self.dens[:, None] // np.gcd(self.nums, self.dens[:, None])
-        return int(cells.max(initial=1))
+        """Largest reduced denominator of any coordinate, d // gcd(u_i, d).
+
+        d descends, stopping once no cell over d can beat the best so far."""
+        best = 1
+        for d in sorted(set(self.dens.tolist()), reverse=True):
+            if d <= best:
+                break
+            best = max(best, d // int(np.gcd(self.nums[self.dens == d],
+                                             d).min()))
+        return best
 
     def coefficient_tuples(self) -> frozenset:
         return frozenset(p.coeffs for p in self.points)
@@ -693,6 +700,12 @@ def planar_extreme_points(m) -> ExtremeSet:
     contributes an orthogonal vertex pair), so a = H^t f / 2^m solves the
     anchored system for every sign vector f, and |<a, v>| = 1 for all of
     V; all 2^(2^m) solutions are extreme and distinct.
+
+    The numerators u = H^t f are doubled up in int8, nums + h_j above
+    nums - h_j from the last row h_j to the first: the row order of
+    f = 1 - 2 bits, bit 0 most significant. |u_i| <= 2^m <= 16 under
+    MAX_PLANAR_POINTS; int8 holds it up to m = 6, and m >= 7 is refused
+    before any array is formed.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -701,17 +714,18 @@ def planar_extreme_points(m) -> ExtremeSet:
         raise ResourceBudgetError(
             f"planar set for m={m} has {count} points, "
             f"cap {MAX_PLANAR_POINTS}")
-    h = _tables(m, 2)["ball"]
     size = 2 ** m
+    if size > np.iinfo(np.int8).max:  # |u_i| <= size must fit int8
+        raise ResourceBudgetError(f"m={m}: planar numerators pass int8")
+    h = _tables(m, 2)["ball"]
     if not np.array_equal(h @ h.T, size * np.eye(size, dtype=np.int64)):
         raise InternalInvariantError("planar basis rows are not orthogonal")
-    bits = (np.arange(count, dtype=np.int64)[:, None]
-            >> np.arange(size - 1, -1, -1, dtype=np.int64)[None, :]) & 1
-    signs = 1 - 2 * bits
-    numerators = signs @ h
+    nums = np.zeros((1, size), dtype=np.int8)
+    for row in h[::-1].astype(np.int8):
+        nums = np.concatenate([nums + row, nums - row])
     # one common denominator, so this order is the exact rational order
-    nums = numerators[np.lexsort(numerators.T[::-1])]
-    g = np.gcd(np.gcd.reduce(nums, axis=1), size)
+    nums = nums[np.lexsort(nums.T[::-1])]
+    g = np.gcd(np.gcd.reduce(nums, axis=1), np.int8(size))
     return ExtremeSet(m, 2, size // g, nums // g[:, None])
 
 

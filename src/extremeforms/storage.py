@@ -16,8 +16,8 @@ per-value steps inside them, uncached; outside them only single values
 numerator does not fit int64 is refused with a ValueError naming the point.
 
 The JSON layout is byte for byte json.dumps(payload, indent=1), built from
-the _JSON_* pieces below. write_extreme_set joins the suffixed cells of all
-rows in one string, and read_extreme_set first tries _read_writer_json, a
+the _JSON_* pieces below. write_extreme_set writes the suffixed cells one
+block of rows at a time, and read_extreme_set first tries _read_writer_json, a
 numpy reader that accepts only a file those same pieces spell out exactly,
 cell by cell in canonical form and rows in strict order. Any other file
 (another JSON layout, a long cell, a fault of any kind, and every CSV file)
@@ -77,7 +77,7 @@ _JSON_END = "\n}\n"
 # the four integers of a head, in order; "format-version", "m", "n" and
 # "count" hold no digit
 _HEAD_NUMBERS = re.compile(rb"\D*(\d{1,18})" * 4)
-# rows per block of the fast reader, which bounds its index arrays
+# rows per block of the fast reader and the writer, bounding their arrays
 READ_BLOCK_ROWS = 4096
 
 
@@ -122,59 +122,41 @@ def parse_point_list(text: str) -> tuple:
 # extreme-set files
 # ---------------------------------------------------------------------------
 
-def _cell_blocks(dens, nums):
-    """(rows, index, cells) for each denominator d of the rows nums / dens.
+def format_rows(dens, nums) -> list:
+    """Cell strings of the rows nums[i] / dens[i], in order, duplicates kept.
 
-    rows masks the rows over d, cells formats the distinct numerators of
-    their block in ascending order, and index maps each entry of the
-    block to its cell. The blocks come from a set of the denominators and
-    a sort: np.unique would import numpy.ma.
+    Each distinct (u_i, d) is formatted once (_suffixed_cells).
+    """
+
+    return _suffixed_cells(dens, nums).tolist()
+
+
+def _suffixed_cells(dens, nums, sep="", row_sep=""):
+    """The cells of the rows nums[i] / dens[i], shaped as nums, each
+    followed by sep, the last cell of a row by row_sep instead.
+
+    Each distinct (u_i, d) is formatted and suffixed once, found with a
+    set and a sort per d: np.unique would import numpy.ma.
     """
 
     import numpy as np
 
     dens = np.asarray(dens, dtype=np.int64)
     nums = np.asarray(nums, dtype=np.int64)
+    cells = np.empty(nums.shape, dtype=object)
     for d in set(dens.tolist()):
         rows = dens == d
         block = nums[rows]
         ordered = np.sort(block, axis=None)
         values = ordered[np.concatenate(([True],
                                          ordered[1:] != ordered[:-1]))]
-        yield rows, values.searchsorted(block), [
-            format_rational(Fraction(x, d)) for x in values.tolist()]
-
-
-def format_rows(dens, nums) -> list:
-    """Cell strings of the rows nums[i] / dens[i], in order, duplicates kept.
-
-    Each distinct (u_i, d) is formatted once (_cell_blocks).
-    """
-
-    import numpy as np
-
-    cells = np.empty(np.shape(nums), dtype=object)
-    for rows, index, table in _cell_blocks(dens, nums):
-        cells[rows] = np.array(table, dtype=object)[index]
-    return cells.tolist()
-
-
-def _suffixed_cells(dens, nums, sep, row_sep) -> list:
-    """The cells of all rows in order, each followed by sep, the last cell
-    of a row by row_sep instead; joined, they are the body of a file.
-
-    Every distinct (u_i, d) is formatted and suffixed once.
-    """
-
-    import numpy as np
-
-    cells = np.empty(np.shape(nums), dtype=object)
-    for rows, index, table in _cell_blocks(dens, nums):
+        index = values.searchsorted(block)
+        table = [format_rational(Fraction(x, d)) for x in values.tolist()]
         cells[rows, :-1] = np.array([c + sep for c in table],
                                     dtype=object)[index[:, :-1]]
         cells[rows, -1] = np.array([c + row_sep for c in table],
                                    dtype=object)[index[:, -1]]
-    return cells.ravel().tolist()
+    return cells
 
 
 def parse_rows(path, width, rows) -> tuple:
@@ -240,37 +222,35 @@ def write_extreme_set(path, extreme_set: ExtremeSet, fmt: str = "json") -> None:
     The JSON text is assembled from the _JSON_* pieces, byte for byte the
     output of ``json.dumps(payload, indent=1)``, and the CSV text as
     ``csv.writer`` writes it; cells hold only digits, "-" and "/", which
-    JSON and CSV both leave unescaped and unquoted. The whole file is one
-    join of suffixed cells (_suffixed_cells), the head and the tail fixed
-    onto its first and last cell.
+    JSON and CSV both leave unescaped and unquoted. The suffixed cells
+    (_suffixed_cells) go through one handle, READ_BLOCK_ROWS rows at a time.
     """
 
     path = Path(path)
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown format: {fmt!r} (expected json or csv)")
-    count = len(extreme_set)
+    m, n, count = extreme_set.m, extreme_set.n, len(extreme_set)
     if fmt == "json":
-        head = _JSON_HEAD.format(version=FILE_FORMAT_VERSION,
-                                 m=extreme_set.m, n=extreme_set.n,
-                                 count=count)
-        tail = ("" if extreme_set.complete else _JSON_INCOMPLETE) + _JSON_END
-        if not count:
-            path.write_text(head + "]" + tail)
-            return
-        cells = _suffixed_cells(extreme_set.dens, extreme_set.nums,
-                                _JSON_CELL_SEP, _JSON_ROW_SEP)
-        cells[0] = head + _JSON_OPEN + cells[0]
-        cells[-1] = cells[-1][:-len(_JSON_ROW_SEP)] + _JSON_CLOSE + tail
-        path.write_text("".join(cells))
+        head = _JSON_HEAD.format(version=FILE_FORMAT_VERSION, m=m, n=n,
+                                 count=count) + (_JSON_OPEN if count else "]")
+        tail = (_JSON_CLOSE if count else "") + (
+            "" if extreme_set.complete else _JSON_INCOMPLETE) + _JSON_END
+        seps = (_JSON_CELL_SEP, _JSON_ROW_SEP)
     else:
-        meta = (f"# extremeforms format-version={FILE_FORMAT_VERSION}"
-                f" m={extreme_set.m} n={extreme_set.n}"
-                f" count={count}")
-        if not extreme_set.complete:
-            meta += " complete=false"
-        cells = _suffixed_cells(extreme_set.dens, extreme_set.nums, ",",
-                                "\r\n") if count else []
-        path.write_text("".join([meta + "\n", *cells]), newline="")
+        head = (f"# extremeforms format-version={FILE_FORMAT_VERSION}"
+                f" m={m} n={n} count={count}"
+                + ("" if extreme_set.complete else " complete=false") + "\n")
+        tail, seps = "", (",", "\r\n")
+    with path.open("w", newline="" if fmt == "csv" else None) as handle:
+        handle.write(head)
+        for start in range(0, count, READ_BLOCK_ROWS):
+            rows = slice(start, start + READ_BLOCK_ROWS)
+            cells = _suffixed_cells(extreme_set.dens[rows],
+                                    extreme_set.nums[rows], *seps)
+            if fmt == "json" and rows.stop >= count:
+                cells[-1, -1] = cells[-1, -1][:-len(_JSON_ROW_SEP)]
+            handle.write("".join(cells.ravel().tolist()))
+        handle.write(tail)
 
 
 def read_extreme_set(path, data: bytes | None = None) -> ExtremeSet:

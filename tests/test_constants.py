@@ -11,6 +11,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from extremeforms.core import FormVector
@@ -322,13 +323,38 @@ def reference_maximum(extreme_set, lam):
     return values, best, max(tied, key=lambda p: p.coeffs)
 
 
+@pytest.fixture
+def wide_rows():
+    """Hand-built rows (m = 1, n = 2) with entries near +-2^62, some equal
+    up to sign or order, so their class keys differ only in high bytes or
+    not at all; float64 cannot tell 2^62 from 2^62 + 1, so some values tie."""
+
+    big = 2 ** 62
+    return ExtremeSet.from_pairs(1, 2, [
+        (1, (big, -(big - 1))), (1, (-big, big - 1)), (1, (big - 1, big)),
+        (1, (big + 1, 0)), (1, (-(big + 1), 0)), (1, (big, 0)),
+        (3, (big + 1, -1)), (3, (-(big + 1), 1)), (7, (1, -big))])
+
+
+@pytest.fixture
+def near_tie():
+    """Two classes whose values differ by 1e-13, inside TIE_WINDOW; the
+    smaller value belongs to the lexicographically larger point."""
+
+    d = 10 ** 13
+    return ExtremeSet.from_pairs(1, 2, [(1, (0, 1)), (d, (d - 1, 0))])
+
+
 # planar m = 4 (65536 points) runs only the Bohnenblust-Hille exponent 8/5,
-# which keeps the Fraction reference to a few seconds.
+# which keeps the Fraction reference to a few seconds. For m = 1 the
+# Bohnenblust-Hille exponent is 1.
 @pytest.mark.parametrize("name, exponents", [
     ("set23", (F(1), F(2), F(4, 3), F(8, 5), F(3, 2))),
     ("planar3", (F(1), F(2), F(8, 5), F(3, 2))),
     ("planar4", (F(8, 5),)),
-], ids=["set23", "planar3", "planar4"])
+    ("wide_rows", (F(1), F(2), F(3, 2))),
+    ("near_tie", (F(1), F(2), F(3, 2))),
+], ids=["set23", "planar3", "planar4", "wide_rows", "near_tie"])
 def test_row_kernel_matches_per_point_reference(name, exponents, request):
     from extremeforms.constants import _f_lambda_rows
 
@@ -336,7 +362,9 @@ def test_row_kernel_matches_per_point_reference(name, exponents, request):
     m, n = extreme_set.m, extreme_set.n
     for lam in exponents:
         values, best, argmax = reference_maximum(extreme_set, lam)
-        assert _f_lambda_rows(extreme_set, lam) == values
+        rows = _f_lambda_rows(extreme_set, lam)
+        assert rows.dtype == np.float64
+        assert rows.tolist() == values
         if len(extreme_set) <= 256:
             assert [f_lambda(p, lam) for p in extreme_set.points] == values
         if lam != F(2 * m, m + 1):
@@ -347,3 +375,20 @@ def test_row_kernel_matches_per_point_reference(name, exponents, request):
         mixed = mixed_littlewood_constant(m, n, extreme_set)
         assert mixed.value == 2 ** (1 / (2 * m)) * best
         assert mixed.argmax.coeffs == argmax.coeffs
+        if len(extreme_set) <= 256:
+            # maximize_convex hands _maximum a list, bh_constant an array
+            listed = maximize_convex(extreme_set, lambda a: f_lambda(a, lam),
+                                     name="listed")
+            assert listed.value == bh.value
+            assert listed.argmax.coeffs == bh.argmax.coeffs
+
+
+def test_near_tie_straddles_the_window(near_tie):
+    from extremeforms.constants import TIE_WINDOW
+
+    low, high = sorted(set(f_lambda(p, 1) for p in near_tie.points))
+    assert 0 < high - low < TIE_WINDOW
+    report = bh_constant(1, 2, near_tie)
+    assert report.value == high
+    assert report.argmax.coeffs == (F(10 ** 13 - 1, 10 ** 13), F(0))
+    assert f_lambda(report.argmax, 1) == low

@@ -365,6 +365,37 @@ def test_planar_budget_guard():
         planar_extreme_points(5)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_planar_kernel_matches_int64_reference(m):
+    # reference: a = H^t f / 2^m for every f = 1 - 2 bits, formed by an
+    # int64 matmul and sorted by a 2^m-key int64 lexsort
+    count, size = 2 ** (2 ** m), 2 ** m
+    h = _tables(m, 2)["ball"]
+    bits = (np.arange(count, dtype=np.int64)[:, None]
+            >> np.arange(size - 1, -1, -1, dtype=np.int64)[None, :]) & 1
+    numerators = (1 - 2 * bits) @ h
+    nums = numerators[np.lexsort(numerators.T[::-1])]
+    g = np.gcd(np.gcd.reduce(nums, axis=1), size)
+    reference = ExtremeSet(m, 2, size // g, nums // g[:, None])
+    got = planar_extreme_points(m)
+    assert got.dens.dtype == reference.dens.dtype == np.int64
+    assert got.nums.dtype == reference.nums.dtype == np.int64
+    assert np.array_equal(got.dens, reference.dens)
+    assert np.array_equal(got.nums, reference.nums)
+
+
+def test_planar_int8_bound_refuses_before_any_array(monkeypatch):
+    # with the point cap lifted, m = 7 would give numerators up to 128,
+    # past int8: the bound refuses before the tables or any array exist
+    def no_tables(m, n):
+        raise AssertionError("an array was formed before the int8 bound")
+
+    monkeypatch.setattr(search, "MAX_PLANAR_POINTS", 2 ** (2 ** 7))
+    monkeypatch.setattr(search, "_tables", no_tables)
+    with pytest.raises(ResourceBudgetError, match="int8"):
+        planar_extreme_points(7)
+
+
 # ---------------------------------------------------------------------------
 # budget, resume, workers
 # ---------------------------------------------------------------------------
@@ -900,6 +931,10 @@ def test_max_denominator_is_per_cell():
     hand_built = ExtremeSet(1, 2, [6], [[2, 3]])
     assert hand_built.max_denominator() == 3
     assert hand_built.points[0].coeffs == (F(1, 3), F(1, 2))
+    # the smaller denominator wins: 1/5 beats the cells 1/3 and 1/2 of
+    # the row over 6, which is visited first
+    smaller_wins = ExtremeSet.from_pairs(1, 2, [(6, (2, 3)), (5, (1, 0))])
+    assert smaller_wins.max_denominator() == 5
     assert ExtremeSet.from_points(1, 2, ()).max_denominator() == 1
 
 
