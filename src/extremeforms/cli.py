@@ -6,9 +6,11 @@ from (command, parameters, format version, package version) unless
 --no-cache is passed (verify and oracle accept the cache flags but always
 run fresh), and cache hits reproduce the fresh output byte for
 byte because the cache stores the serialized artifact itself. An enum run
-with --budget or --resume neither reads nor writes the cache. The enum
-resume file carries its rows in the artifact cell codec of storage
-(format_rows, parse_rows); no value is formatted or parsed on its own.
+with --budget or --resume neither reads nor writes the cache. The basis
+scan runs in one process: enum, bh and mixed accept --workers, which must
+be at least 1, and ignore it. The enum resume file carries its rows in
+the artifact cell codec of storage (format_rows, parse_rows); no value is
+formatted or parsed on its own.
 
 Exit codes: 0 success, 2 invalid input, 3 resource budget exceeded (for
 budgeted enumerations the resume state path is printed), 4 internal
@@ -63,9 +65,8 @@ _SHARED_FLAGS = {
     "--m": dict(type=_at_least(1), required=True),
     "--n": dict(type=_at_least(1), required=True),
     "--workers": dict(type=_at_least(1), default=1,
-                      help="processes for the basis scan of a fresh, "
-                           "unbudgeted run; bh and mixed refuse values "
-                           "other than 1 when n = 2 (no bases are scanned)"),
+                      help="accepted and ignored: the basis scan runs in "
+                           "one process"),
     "--out": dict(type=Path, default=None),
     "--format": dict(choices=("json", "csv"), default="json"),
     "--cache-dir": dict(type=Path, default=None,
@@ -302,7 +303,7 @@ def _handle_enum(args: argparse.Namespace) -> int:
 
     def compute():
         result = extreme_points(args.m, args.n, budget=args.budget,
-                                resume=search_resume, workers=args.workers)
+                                resume=search_resume)
         if prior_pairs:
             return ExtremeSet.from_pairs(args.m, args.n,
                                          prior_pairs + result.pairs())
@@ -354,10 +355,6 @@ def _handle_convex_constant(args: argparse.Namespace) -> int:
 
     from fractions import Fraction
 
-    if args.n == 2 and args.workers != 1:
-        raise ValueError("--workers has no effect when n = 2 (no bases are "
-                         "scanned); omit it")
-
     def compute():
         # search before constants: the other order raises the peak RSS
         from .search import extreme_points, planar_extreme_points
@@ -366,7 +363,7 @@ def _handle_convex_constant(args: argparse.Namespace) -> int:
         if args.n == 2:
             points = planar_extreme_points(args.m)
         else:
-            points = extreme_points(args.m, args.n, workers=args.workers)
+            points = extreme_points(args.m, args.n)
         constant = (constants.bh_constant if args.command == "bh"
                     else constants.mixed_littlewood_constant)
         return constant(args.m, args.n, points).to_json_dict()

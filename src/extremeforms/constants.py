@@ -11,7 +11,7 @@ constant 2^(1 - 1/m).
 Inputs stay exact rationals throughout; only the final power and root
 evaluations use binary64. Maximizer selection uses a 1e-12 tie window and
 then picks the lexicographically largest coefficient tuple, which makes
-reports reproducible across platforms and worker counts. The
+reports reproducible across platforms. The
 Bohnenblust-Hille and mixed constants score the integer rows of the
 ExtremeSet directly, once per class of equal (d, sorted |u|), with the
 same kernel that f_lambda applies to one FormVector.

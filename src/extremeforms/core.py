@@ -16,8 +16,7 @@ and the extremality certificate is_extreme. Everything in this module is
 exact: integers for sign data, Fractions for coefficients, no floating
 point anywhere, and it imports no numpy. The CLI commands that need
 nothing else (verify, --help, and JSON cache hits) therefore never load
-numpy. All values are immutable, all functions pure, so they can be
-shared freely across worker processes.
+numpy. All values are immutable and all functions pure.
 
 Two normalization rules are fixed here and relied on everywhere else:
 
@@ -308,9 +307,7 @@ class _IntEliminator:
             if coeff:
                 lead = stored[pivot]
                 row = [x * lead - y * coeff for x, y in zip(row, stored)]
-                g = 0
-                for x in row:
-                    g = math.gcd(g, x)
+                g = math.gcd(*row)
                 if g > 1:
                     row = [x // g for x in row]
         return row

@@ -347,16 +347,14 @@ def _sign_block(size):
     return block
 
 
-def _independent_subsets(rows, candidates, need, seek, prefix=(0,)):
-    """Ascending candidate tuples that extend the prefix rows to a basis.
+def _independent_subsets(rows, candidates, need, seek):
+    """Ascending candidate tuples that extend the anchor row to a basis.
 
-    prefix holds the row indices pushed first, by default the anchor.
     seek is a previously completed tuple; everything up to and including
     it in depth-first order is skipped, which implements resume.
     """
     eliminator = _IntEliminator()
-    if not all(eliminator.push(rows[i]) for i in prefix):
-        raise InternalInvariantError("prefix rows are dependent")
+    eliminator.push(rows[0])
     path = []
 
     def recurse(pos, need, seek) -> Iterator[tuple]:
@@ -485,39 +483,8 @@ def _stabilizer(m, n):
 # imports this module.
 _POSITION_BIT = np.array([1 << bit for bit in range(63, -1, -1)],
                          dtype=np.uint64)
-# bases _orbit_keys takes from its walk per call of _chunk_keys
+# bases extreme_points takes from its walk per call of _chunk_keys
 ORBIT_CHUNK = 16
-
-
-@lru_cache(maxsize=16)
-def _orbit_cache(m, n) -> dict:
-    """The orbit cache (see _chunk_keys) that every pool task of one
-    worker process shares, so the tasks of a worker solve each orbit once.
-    It lives as long as the worker; a serial run keeps its own dict, so
-    nothing outlives the call in the caller's process."""
-    return {}
-
-
-def _orbit_keys(m, n, bases, keys, cache=None):
-    """Add the keys of every basis the walk yields, one kernel run per orbit.
-
-    bases yields tuples of row indices, anchor omitted; they reach
-    _chunk_keys ORBIT_CHUNK at a time, and a BudgetExceeded from the walk
-    is raised again after the bases already drawn are added. cache maps
-    canonical masks to keys, a fresh dict unless given.
-    """
-    cache = {} if cache is None else cache
-    chunk = []
-    try:
-        for basis in bases:
-            chunk.append(basis)
-            if len(chunk) == ORBIT_CHUNK:
-                _chunk_keys(m, n, chunk, keys, cache)
-                chunk = []
-    except BudgetExceeded:
-        _chunk_keys(m, n, chunk, keys, cache)
-        raise
-    _chunk_keys(m, n, chunk, keys, cache)
 
 
 def _chunk_keys(m, n, chunk, keys, cache):
@@ -644,50 +611,27 @@ def _finalize(m, n, keys, complete):
     return ExtremeSet.from_pairs(m, n, images, complete=complete)
 
 
-def _subtree_keys(args):
-    """Worker task: all candidate keys whose basis starts at one position.
-
-    The tasks a worker process runs share its _orbit_cache.
-    """
-    m, n, position = args
-    tables = _tables(m, n)
-    first = tables["representatives"][position]
-    keys = set()
-    _orbit_keys(m, n, ((first, *chosen) for chosen in _independent_subsets(
-        tables["vertices"], tables["representatives"][position + 1:],
-        n ** m - 2, None, prefix=(0, first))), keys, _orbit_cache(m, n))
-    return keys
-
-
-def extreme_points(m, n, budget=None, resume=None, workers=1) -> ExtremeSet:
+def extreme_points(m, n, budget=None, resume=None) -> ExtremeSet:
     """All extreme points of the unit ball of m-linear forms on R^n.
 
-    budget bounds the number of (reduced) bases walked in this call, of
-    which the kernel solves one per orbit (_chunk_keys); exceeding it
-    raises BudgetExceeded whose .partial is an honest subset and whose
-    .resume continues the search. workers > 1 parallelizes
-    fresh, unbudgeted runs over first-row subtrees; a budgeted or resumed
-    run walks its cursor in this process. Output is byte-identical for any
-    worker count because the merge is a set union followed by one
-    canonical sort.
+    One depth-first walk over the anchored bases, in this process. budget
+    bounds the number of (reduced) bases walked in this call, of which the
+    kernel solves one per orbit (_chunk_keys); exceeding it raises
+    BudgetExceeded whose .partial is an honest subset and whose .resume
+    continues the search.
     """
     walk = _anchored_walk(m, n, budget, resume)
-    size = n ** m
-    if budget is None and resume is None and workers > 1 and size > 1:
-        positions = range(len(_tables(m, n)["representatives"]) - size + 2)
-        tasks = [(m, n, p) for p in positions]
-        if len(tasks) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(
-                    max_workers=min(workers, len(tasks))) as pool:
-                keys = set().union(*pool.map(_subtree_keys, tasks))
-            return _finalize(m, n, keys, complete=True)
-
-    keys = set()
+    keys, cache, chunk = set(), {}, []
     try:
-        _orbit_keys(m, n, walk, keys)
+        for basis in walk:
+            chunk.append(basis)
+            if len(chunk) == ORBIT_CHUNK:
+                _chunk_keys(m, n, chunk, keys, cache)
+                chunk = []
+        _chunk_keys(m, n, chunk, keys, cache)
     except BudgetExceeded as stop:
+        # the bases drawn before the budget ran out still count
+        _chunk_keys(m, n, chunk, keys, cache)
         stop.partial = _finalize(m, n, keys, complete=False)
         raise
     return _finalize(m, n, keys, complete=True)

@@ -320,19 +320,16 @@ def test_planar_rejects_workers(tmp_path, cachedir, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["bh", "mixed"])
-def test_convex_constant_rejects_workers_when_planar(tmp_path, cachedir,
+def test_convex_constant_ignores_workers_when_planar(tmp_path, cachedir,
                                                      capsys, monkeypatch,
                                                      command):
-    # n = 2 scans no bases; --workers stays for n > 2 only
+    # --workers is accepted and ignored, on the n = 2 path as elsewhere
     monkeypatch.chdir(tmp_path)
-    code, stdout, stderr = run(capsys, command, "--m", "3", "--n", "2",
-                               "--workers", "2")
-    assert code == 2
-    assert "--workers" in stderr
-    assert stdout == ""
+    argv = (command, "--m", "3", "--n", "2", "--no-cache")
+    flagged = run(capsys, *argv, "--workers", "2")
+    assert flagged[0] == 0
+    assert flagged == run(capsys, *argv)
     assert list(tmp_path.iterdir()) == []
-    assert run(capsys, command, "--m", "2", "--n", "2",
-               "--workers", "1")[0] == 0
 
 
 def test_planar_cache_hit_rejects_row_past_int64(tmp_path, cachedir, capsys):

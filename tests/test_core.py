@@ -7,6 +7,7 @@ test has to reproduce them, not the other way around.
 
 from fractions import Fraction
 from itertools import product
+import math
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from extremeforms.core import (
     transporter,
     unflatten,
 )
+from extremeforms.core import _IntEliminator
 from support import brute_force_tensor_vertices, gram_factorization_holds
 
 SMALL_SHAPES = [(1, 1), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (4, 2),
@@ -301,3 +303,65 @@ def test_form_vector_evaluates_forms():
     # the form x_2 * y_2
     assert a.evaluate((1, -1), (1, -1)) == 1
     assert a.evaluate((1, -1), (1, 1)) == -1
+
+
+# ---------------------------------------------------------------------------
+# exact elimination
+# ---------------------------------------------------------------------------
+
+class _GcdLoopEliminator(_IntEliminator):
+    """_IntEliminator with the gcd of a reduced row taken entry by entry."""
+
+    def _reduced(self, row, start=0):
+        row = list(row)
+        for stored, pivot in zip(self.rows[start:], self.pivots[start:]):
+            coeff = row[pivot]
+            if coeff:
+                lead = stored[pivot]
+                row = [x * lead - y * coeff for x, y in zip(row, stored)]
+                g = 0
+                for x in row:
+                    g = math.gcd(g, x)
+                if g > 1:
+                    row = [x // g for x in row]
+        return row
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_eliminator_matches_the_gcd_loop_and_reduces_to_primitive_rows(seed):
+    # seeded rows with common factors, a repeated row and a zero row,
+    # pushed and popped like the depth-first walk does
+    rng = random.Random(seed)
+    width = 6
+    rows = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(10)]
+    for _ in range(5):  # a common factor and no zero entry, so they are
+        factor = rng.choice((2, 3, 6))  # reduced unless the stack is empty
+        rows.append([factor * rng.choice((-2, -1, 1, 2))
+                     for _ in range(width)])
+    rows += [rows[1], [0] * width]
+    rng.shuffle(rows)
+    new, old = _IntEliminator(), _GcdLoopEliminator()
+    pushed = []
+    scaled_reduced = 0
+    for row in rows:
+        if pushed and rng.random() < 0.3:
+            new.pop()
+            old.pop()
+            pushed.pop()
+        accepted = new.push(row)
+        assert accepted == old.push(row)
+        assert (new.rows, new.pivots) == (old.rows, old.pivots)
+        if accepted:
+            pushed.append(row)
+        # a row nonzero at an earlier pivot went through a reduction step,
+        # which leaves it primitive; any other row is stored as pushed
+        for i, (stored, original) in enumerate(zip(new.rows, pushed)):
+            if any(original[pivot] for pivot in new.pivots[:i]):
+                assert math.gcd(*stored) == 1
+                scaled_reduced += math.gcd(*original) > 1
+            else:
+                assert stored == original
+    assert new.solution() == old.solution()
+    assert not new.push([0] * width)
+    assert scaled_reduced
+

@@ -170,17 +170,22 @@ def test_pipeline_rejects_cursor_off_the_representatives():
         extreme_points(2, 3, resume=[1])
 
 
-def test_imports_leave_the_process_pool_unloaded():
-    # the pool module is imported only when a parallel scan starts
+def test_imports_leave_the_process_pool_unloaded(tmp_path):
+    # the basis scan runs in one process: not even a --workers 2 scan
+    # loads the pool module
+    out = tmp_path / "points.json"
     code = ("import sys\n"
             "import extremeforms.cli, extremeforms.search, "
             "extremeforms.storage, extremeforms.constants, "
             "extremeforms.grothendieck\n"
-            "sys.exit('concurrent.futures.process' in sys.modules)")
+            "assert extremeforms.cli.main(['enum', '--m', '2', '--n', '3', "
+            f"'--workers', '2', '--no-cache', '--out', {str(out)!r}]) == 0\n"
+            "sys.exit('concurrent.futures' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert out.exists()
 
 
 def test_certificate_layer_is_core_reexported():
@@ -397,7 +402,7 @@ def test_planar_int8_bound_refuses_before_any_array(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# budget, resume, workers
+# budget and resume
 # ---------------------------------------------------------------------------
 
 def test_extreme_points_budget_and_resume():
@@ -432,22 +437,15 @@ def test_extreme_points_budget_zero():
     assert info.value.resume is not None
 
 
-def test_resume_at_final_basis_is_empty_for_any_worker_count():
-    # a cursor at the last basis leaves nothing to scan; a resumed run must
-    # walk its cursor even when workers > 1 asks for the process pool
+def test_resume_at_final_basis_is_empty():
+    # a cursor at the last basis leaves nothing to scan
     *_, last = _anchored_walk(2, 3, None, None)
     with pytest.raises(BudgetExceeded) as info:
         extreme_points(2, 3, budget=0)
     cursor = {**info.value.resume, "last_basis": list(last)}
-    serial = extreme_points(2, 3, resume=cursor, workers=1)
-    pooled = extreme_points(2, 3, resume=cursor, workers=2)
-    assert len(serial) == 0
-    assert pooled.coefficient_tuples() == serial.coefficient_tuples()
-
-
-def test_extreme_points_workers_deterministic(set32):
-    two = extreme_points(3, 2, workers=2)
-    assert [p.coeffs for p in two.points] == [p.coeffs for p in set32.points]
+    resumed = extreme_points(2, 3, resume=cursor)
+    assert len(resumed) == 0
+    assert resumed.complete
 
 
 def _first_bases_points(m, n, count):
@@ -663,7 +661,7 @@ def test_stabilizer_is_trivial_for_linear_forms():
 
 
 def _orbit_path_keys(m, n, chosen, monkeypatch):
-    """The keys _orbit_keys adds for one basis, and the rows it solved."""
+    """The keys _chunk_keys adds for one basis, and the rows it solved."""
     solved = []
     kernel = search._process_basis
 
@@ -673,7 +671,7 @@ def _orbit_path_keys(m, n, chosen, monkeypatch):
 
     monkeypatch.setattr(search, "_process_basis", recording)
     keys = set()
-    search._orbit_keys(m, n, [chosen], keys)
+    search._chunk_keys(m, n, [chosen], keys, {})
     monkeypatch.setattr(search, "_process_basis", kernel)
     return keys, solved
 
@@ -742,9 +740,9 @@ def per_basis_points(m, n, budget=None, resume=None):
     return search._finalize(m, n, keys, complete=True), None
 
 
-def orbit_points(m, n, budget=None, resume=None, workers=1):
+def orbit_points(m, n, budget=None, resume=None):
     try:
-        return extreme_points(m, n, budget, resume, workers), None
+        return extreme_points(m, n, budget, resume), None
     except BudgetExceeded as stop:
         return stop.partial, stop.resume
 
@@ -765,10 +763,9 @@ def test_orbit_walk_matches_the_per_basis_walk(m, n, budget):
         m, n, budget, cursor)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_orbit_walk_matches_the_per_basis_walk_unbudgeted(workers):
+def test_orbit_walk_matches_the_per_basis_walk_unbudgeted():
     expected, _ = per_basis_points(2, 3)
-    points, cursor = orbit_points(2, 3, workers=workers)
+    points, cursor = orbit_points(2, 3)
     assert cursor is None
     assert points == expected
 
@@ -787,30 +784,9 @@ def test_kernel_runs_once_per_orbit(m, n, budget, runs, monkeypatch):
         kernel(*args)
 
     monkeypatch.setattr(search, "_process_basis", counting)
-    orbit_points(m, n, budget, workers=1)
+    orbit_points(m, n, budget)
     assert len(calls) == runs
     assert len({tuple(rows) for rows in calls}) == runs
-
-
-def test_pool_tasks_of_one_process_share_the_orbit_cache(monkeypatch, set23):
-    # the 8 first-row tasks of (2,3), run as one worker process runs them,
-    # solve each of the 42 orbits once; their union is the serial set
-    calls = []
-    kernel = search._process_basis
-
-    def counting(*args):
-        calls.append(args[2])
-        kernel(*args)
-
-    monkeypatch.setattr(search, "_process_basis", counting)
-    search._orbit_cache.cache_clear()
-    tasks = [(2, 3, p) for p in
-             range(len(_tables(2, 3)["representatives"]) - 9 + 2)]
-    assert len(tasks) == 8
-    keys = set().union(*map(search._subtree_keys, tasks))
-    search._orbit_cache.cache_clear()
-    assert len({tuple(rows) for rows in calls}) == len(calls) == 42
-    assert search._finalize(2, 3, keys, complete=True) == set23
 
 
 # ---------------------------------------------------------------------------
