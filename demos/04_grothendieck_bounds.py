@@ -5,8 +5,8 @@ sphere S^(d-1) can only increase the value; the ratio of the spherical
 maximum to 1 over extreme coefficient matrices gives a lower bound for
 the order-d truncated Grothendieck constant. d = 1 is solved by exact
 sign enumeration, d >= 2 by alternating maximization with deterministic
-seeded restarts. The script also runs the Blei KKT stationarity check,
-whose maximum over the feasible simplex patch is exactly 1.
+seeded restarts. The script also prints the Blei KKT maximum, exactly 1,
+which blei_kkt_max proves by two polynomial identities checked exactly.
 
 Run:  python3 demos/04_grothendieck_bounds.py [--restarts 32] [--seed 0]
 """
@@ -57,11 +57,10 @@ def main():
     print()
 
     # ----------------------------------------------------------------------
-    # Blei KKT check: grid scan plus projected coordinate ascent over the
-    # constrained patch; the maximum is 1, certifying stationarity
+    # Blei KKT maximum: two polynomial identities, checked exactly on a
+    # rational grid, bound the objective by 1, and two witnesses attain it
     # ----------------------------------------------------------------------
-    value = blei_kkt_max(grid_density=24, refine_iters=200)
-    print(f"blei_kkt_max = {value:.9f} (target 1)")
+    print(f"blei_kkt_max = {blei_kkt_max()} (proved: 1)")
 
 
 if __name__ == "__main__":

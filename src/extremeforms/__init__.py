@@ -28,7 +28,7 @@ from extremeforms.core import (
     unflatten,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.1.1"
 
 __all__ = [
     "FormVector",

@@ -10,12 +10,12 @@ with --budget or --resume neither reads nor writes the cache. The basis
 scan runs in one process: enum, bh and mixed accept --workers, which must
 be at least 1, and ignore it. The enum resume file carries its rows in
 the artifact cell codec of storage (format_rows, parse_rows); no value is
-formatted or parsed on its own.
+formatted or parsed on its own. blei has no parameters.
 
-Exit codes: 0 success, 2 invalid input, 3 resource budget exceeded (for
-budgeted enumerations the resume state path is printed), 4 internal
-invariant violation. Heavy imports happen inside the handlers so that
---help and argument errors stay fast: verify, --help and JSON cache hits
+Exit codes: 0 success, 2 invalid input or an OSError, 3 resource budget
+exceeded (for budgeted enumerations the resume state path is printed), 4
+internal invariant violation. Heavy imports happen inside the handlers so
+that --help and argument errors stay fast: verify, --help and JSON cache hits
 (bh, mixed, khinchin, two-slot, kg, blei) never load numpy. A JSON hit is
 printed only if it parses as an object whose identifying fields equal
 those a fresh run writes.
@@ -129,9 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     kg.add_argument("--budget", type=_at_least(1), default=None,
                     help="basis budget for the bilinear scan (m >= 4)")
 
-    blei = command("blei", "constrained KKT maximum (expected value 1)")
-    blei.add_argument("--grid", dest="grid_density", type=int, default=24)
-    blei.add_argument("--iters", type=_at_least(0), default=200)
+    command("blei", "constrained KKT maximum, 1, by an exact proof")
 
     command("oracle", "compare the pipeline against brute-force vertex "
                       "enumeration", "--m", "--n")
@@ -433,17 +431,14 @@ def _handle_kg(args: argparse.Namespace) -> int:
 
 
 def _handle_blei(args: argparse.Namespace) -> int:
-    identity = {"name": "blei-kkt-max", "grid": args.grid_density,
-                "iters": args.iters}
+    identity = {"name": "blei-kkt-max"}
 
     def compute():
         from .grothendieck import blei_kkt_max
 
-        return {**identity,
-                "value": blei_kkt_max(args.grid_density, args.iters)}
+        return {**identity, "value": blei_kkt_max(), "exact_note": "1"}
 
-    extra = {"grid": args.grid_density, "iters": args.iters}
-    return _emit_cached_json(args, extra, identity, compute)
+    return _emit_cached_json(args, {}, identity, compute)
 
 
 def _handle_oracle(args: argparse.Namespace) -> int:
@@ -487,7 +482,7 @@ def main(argv=None) -> int:
 
     try:
         return _HANDLERS[args.command](args)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceBudgetError as err:

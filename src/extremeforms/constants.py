@@ -22,11 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .core import FormVector
+from .core import FormVector, InternalInvariantError
 from .search import ExtremeSet, exact_keys, reduced_row
 
 TIE_WINDOW = 1e-12
@@ -229,7 +228,6 @@ def mixed_littlewood_constant(m: int, n: int,
 # Khinchin constants
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
 def khinchin_branch_point() -> float:
     """The exponent q0 where Gamma((q+1)/2) = sqrt(pi)/2, about 1.8474.
 
@@ -239,11 +237,15 @@ def khinchin_branch_point() -> float:
     left of the Gamma minimum so the second root at q = 2 is excluded.
     """
 
-    from scipy.optimize import brentq
+    def above(q):
+        return math.gamma((q + 1) / 2) > math.sqrt(math.pi) / 2
 
-    target = math.sqrt(math.pi) / 2
-    return float(brentq(lambda q: math.gamma((q + 1) / 2) - target,
-                        1.5, 1.9, xtol=1e-12))
+    lo, hi = 1.5, 1.9
+    if not above(lo) or above(hi):
+        raise InternalInvariantError(f"no sign change on [{lo}, {hi}]")
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return mid
 
 
 def khinchin_Aq(q) -> float:
@@ -254,8 +256,8 @@ def khinchin_Aq(q) -> float:
         raise ValueError(f"Khinchin exponent must lie in (0, 2], got {q}")
     if q_f < khinchin_branch_point():
         return 2.0 ** (0.5 - 1.0 / q_f)
-    return math.sqrt(2.0) * (math.gamma((1 + q_f) / 2)
-                             / math.sqrt(math.pi)) ** (1.0 / q_f)
+    return (2 ** (q_f / 2) * math.gamma((1 + q_f) / 2)
+            / math.sqrt(math.pi)) ** (1 / q_f)
 
 
 # ---------------------------------------------------------------------------

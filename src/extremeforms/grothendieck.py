@@ -1,4 +1,4 @@
-"""Truncated Grothendieck lower bounds and the constrained KKT check.
+"""Truncated Grothendieck lower bounds and the constrained KKT maximum.
 
 The truncated constant for bilinear forms on R^m with vectors restricted
 to the sphere S^(d-1) is an exact finite maximum over the extreme points
@@ -8,15 +8,15 @@ by sign enumeration when d = 1 and otherwise by alternating maximization
 seeded random restarts. Values from the alternating solver are binary64
 values of attained configurations: lower bounds up to rounding, never
 claimed maxima, and not certified (one can land a few ulps above the true
-maximum; ROADMAP item 6 plans rational bounds). The restarts run as one
+maximum; ROADMAP item 4 plans rational bounds). The restarts run as one
 batch: their starting vectors are drawn once per (k, d, restarts, seed)
 and shared by every form of that size, and each restart leaves the batch
 when its value settles.
 
-The KKT check maximizes f(a,b,c,d,h) = sqrt(a^2+b^2+2h^2) +
-sqrt(c^2+d^2+2h^2) over the constraint region a+b+c+d = 1, all pairwise
-sums of {a,b,c,d} nonnegative, h^2 <= bcd+acd+abd+abc; the maximum is 1,
-which is what makes the associated 2x2 constants collapse to 1.
+The KKT objective f = sqrt(X) + sqrt(Y), X = a^2+b^2+2h^2, Y = c^2+d^2+2h^2,
+has maximum 1 over a+b+c+d = 1, all pairwise sums of {a,b,c,d} nonnegative,
+h^2 <= e_3 = bcd+acd+abd+abc; the associated 2x2 constants collapse to 1.
+The maximum is proved by two polynomial identities checked exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -279,68 +279,51 @@ def kg_lower_bound(m: int, d: int, extreme_set: ExtremeSet | None = None,
 
 
 # ---------------------------------------------------------------------------
-# constrained KKT maximization
+# constrained KKT maximum, by proof
 # ---------------------------------------------------------------------------
 
-def _blei_candidate(a: float, b: float, c: float) -> float | None:
-    """Objective at (a,b,c,1-a-b-c) with the optimal h, None if infeasible."""
-
-    d = 1.0 - a - b - c
-    bound = b * c * d + a * c * d + a * b * d + a * b * c
-    if bound < -1e-12:
-        return None
-    h = math.sqrt(max(bound, 0.0))
-    try:
-        point = BleiPoint(a, b, c, d, h)
-    except ValueError:
-        return None
-    return blei_objective(point)
+def _blei_xy(a, b, c):
+    d = 1 - a - b - c
+    h2 = b * c * d + a * c * d + a * b * d + a * b * c
+    return a * a + b * b + 2 * h2, c * c + d * d + 2 * h2
 
 
-def blei_kkt_max(grid_density: int = 24, refine_iters: int = 200) -> float:
-    """Maximize the KKT objective over the feasible region; expected 1.
+# With d = 1 - a - b - c and h^2 = e_3 in X and Y (_blei_xy), the identities
+# 1 - X - Y = sum over triples {i,j,k} of (x_i+x_j)(x_j+x_k)(x_i+x_k) and
+# (1 - X - Y)^2 - 4XY = 4(ab - cd)^2, as (left, right) functions of (a, b, c)
+_BLEI_IDENTITIES = (
+    (lambda a, b, c: 1 - sum(_blei_xy(a, b, c)),
+     lambda a, b, c: sum((p + q) * (q + r) * (p + r) for p, q, r
+                         in combinations((a, b, c, 1 - a - b - c), 3))),
+    (lambda a, b, c: (1 - sum(_blei_xy(a, b, c))) ** 2
+     - 4 * math.prod(_blei_xy(a, b, c)),
+     lambda a, b, c: 4 * (a * b - c * (1 - a - b - c)) ** 2),
+)
 
-    Dense grid over (a,b,c) in [-1/2, 3/2]^3 (the projection of the
-    feasible region), d eliminated by the simplex equality and h set to
-    its cubic bound (the objective is increasing in h^2), then projected
-    coordinate ascent with step halving from the best grid points.
+
+def _agree_on_grid(left, right) -> bool:
+    """Whether left(a, b, c) == right(a, b, c) on {k/6 - 1/2 : k = 0..6}^3.
+
+    In Fractions, so agreement proves an identity of degree <= 6 in each
+    variable (Alon, "Combinatorial Nullstellensatz", 1999).
     """
 
-    if grid_density < 8:
-        raise ValueError(f"grid_density must be >= 8, got {grid_density}")
-    if refine_iters < 0:
-        raise ValueError(f"refine_iters must be >= 0, got {refine_iters}")
-    grid = np.linspace(-0.5, 1.5, grid_density)
-    scored = []
-    for a in grid:
-        for b in grid:
-            for c in grid:
-                value = _blei_candidate(float(a), float(b), float(c))
-                if value is not None:
-                    scored.append((value, (float(a), float(b), float(c))))
-    if not scored:
-        raise InternalInvariantError("no feasible grid point found")
-    scored.sort(key=lambda item: item[0], reverse=True)
-    best_value = scored[0][0]
+    grid = [Fraction(k - 3, 6) for k in range(7)]
+    return all(left(*p) == right(*p) for p in product(grid, repeat=3))
 
-    spacing = float(grid[1] - grid[0])
-    for start_value, start in scored[:8]:
-        point = list(start)
-        value = start_value
-        step = spacing
-        for _ in range(refine_iters):
-            improved = False
-            for index in range(3):
-                for delta in (step, -step):
-                    candidate = list(point)
-                    candidate[index] += delta
-                    trial = _blei_candidate(*candidate)
-                    if trial is not None and trial > value + 1e-15:
-                        point, value = candidate, trial
-                        improved = True
-            if not improved:
-                step *= 0.5
-                if step < 1e-10:
-                    break
-        best_value = max(best_value, value)
-    return best_value
+
+def blei_kkt_max() -> float:
+    """The maximum of the KKT objective f over the feasible region: 1.
+
+    f grows with h^2, so h^2 = e_3 at a maximum. There _BLEI_IDENTITIES give
+    1 - X - Y >= 0 (as pair sums are) and then 1 - X - Y >= 2 sqrt(XY), so
+    sqrt(X) + sqrt(Y) <= 1; two dyadic witnesses attain 1 exactly. Raises
+    InternalInvariantError if an identity or a witness fails.
+    """
+
+    if not all(_agree_on_grid(*sides) for sides in _BLEI_IDENTITIES):
+        raise InternalInvariantError("a Blei identity fails on the grid")
+    for witness in (BleiPoint(1, 0, 0, 0, 0), BleiPoint(*[0.25] * 5)):
+        if blei_objective(witness) != 1.0:
+            raise InternalInvariantError(f"{witness} does not give exactly 1")
+    return blei_objective(BleiPoint(1, 0, 0, 0, 0))

@@ -265,9 +265,8 @@ def test_rejects_values_below_one(cachedir, capsys, tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("argv", [
-    ("blei", "--grid", "8", "--iters", "-1"),
     ("kg", "--m", "2", "--d", "1", "--seed", "-1"),
-], ids=["iters", "seed"])
+], ids=["seed"])
 def test_rejects_negative_seed_and_iters(cachedir, capsys, tmp_path,
                                          monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -508,6 +507,16 @@ def test_khinchin_subcommand(cachedir, capsys):
     assert abs(payload["branch-point"] - 1.8474) < 5e-4
 
 
+def test_khinchin_runs_without_scipy(cachedir, capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    code, stdout, _ = run(capsys, "khinchin", "--lambda", "2", "--no-cache")
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["value"] == 1.0
+    assert payload["branch-point"] == 1.8474163360763414
+
+
 def test_khinchin_domain_error(cachedir, capsys):
     code, _, stderr = run(capsys, "khinchin", "--lambda", "3")
     assert code == 2
@@ -537,14 +546,18 @@ def test_kg_subcommand_d2(cachedir, capsys):
 
 
 def test_blei_subcommand(cachedir, capsys):
-    code, stdout, _ = run(capsys, "blei", "--grid", "12", "--iters", "40")
+    code, stdout, _ = run(capsys, "blei")
     assert code == 0
-    payload = json.loads(stdout)
-    assert 1 - 1e-6 <= payload["value"] <= 1 + 1e-6
+    assert json.loads(stdout) == {"name": "blei-kkt-max", "value": 1.0,
+                                  "exact_note": "1"}
 
 
-def test_blei_rejects_coarse_grid(cachedir, capsys):
-    assert run(capsys, "blei", "--grid", "4")[0] == 2
+@pytest.mark.parametrize("flag", ["--grid", "--iters"])
+def test_blei_has_no_search_flags(cachedir, capsys, flag):
+    code, stdout, stderr = run(capsys, "blei", flag, "8")
+    assert (code, stdout) == (2, "")
+    assert f"unrecognized arguments: {flag} 8" in stderr
+    assert not cachedir.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -553,7 +566,7 @@ def test_blei_rejects_coarse_grid(cachedir, capsys):
     ("khinchin", "--lambda", "4/3"),
     ("two-slot", "--m", "3"),
     ("kg", "--m", "2", "--d", "2", "--restarts", "2", "--seed", "5"),
-    ("blei", "--grid", "8", "--iters", "3"),
+    ("blei",),
 ], ids=["bh", "mixed", "khinchin", "two-slot", "kg", "blei"])
 def test_json_cache_hit_prints_the_stored_bytes(cachedir, capsys, argv):
     # every fresh payload passes the identity check of its own hit
@@ -607,9 +620,8 @@ def test_json_cache_hit_rejects_another_commands_result(cachedir, capsys,
     assert f"error: cache entry {key}: field {field!r}" in stderr
 
 
-@pytest.mark.parametrize("argv", [("khinchin", "--lambda", "3"),
-                                  ("blei", "--grid", "4")],
-                         ids=["khinchin", "blei"])
+@pytest.mark.parametrize("argv", [("khinchin", "--lambda", "3")],
+                         ids=["khinchin"])
 def test_domain_error_leaves_no_cache_entry(cachedir, capsys, argv):
     code, _, stderr = run(capsys, *argv)
     assert code == 2
@@ -728,3 +740,39 @@ def test_unknown_subcommand(cachedir, capsys):
 
 def test_module_entry_point():
     import extremeforms.__main__  # noqa: F401  (importable without running)
+
+
+def assert_os_error(capsys, *argv):
+    """The command exits 2 with one error line, without a traceback."""
+
+    code, stdout, stderr = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+def test_enum_out_in_missing_directory_exits_2(cachedir, capsys, tmp_path):
+    assert_os_error(capsys, "enum", "--m", "1", "--n", "2", "--no-cache",
+                    "--out", str(tmp_path / "nope" / "x.json"))
+    assert not (tmp_path / "nope").exists()
+
+
+def test_planar_hit_out_in_missing_directory_exits_2(cachedir, capsys,
+                                                     tmp_path, monkeypatch):
+    code, stdout, _ = run(capsys, "planar", "--m", "2",
+                          "--out", str(tmp_path / "p.json"))
+    assert code == 0 and "cache: hit" not in stdout
+
+    def recompute(m):
+        raise AssertionError("a cache hit must not recompute")
+
+    monkeypatch.setattr("extremeforms.search.planar_extreme_points",
+                        recompute)
+    assert_os_error(capsys, "planar", "--m", "2",
+                    "--out", str(tmp_path / "nope" / "p.json"))
+    assert not (tmp_path / "nope").exists()
+
+
+def test_cache_dir_under_a_regular_file_exits_2(capsys, tmp_path):
+    (tmp_path / "file").write_text("")
+    assert_os_error(capsys, "two-slot", "--m", "3",
+                    "--cache-dir", str(tmp_path / "file" / "cache"))

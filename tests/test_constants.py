@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from extremeforms.core import FormVector
+from extremeforms.core import FormVector, InternalInvariantError
 from extremeforms.constants import (
     ConstantReport,
     bh_constant,
@@ -229,7 +229,7 @@ def test_mixed_littlewood_formula(planar3):
 # ---------------------------------------------------------------------------
 
 def test_khinchin_q2_is_one():
-    assert abs(khinchin_Aq(2) - 1.0) < 1e-12
+    assert khinchin_Aq(2) == 1.0
 
 
 def test_khinchin_q43():
@@ -241,6 +241,13 @@ def test_khinchin_branch_point_location():
     assert abs(q0 - 1.8474) < 5e-4
     # the defining equation holds to root-finding accuracy
     assert abs(math.gamma((q0 + 1) / 2) - math.sqrt(math.pi) / 2) < 1e-10
+
+
+def test_khinchin_branch_point_checks_its_bracket(monkeypatch):
+    # a Gamma with no sign change on [1.5, 1.9] leaves nothing to bisect
+    monkeypatch.setattr(math, "gamma", lambda x: 0.0)
+    with pytest.raises(InternalInvariantError, match="no sign change"):
+        khinchin_branch_point()
 
 
 def test_khinchin_continuous_at_branch_point():

@@ -1,11 +1,11 @@
-"""Tests for truncated Grothendieck lower bounds and the KKT check.
+"""Tests for truncated Grothendieck lower bounds and the KKT maximum.
 
 Oracles: the d=1 case reduces to exact sign enumeration (so values are
 exact floats), the d=2 bilinear 2x2 case is checked against a dense angle
-grid on the circle (support.angle_grid_bilinear_max), and the constrained
-KKT objective is pinned at hand-evaluated feasible points. The alternating
-inner solver is heuristic, so every assertion on it is of lower-bound or
-reproducibility form.
+grid on the circle (support.angle_grid_bilinear_max), the constrained KKT
+objective is pinned at hand-evaluated feasible points, and its proof must
+reject a mutated identity. The alternating inner solver is heuristic, so
+every assertion on it is of lower-bound or reproducibility form.
 """
 
 import math
@@ -282,16 +282,35 @@ def test_kg_report_serializes(set22):
 # ---------------------------------------------------------------------------
 
 def test_blei_kkt_max_is_one():
-    value = blei_kkt_max(grid_density=16, refine_iters=60)
-    assert value >= 1.0 - 1e-6
-    assert value <= 1.0 + 1e-6
+    assert blei_kkt_max() == 1.0
 
 
-def test_blei_kkt_max_rejects_coarse_grid():
-    with pytest.raises(ValueError):
-        blei_kkt_max(grid_density=4)
+def test_blei_identities_hold_on_the_grid():
+    for left, right in grothendieck._BLEI_IDENTITIES:
+        assert grothendieck._agree_on_grid(left, right)
 
 
-def test_blei_kkt_max_rejects_negative_iterations():
-    with pytest.raises(ValueError, match="refine_iters must be >= 0"):
-        blei_kkt_max(grid_density=8, refine_iters=-1)
+def mutated_slack(a, b, c):
+    """1 - X - Y with 3h^2 in place of 2h^2 in X."""
+
+    d = 1 - a - b - c
+    h2 = b * c * d + a * c * d + a * b * d + a * b * c
+    return 1 - (a * a + b * b + 3 * h2) - (c * c + d * d + 2 * h2)
+
+
+def test_agree_on_grid_rejects_a_mutated_identity():
+    _, right = grothendieck._BLEI_IDENTITIES[0]
+    assert not grothendieck._agree_on_grid(mutated_slack, right)
+
+
+def test_blei_kkt_max_raises_on_a_failed_identity(monkeypatch):
+    _, right = grothendieck._BLEI_IDENTITIES[0]
+    monkeypatch.setattr(grothendieck, "_BLEI_IDENTITIES",
+                        ((mutated_slack, right),))
+    with pytest.raises(InternalInvariantError, match="identity"):
+        blei_kkt_max()
+
+
+def test_blei_witnesses_give_exactly_one():
+    assert blei_objective(BleiPoint(1, 0, 0, 0, 0)) == 1.0
+    assert blei_objective(BleiPoint(0.25, 0.25, 0.25, 0.25, 0.25)) == 1.0
