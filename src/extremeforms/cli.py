@@ -199,11 +199,14 @@ def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path,
     its errors); only a valid set of the requested shape is then written
     to a sibling of out that replaces out, and anything else raises
     ValueError and leaves out untouched. Otherwise compute() builds the
-    set, which is written to out.
+    set, which is written to out. An out in a missing directory raises
+    OSError first, before any cache read or computation.
     """
 
     from . import storage
 
+    if not out.parent.is_dir():
+        raise OSError(f"cannot write {out}: no directory {out.parent}")
     started = time.perf_counter()
     key = storage.cache_key(args.command, args.m, n,
                             extra={"fmt": args.format})

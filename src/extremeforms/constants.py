@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import FormVector, InternalInvariantError
-from .search import ExtremeSet, exact_keys, reduced_row
+from .search import ExtremeSet, exact_keys, reduced_row, row_blocks
 
 TIE_WINDOW = 1e-12
 
@@ -143,17 +143,25 @@ def _f_lambda_rows(extreme_set: ExtremeSet, exponent) -> np.ndarray:
     """f_lambda of every row as float64, once per (d, sorted |u|) class.
 
     A class key is the bytes of the contiguous int64 row [d, sorted |u|],
-    read through a void view; no tuple is formed per row.
+    read through a void view; no tuple is formed per row. The keys are
+    built a block of rows at a time, with one dict of classes.
     """
 
     lam = _exponent(exponent)
-    magnitudes = np.abs(extreme_set.nums)
-    magnitudes.sort(axis=1)
-    rows = np.column_stack([extreme_set.dens, magnitudes])
-    keys = rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel().tolist()
-    classes = {key: _f_lambda_row(np.frombuffer(key, np.int64).tolist(), lam)
-               for key in set(keys)}
-    return np.fromiter(map(classes.__getitem__, keys), np.float64, len(keys))
+    classes = {}
+    values = np.empty(len(extreme_set), dtype=np.float64)
+    for rows in row_blocks(len(extreme_set)):
+        magnitudes = np.abs(extreme_set.nums[rows])
+        magnitudes.sort(axis=1)
+        block = np.column_stack([extreme_set.dens[rows], magnitudes])
+        size = block.itemsize * block.shape[1]
+        keys = block.view(f"V{size}").ravel().tolist()
+        for key in set(keys).difference(classes):
+            classes[key] = _f_lambda_row(np.frombuffer(key, np.int64).tolist(),
+                                         lam)
+        values[rows] = np.fromiter(map(classes.__getitem__, keys),
+                                   np.float64, len(keys))
+    return values
 
 
 # ---------------------------------------------------------------------------

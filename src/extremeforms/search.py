@@ -101,6 +101,9 @@ KERNEL_HEAD_WIDTH = 9
 KERNEL_BLOCK_WIDTH = 4
 # Largest point count planar_extreme_points lists: 2^(2^m) for m <= 4.
 MAX_PLANAR_POINTS = 1 << 17
+# Rows per block (row_blocks) of the scans over a whole ExtremeSet, which
+# bounds their temporaries by the block, not by the set.
+BLOCK_ROWS = 1024
 
 
 class BudgetExceeded(RuntimeError):
@@ -147,6 +150,12 @@ def exact_keys(pairs) -> list:
     pairs = list(pairs)
     lcm = math.lcm(*{d for d, _ in pairs})
     return [tuple(x * (lcm // d) for x in u) for d, u in pairs]
+
+
+def row_blocks(count) -> list:
+    """Slices of BLOCK_ROWS consecutive rows that cover range(count)."""
+    return [slice(start, start + BLOCK_ROWS)
+            for start in range(0, count, BLOCK_ROWS)]
 
 
 def exact_order(pairs) -> list:
@@ -248,13 +257,15 @@ class ExtremeSet:
     def max_denominator(self) -> int:
         """Largest reduced denominator of any coordinate, d // gcd(u_i, d).
 
-        d descends, stopping once no cell over d can beat the best so far."""
+        Per row that is d // min_i gcd(u_i, d), taken a block of rows at a
+        time over the rows with d above the best so far (no other beats it)."""
         best = 1
-        for d in sorted(set(self.dens.tolist()), reverse=True):
-            if d <= best:
-                break
-            best = max(best, d // int(np.gcd(self.nums[self.dens == d],
-                                             d).min()))
+        for rows in row_blocks(len(self)):
+            dens = self.dens[rows]
+            above = dens > best
+            if above.any():
+                gcds = np.gcd(self.nums[rows][above], dens[above, None])
+                best = max(best, int((dens[above] // gcds.min(axis=1)).max()))
         return best
 
     def coefficient_tuples(self) -> frozenset:

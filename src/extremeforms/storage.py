@@ -19,10 +19,11 @@ The JSON layout is byte for byte json.dumps(payload, indent=1), built from
 the _JSON_* pieces below. write_extreme_set writes the suffixed cells one
 block of rows at a time, and read_extreme_set first tries _read_writer_json, a
 numpy reader that accepts only a file those same pieces spell out exactly,
-cell by cell in canonical form and rows in strict order. Any other file
-(another JSON layout, a long cell, a fault of any kind, and every CSV file)
-goes through json.loads or the csv module, then parse_rows, which give
-every error message; the fast reader never raises.
+cell by cell in canonical form and rows in strict order, checked one block
+of rows at a time too (search.row_blocks). Any other file (another JSON
+layout, a long cell, a fault of any kind, and every CSV file) goes through
+json.loads or the csv module, then parse_rows, which give every error
+message; the fast reader never raises.
 
 The cache stores opaque byte payloads under deterministic keys, next to a
 SHA-256 sidecar. Writes go through a temporary file plus ``os.replace`` so
@@ -77,8 +78,6 @@ _JSON_END = "\n}\n"
 # the four integers of a head, in order; "format-version", "m", "n" and
 # "count" hold no digit
 _HEAD_NUMBERS = re.compile(rb"\D*(\d{1,18})" * 4)
-# rows per block of the fast reader and the writer, bounding their arrays
-READ_BLOCK_ROWS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +222,10 @@ def write_extreme_set(path, extreme_set: ExtremeSet, fmt: str = "json") -> None:
     output of ``json.dumps(payload, indent=1)``, and the CSV text as
     ``csv.writer`` writes it; cells hold only digits, "-" and "/", which
     JSON and CSV both leave unescaped and unquoted. The suffixed cells
-    (_suffixed_cells) go through one handle, READ_BLOCK_ROWS rows at a time.
+    (_suffixed_cells) go through one handle, a block of rows at a time.
     """
+
+    from .search import row_blocks
 
     path = Path(path)
     if fmt not in ("json", "csv"):
@@ -243,8 +244,7 @@ def write_extreme_set(path, extreme_set: ExtremeSet, fmt: str = "json") -> None:
         tail, seps = "", (",", "\r\n")
     with path.open("w", newline="" if fmt == "csv" else None) as handle:
         handle.write(head)
-        for start in range(0, count, READ_BLOCK_ROWS):
-            rows = slice(start, start + READ_BLOCK_ROWS)
+        for rows in row_blocks(count):
             cells = _suffixed_cells(extreme_set.dens[rows],
                                     extreme_set.nums[rows], *seps)
             if fmt == "json" and rows.stop >= count:
@@ -308,20 +308,23 @@ def _read_writer_json(data: bytes):
     write byte for byte, else None; never raises.
 
     Every byte is checked. The head and the tail must equal the _JSON_*
-    pieces for the counts they hold, and the quotes between them must
-    bound count * n^m cells, each pair of neighbours separated by exactly
-    _JSON_CELL_SEP or, at a row's end, _JSON_ROW_SEP. The rows go in
-    blocks of READ_BLOCK_ROWS. A cell of 1 to 7 bytes and its length pack
-    into one uint64 key; a block's distinct keys are parsed once each (a
-    longer cell sends the file to the general path), and each must read
-    back as itself through format_rational. The rows of a block are then
-    reduced as parse_rows reduces them (_reduced_rows), over the lcm of
-    the block's denominators, and must strictly ascend
-    (_first_unordered_row). A file that fails any of these checks,
+    pieces for the counts they hold. The rows go in blocks (row_blocks);
+    a block's quotes are found in a window from the previous block's end
+    that holds them all if no cell is longer than 7 bytes. Neighbouring
+    quotes, across blocks too, must be separated by exactly _JSON_CELL_SEP
+    or, at a row's end, _JSON_ROW_SEP, and the last one must begin the
+    tail. A cell and its length pack into one uint64 key; a block's
+    distinct keys are parsed once each, and each must read back as itself
+    through format_rational. The rows of a block are then reduced as
+    parse_rows reduces them (_reduced_rows), over the lcm of the block's
+    denominators, and must strictly ascend from the previous block's last
+    row (_first_unordered_row). A file that fails any of these checks,
     including every file the general path would refuse, gives None.
     """
 
     import numpy as np
+
+    from .search import row_blocks
 
     numbers = _HEAD_NUMBERS.match(data[:256])
     if numbers is None:
@@ -343,12 +346,11 @@ def _read_writer_json(data: bytes):
     if not data.startswith(head):
         return None
     width = n ** m
+    cell_sep, row_sep = _JSON_CELL_SEP.encode(), _JSON_ROW_SEP.encode()
+    # the most bytes a row of 7-byte cells spans, quote to quote
+    row_span = width * (7 + len(cell_sep)) + len(row_sep)
     buf = np.frombuffer(data, dtype=np.uint8)
-    first, last = len(head) - 1, len(data) - len(tail)
-    quotes = np.flatnonzero(buf[first:last + 1] == ord('"')) + first
-    if len(quotes) != 2 * count * width:
-        return None
-    quotes = quotes.reshape(count, width, 2)
+    at, last = len(head) - 1, len(data) - len(tail)
     # words[p] is the little-endian uint64 of the 8 bytes from position p
     words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data,
                        strides=(1,))
@@ -356,16 +358,21 @@ def _read_writer_json(data: bytes):
     values = {}
     dens = np.empty(count, dtype=np.int64)
     nums = np.empty((count, width), dtype=np.int64)
-    for start in range(0, count, READ_BLOCK_ROWS):
-        block = quotes[max(start - 1, 0):start + READ_BLOCK_ROWS]
-        opens, closes = block[..., 0], block[..., 1]
-        if not (_separated(words, closes[:, :-1], opens[:, 1:],
-                           _JSON_CELL_SEP.encode())
-                and _separated(words, closes[:-1, -1], opens[1:, 0],
-                               _JSON_ROW_SEP.encode())):
+    for rows in row_blocks(count):
+        size = len(dens[rows])
+        window = buf[at:min(at + size * row_span, last + 1)]
+        quotes = np.flatnonzero(window == ord('"'))[:2 * size * width]
+        if len(quotes) < 2 * size * width:
             return None
-        if start:  # the first row closed the previous block
-            opens, closes = opens[1:], closes[1:]
+        quotes = (quotes + at).reshape(size, width, 2)
+        opens, closes = quotes[..., 0], quotes[..., 1]
+        ends, starts = closes[:-1, -1], opens[1:, 0]
+        if rows.start:  # the row separator from the previous block
+            ends, starts = np.append(at - 1, ends), opens[:, 0]
+        if not (_separated(words, closes[:, :-1], opens[:, 1:], cell_sep)
+                and _separated(words, ends, starts, row_sep)):
+            return None
+        at = int(closes[-1, -1]) + 1
         lengths = closes - opens - 1
         if lengths.max() > 7:  # an empty cell fails _canonical_cell
             return None
@@ -384,10 +391,11 @@ def _read_writer_json(data: bytes):
                                 distinct.searchsorted(keys))
         if reduced is None:
             return None
-        dens[start:start + len(keys)], nums[start:start + len(keys)] = \
-            reduced
-    del quotes, block, opens, closes  # free the positions for the check
-    if _first_unordered_row(dens, nums) is not None:
+        dens[rows], nums[rows] = reduced
+        since = slice(max(rows.start - 1, 0), rows.stop)
+        if _first_unordered_row(dens[since], nums[since]) is not None:
+            return None
+    if at != last + 1:
         return None
     return m, n, dens, nums, complete
 

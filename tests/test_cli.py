@@ -756,6 +756,25 @@ def test_enum_out_in_missing_directory_exits_2(cachedir, capsys, tmp_path):
     assert not (tmp_path / "nope").exists()
 
 
+@pytest.mark.parametrize("argv, compute", [
+    (("enum", "--m", "2", "--n", "3"), "extremeforms.search.extreme_points"),
+    (("planar", "--m", "2"), "extremeforms.search.planar_extreme_points"),
+], ids=["enum", "planar"])
+def test_out_in_missing_directory_computes_nothing(cachedir, capsys, tmp_path,
+                                                   monkeypatch, argv, compute):
+    # the directory is checked before the cache or the search is touched
+    def fail(*args, **kwargs):
+        raise AssertionError("nothing may be computed for this --out")
+
+    monkeypatch.setattr(compute, fail)
+    missing = tmp_path / "nope"
+    code, stdout, stderr = run(capsys, *argv, "--out", str(missing / "x.json"))
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: cannot write {missing / 'x.json'}: " \
+                     f"no directory {missing}\n"
+    assert not missing.exists() and not cachedir.exists()
+
+
 def test_planar_hit_out_in_missing_directory_exits_2(cachedir, capsys,
                                                      tmp_path, monkeypatch):
     code, stdout, _ = run(capsys, "planar", "--m", "2",

@@ -399,3 +399,42 @@ def test_near_tie_straddles_the_window(near_tie):
     assert report.value == high
     assert report.argmax.coeffs == (F(10 ** 13 - 1, 10 ** 13), F(0))
     assert f_lambda(report.argmax, 1) == low
+
+
+# ---------------------------------------------------------------------------
+# the block scans against one block
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["planar1", "planar2", "planar3", "planar4",
+                                  "set23", "partial24", "per_cell",
+                                  "smaller_wins"])
+def test_block_scans_match_one_block(name, request, monkeypatch):
+    # max_denominator and the f_lambda classes scan one block of rows at a
+    # time; every block size gives what one block over the whole set gives
+    from extremeforms import search
+    from extremeforms.constants import _f_lambda_rows
+
+    if name == "planar1":
+        extreme_set = search.planar_extreme_points(1)
+    elif name == "per_cell":  # the hand-built sets of max_denominator
+        extreme_set = ExtremeSet(1, 2, [6], [[2, 3]])
+    elif name == "smaller_wins":
+        extreme_set = ExtremeSet.from_pairs(1, 2, [(6, (2, 3)), (5, (1, 0))])
+    else:
+        extreme_set = request.getfixturevalue(name)
+    m, n = extreme_set.m, extreme_set.n
+    exponents = (F(1), F(2), F(3, 2), F(2 * m, m + 1))
+
+    def scans():
+        return (extreme_set.max_denominator(),
+                [_f_lambda_rows(extreme_set, lam).tolist()
+                 for lam in exponents],
+                bh_constant(m, n, extreme_set).to_json_dict(),
+                mixed_littlewood_constant(m, n, extreme_set).to_json_dict())
+
+    monkeypatch.setattr(search, "BLOCK_ROWS", len(extreme_set))
+    whole = scans()
+    # planar m = 4 in one-row blocks would take seconds a scan
+    for rows in (7,) if len(extreme_set) > 4096 else (1, 2, 7):
+        monkeypatch.setattr(search, "BLOCK_ROWS", rows)
+        assert scans() == whole, rows

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import extremeforms
-from extremeforms import storage
+from extremeforms import search, storage
 from extremeforms.core import FormVector
 from extremeforms.search import (
     ExtremeSet,
@@ -363,11 +363,27 @@ LONG_CELLS = ExtremeSet(1, 2, [12345678, 1234], [[-1, 0], [1, 0]])
 SEVEN_BYTE_CELLS = ExtremeSet(1, 2, [1234, 1234], [[-1, 0], [1, 0]])
 
 
-@pytest.mark.parametrize("name", ["planar1", "planar2", "planar3", "planar4",
-                                  "set22", "set23", "set32", "partial24",
-                                  "long", "seven"])
+def at_block_sizes(name, values, large=()):
+    """Parametrize name and rows over values and the block sizes: rows None
+    keeps search.BLOCK_ROWS, and that case keeps its value's plain id;
+    blocks of 1, 2 and 7 rows put block boundaries everywhere. A value in
+    large skips blocks of 1 and 2 rows: read in one-row blocks, the 65536
+    planar m = 4 rows take about 7 s a pass."""
+
+    return pytest.mark.parametrize(f"{name}, rows", [
+        pytest.param(value, rows,
+                     id=str(value) if rows is None else f"{value}-rows{rows}")
+        for rows in (None, 1, 2, 7) for value in values
+        if rows in (None, 7) or value not in large])
+
+
+@at_block_sizes("name", ["planar1", "planar2", "planar3", "planar4", "set22",
+                         "set23", "set32", "partial24", "long", "seven"],
+                large={"planar4"})
 def test_fast_reader_matches_the_general_path(tmp_path, request, monkeypatch,
-                                              name):
+                                              name, rows):
+    if rows:
+        monkeypatch.setattr(search, "BLOCK_ROWS", rows)
     if name == "planar1":
         extreme_set = planar_extreme_points(1)
     elif name == "long":  # "-1/12345678" is past the 7 bytes of a key
@@ -410,11 +426,14 @@ def mutations(data: bytes, seed: int):
                                     b'"count": %d' % other)
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_fast_reader_on_mutated_artifacts(tmp_path, set23, monkeypatch, seed):
+@at_block_sizes("seed", [0, 1])
+def test_fast_reader_on_mutated_artifacts(tmp_path, set23, monkeypatch, seed,
+                                          rows):
     # flipped, inserted and deleted bytes, swapped rows and a wrong count:
     # the fast reader gives None or what the general path reads, and
     # read_extreme_set errs exactly as the general path does
+    if rows:
+        monkeypatch.setattr(search, "BLOCK_ROWS", rows)
     path = tmp_path / "points.json"
     write_extreme_set(path, set23)
     seen = {}
@@ -426,6 +445,50 @@ def test_fast_reader_on_mutated_artifacts(tmp_path, set23, monkeypatch, seed):
     assert seen["swap"] == seen["count"] == {"error"}
     # some mutations the general path still reads: a space in the layout
     assert "set" in seen["insert"] | seen["delete"] | seen["flip"]
+
+
+def boundary_mutations(data: bytes, rows: int):
+    """Faults of an artifact read in blocks of rows, each with its kind:
+    at the boundary between its first two blocks, and in its last block."""
+
+    cell_sep = storage._JSON_CELL_SEP.encode()
+    row_sep = storage._JSON_ROW_SEP.encode()
+    head, opening, body = data.partition(storage._JSON_OPEN.encode())
+    at = body.rindex(storage._JSON_CLOSE.encode())
+    # cells[i] holds the cells of row i, without their outer quotes
+    cells, tail = body[:at].split(row_sep), body[at:]
+
+    def spell(cells):
+        return head + opening + row_sep.join(cells) + tail
+
+    swapped = cells[:]
+    swapped[rows - 1], swapped[rows] = cells[rows], cells[rows - 1]
+    yield "swap", spell(swapped)
+    # rows - 1 and rows run together into one row
+    yield "row-sep", spell(cells[:rows - 1]
+                           + [cells[rows - 1] + cell_sep + cells[rows]]
+                           + cells[rows + 1:])
+    # a quote opens the last block's first cell twice
+    last = (len(cells) - 1) // rows * rows
+    yield "quote", spell(cells[:last] + [b'"' + cells[last]]
+                         + cells[last + 1:])
+    # a cell appended to the last row moves its closing quote off the tail
+    yield "tail", spell(cells[:-1] + [cells[-1] + cell_sep + b"0"])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_fast_reader_at_block_boundaries(tmp_path, set23, monkeypatch, rows):
+    # each fault crosses a block boundary or ends the last block; the fast
+    # reader refuses it, and read_extreme_set errs as the general path does
+    monkeypatch.setattr(search, "BLOCK_ROWS", rows)
+    path = tmp_path / "points.json"
+    write_extreme_set(path, set23)
+    kinds = []
+    for kind, data in boundary_mutations(path.read_bytes(), rows):
+        fast, expected = check_fast_reader(path, data, monkeypatch)
+        assert fast is None and expected[0] == "error", kind
+        kinds.append(kind)
+    assert kinds == ["swap", "row-sep", "quote", "tail"]
 
 
 def test_write_rejects_unknown_format(tmp_path, set12):
