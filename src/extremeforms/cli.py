@@ -14,11 +14,12 @@ formatted or parsed on its own. blei has no parameters.
 
 Exit codes: 0 success, 2 invalid input or an OSError, 3 resource budget
 exceeded (for budgeted enumerations the resume state path is printed), 4
-internal invariant violation. Heavy imports happen inside the handlers so
-that --help and argument errors stay fast: verify, --help and JSON cache hits
-(bh, mixed, khinchin, two-slot, kg, blei) never load numpy. A JSON hit is
-printed only if it parses as an object whose identifying fields equal
-those a fresh run writes.
+internal invariant violation. A cache that cannot be written costs a
+warning on stderr after the answer, not the answer. Heavy imports happen
+inside the handlers so that --help and argument errors stay fast: verify,
+--help and JSON cache hits (bh, mixed, khinchin, two-slot, kg, blei) never
+load numpy. A JSON hit is printed only if it parses as an object whose
+identifying fields equal those a fresh run writes.
 """
 
 from __future__ import annotations
@@ -182,10 +183,23 @@ def _emit_cached_json(args: argparse.Namespace, extra: dict, identity: dict,
             return EXIT_OK
     payload = compute()
     data = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
-    if not args.no_cache:
-        storage.cache_store(_cache_dir(args), key, data)
     sys.stdout.write(data.decode("utf-8"))
+    if not args.no_cache:
+        _cache_store(args, key, data)
     return EXIT_OK
+
+
+def _cache_store(args: argparse.Namespace, key: str, data) -> None:
+    """Store a delivered answer (bytes, or the path of its artifact) in
+    the cache; a cache that cannot be written costs a warning, not the
+    answer."""
+
+    from .storage import cache_store
+
+    try:
+        cache_store(_cache_dir(args), key, data)
+    except OSError as err:
+        print(f"warning: cache not written: {err}", file=sys.stderr)
 
 
 def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path,
@@ -194,13 +208,17 @@ def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path,
 
     Only a plain run, one with neither --budget nor --resume, reads or
     writes the cache: it always completes or raises, and its result
-    depends on its key alone. A hit parses the bytes cache_load returned
-    (storage.read_extreme_set with data, which names the cache entry in
-    its errors); only a valid set of the requested shape is then written
-    to a sibling of out that replaces out, and anything else raises
-    ValueError and leaves out untouched. Otherwise compute() builds the
-    set, which is written to out. An out in a missing directory raises
-    OSError first, before any cache read or computation.
+    depends on its key alone. A hit copies the entry to a sibling of out
+    (storage.cache_copy), which must match the entry's sidecar, and parses
+    the copy (storage.read_extreme_set, naming the cache entry in its
+    errors); only a valid set of the requested shape then replaces out,
+    so the bytes in out are the bytes that were checked. A copy that
+    fails the sidecar is a miss; a copy that does not parse raises
+    ValueError. Either way out is untouched. On a miss compute() builds
+    the set, which is written to out, and after the summary the written
+    file is copied into the cache; neither side holds a whole entry in
+    memory. An out in a missing directory raises OSError first, before
+    any cache read or computation.
     """
 
     from . import storage
@@ -212,33 +230,33 @@ def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path,
                             extra={"fmt": args.format})
     cached = not args.no_cache and getattr(args, "budget", None) is None \
         and getattr(args, "resume", None) is None
-    data = storage.cache_load(_cache_dir(args), key) if cached else None
-    hit = data is not None
-    if hit:
-        try:
-            result = storage.read_extreme_set(_cache_dir(args) / key, data)
-            if (result.m, result.n) != (args.m, n):
-                raise ValueError(f"holds (m={result.m}, n={result.n}), "
-                                 f"not (m={args.m}, n={n})")
-        except ValueError as err:
-            raise ValueError(f"cache entry {key}: {err}") from None
-        part = out.with_name(f".{out.name}.{os.getpid()}.part")
-        try:
-            part.write_bytes(data)
+    part = out.with_name(f".{out.name}.{os.getpid()}.part")
+    try:
+        hit = cached and storage.cache_copy(_cache_dir(args), key, part)
+        if hit:
+            try:
+                with part.open("rb") as handle:
+                    result = storage.read_extreme_set(
+                        _cache_dir(args) / key, handle)
+                if (result.m, result.n) != (args.m, n):
+                    raise ValueError(f"holds (m={result.m}, n={result.n}), "
+                                     f"not (m={args.m}, n={n})")
+            except ValueError as err:
+                raise ValueError(f"cache entry {key}: {err}") from None
             os.replace(part, out)
-        finally:
-            part.unlink(missing_ok=True)
-    else:
+    finally:
+        part.unlink(missing_ok=True)
+    if not hit:
         result = compute()
         storage.write_extreme_set(out, result, fmt=args.format)
-        if cached:
-            storage.cache_store(_cache_dir(args), key, out.read_bytes())
     print(f"count: {len(result)}")
     print(f"max-denominator: {result.max_denominator()}")
     print(f"wall-seconds: {time.perf_counter() - started:.3f}")
     print(f"file: {out}")
     if hit:
         print("cache: hit")
+    elif cached:
+        _cache_store(args, key, out)
     return EXIT_OK
 
 

@@ -144,14 +144,15 @@ def _f_lambda_rows(extreme_set: ExtremeSet, exponent) -> np.ndarray:
 
     A class key is the bytes of the contiguous int64 row [d, sorted |u|],
     read through a void view; no tuple is formed per row. The keys are
-    built a block of rows at a time, with one dict of classes.
+    built a block of rows at a time, widened to int64 whatever the dtype
+    of nums, with one dict of classes.
     """
 
     lam = _exponent(exponent)
     classes = {}
     values = np.empty(len(extreme_set), dtype=np.float64)
     for rows in row_blocks(len(extreme_set)):
-        magnitudes = np.abs(extreme_set.nums[rows])
+        magnitudes = np.abs(extreme_set.nums[rows].astype(np.int64))
         magnitudes.sort(axis=1)
         block = np.column_stack([extreme_set.dens[rows], magnitudes])
         size = block.itemsize * block.shape[1]

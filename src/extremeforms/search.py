@@ -152,6 +152,12 @@ def exact_keys(pairs) -> list:
     return [tuple(x * (lcm // d) for x in u) for d, u in pairs]
 
 
+def fits_int8(nums) -> bool:
+    """Whether every entry of the integer array nums lies in [-127, 127]."""
+    return nums.size == 0 or (int(nums.min()) >= -127
+                              and int(nums.max()) <= 127)
+
+
 def row_blocks(count) -> list:
     """Slices of BLOCK_ROWS consecutive rows that cover range(count)."""
     return [slice(start, start + BLOCK_ROWS)
@@ -171,12 +177,15 @@ class ExtremeSet:
     """Canonically sorted, deduplicated set of extreme coefficient vectors.
 
     Row i is the point nums[i] / dens[i]: dens is int64[k], nums is
-    int64[k, n^m], each row gcd-reduced with a positive denominator, rows
-    in the lexicographic order of the rational vectors. The constructor
+    [k, n^m], each row gcd-reduced with a positive denominator, rows in
+    the lexicographic order of the rational vectors. nums is int8 when
+    every entry lies in [-127, 127] (fits_int8) and int64 otherwise, so
+    -nums and abs(nums) never overflow; a scan widens one block of rows
+    (row_blocks) to int64 before any other arithmetic. The constructor
     trusts its arrays; from_pairs and from_points reduce, deduplicate and
     sort. FormVectors are built only on demand and cached. complete=False
     marks a budget-truncated run; the points present are still genuine
-    extreme points. Equality compares m, n and the arrays.
+    extreme points. Equality compares m, n and the arrays' values.
     """
 
     m: int
@@ -187,8 +196,12 @@ class ExtremeSet:
 
     def __post_init__(self):
         dens = np.asarray(self.dens, dtype=np.int64)
-        nums = np.asarray(self.nums, dtype=np.int64).reshape(
-            len(dens), self.n ** self.m)
+        nums = self.nums
+        if getattr(nums, "dtype", None) != np.int8:
+            nums = np.asarray(nums, dtype=np.int64)
+        nums = nums.reshape(len(dens), self.n ** self.m)
+        nums = nums.astype(np.int8 if fits_int8(nums) else np.int64,
+                           copy=False)
         object.__setattr__(self, "dens", dens)
         object.__setattr__(self, "nums", nums)
 
@@ -264,7 +277,8 @@ class ExtremeSet:
             dens = self.dens[rows]
             above = dens > best
             if above.any():
-                gcds = np.gcd(self.nums[rows][above], dens[above, None])
+                nums = self.nums[rows][above].astype(np.int64)
+                gcds = np.gcd(nums, dens[above, None])
                 best = max(best, int((dens[above] // gcds.min(axis=1)).max()))
         return best
 
@@ -660,7 +674,7 @@ def planar_extreme_points(m) -> ExtremeSet:
     nums - h_j from the last row h_j to the first: the row order of
     f = 1 - 2 bits, bit 0 most significant. |u_i| <= 2^m <= 16 under
     MAX_PLANAR_POINTS; int8 holds it up to m = 6, and m >= 7 is refused
-    before any array is formed.
+    before any array is formed. The ExtremeSet keeps the int8 array.
     """
     if m < 1:
         raise ValueError("m must be at least 1")

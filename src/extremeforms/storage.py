@@ -22,13 +22,20 @@ numpy reader that accepts only a file those same pieces spell out exactly,
 cell by cell in canonical form and rows in strict order, checked one block
 of rows at a time too (search.row_blocks). Any other file (another JSON
 layout, a long cell, a fault of any kind, and every CSV file) goes through
-json.loads or the csv module, then parse_rows, which give every error
-message; the fast reader never raises.
+json.loads or the csv module (streamed), then the parse_rows steps a block
+at a time, which give every error message; the fast reader never raises.
+Both readers fill nums in int8 and widen it to int64 once, only if some
+block does not fit int8, as ExtremeSet keeps it.
 
 The cache stores opaque byte payloads under deterministic keys, next to a
 SHA-256 sidecar. Writes go through a temporary file plus ``os.replace`` so
 concurrent readers never observe a torn entry, and a checksum mismatch is
-treated as a miss rather than an error.
+treated as a miss rather than an error. An extreme-set entry is never held
+in memory whole: cache_store copies a written artifact into the scratch
+file and hashes the copy in a streamed pass, and cache_copy copies an
+entry out to a file of the caller's and checks the copy, which
+read_extreme_set then maps and parses a block of rows at a time.
+cache_load returns a whole (small) JSON payload.
 
 Only the extreme-set functions (format_rows, parse_rows, write_extreme_set,
 read_extreme_set and their helpers) work on arrays, and they import numpy
@@ -38,16 +45,19 @@ nothing heavy, so verify, --help and JSON cache hits run without numpy.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import math
+import mmap
 import os
 import re
+import shutil
 import uuid
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -159,44 +169,92 @@ def _suffixed_cells(dens, nums, sep="", row_sep=""):
 
 
 def parse_rows(path, width, rows) -> tuple:
-    """Rows of cell strings to (dens, nums) int64 arrays, in order.
+    """Rows of cell strings to (dens, nums) arrays, in order, a block of
+    rows at a time (_parse_blocks).
 
-    Each distinct cell string is parsed once. When the common denominator
-    L of all cells and every numerator over L fit int64, the rows are
-    reduced in numpy; otherwise row by row in Python integers, where a row
-    that does not fit int64 (or holds a bad cell) raises ValueError naming
-    its point.
+    ValueError names the first row that is not a list of width cells,
+    before any cell is parsed.
+    """
+
+    count, misshapen = _shape(width, rows)
+    if misshapen is not None:
+        raise ValueError(f"{path}: point {misshapen} is not a list of "
+                         f"{width} coordinates")
+    return _parse_blocks(path, width, count, rows)
+
+
+def _shape(width, rows) -> tuple:
+    """(number of rows, index of the first that is not a list of width
+    cells, or None); rows may be any iterable."""
+
+    count, misshapen = 0, None
+    for count, row in enumerate(rows, start=1):
+        if misshapen is None and (not isinstance(row, list)
+                                  or len(row) != width):
+            misshapen = count - 1
+    return count, misshapen
+
+
+def _parse_blocks(path, width, count, rows) -> tuple:
+    """(dens, nums) of the count rows of width cell strings that the
+    iterable rows yields, parsed a block at a time (row_blocks) and
+    stored as _stored stores them.
+
+    In a block, each distinct cell string is parsed once. When the common
+    denominator L of the block's cells and every numerator over L fit
+    int64, its rows are reduced in numpy; otherwise row by row in Python
+    integers, where a row that does not fit int64 (or holds a bad cell)
+    raises ValueError naming its point.
     """
 
     import numpy as np
 
-    from .search import int64_row
+    from .search import int64_row, row_blocks
 
-    for index, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != width:
-            raise ValueError(f"{path}: point {index} is not a list of "
-                             f"{width} coordinates")
-    try:
-        values = {text: parse_rational(text)
-                  for text in set(chain.from_iterable(rows))}
-    except (TypeError, ValueError):  # TypeError: an unhashable cell
-        values = None
-    if values is not None:
-        ids = dict(zip(values, range(len(values))))
-        reduced = _reduced_rows(list(values.values()), np.fromiter(
-            map(ids.__getitem__, chain.from_iterable(rows)), dtype=np.int64,
-            count=len(rows) * width).reshape(len(rows), width))
-        if reduced is not None:
-            return reduced
-    pairs = []
-    for index, row in enumerate(rows):
+    rows = iter(rows)
+    dens = np.empty(count, dtype=np.int64)
+    nums = np.empty((count, width), dtype=np.int8)
+    for block in row_blocks(count):
+        cells = list(islice(rows, len(dens[block])))
         try:
-            pairs.append(int64_row(parse_rational(cell) for cell in row))
-        except ValueError as err:
-            raise ValueError(f"{path}: point {index}: {err}") from None
-    return (np.array([d for d, _ in pairs], dtype=np.int64),
-            np.array([u for _, u in pairs], dtype=np.int64).reshape(
-                len(pairs), width))
+            values = {text: parse_rational(text)
+                      for text in set(chain.from_iterable(cells))}
+        except (TypeError, ValueError):  # TypeError: an unhashable cell
+            values = None
+        reduced = None
+        if values is not None:
+            ids = dict(zip(values, range(len(values))))
+            reduced = _reduced_rows(list(values.values()), np.fromiter(
+                map(ids.__getitem__, chain.from_iterable(cells)),
+                dtype=np.int64, count=len(cells) * width).reshape(
+                    len(cells), width))
+        if reduced is None:
+            pairs = []
+            for index, row in enumerate(cells, start=block.start):
+                try:
+                    pairs.append(int64_row(parse_rational(cell)
+                                           for cell in row))
+                except ValueError as err:
+                    raise ValueError(f"{path}: point {index}: {err}") \
+                        from None
+            reduced = ([d for d, _ in pairs], [u for _, u in pairs])
+        dens[block] = reduced[0]
+        nums = _stored(nums, block, np.asarray(reduced[1], dtype=np.int64))
+    return dens, nums
+
+
+def _stored(nums, rows, block):
+    """nums with block written at rows. nums starts in int8 and is widened
+    to int64, once, when a block does not fit int8 (search.fits_int8)."""
+
+    import numpy as np
+
+    from .search import fits_int8
+
+    if nums.dtype == np.int8 and not fits_int8(block):
+        nums = nums.astype(np.int64)
+    nums[rows] = block
+    return nums
 
 
 def _reduced_rows(values, index):
@@ -253,31 +311,67 @@ def write_extreme_set(path, extreme_set: ExtremeSet, fmt: str = "json") -> None:
         handle.write(tail)
 
 
-def read_extreme_set(path, data: bytes | None = None) -> ExtremeSet:
+def read_extreme_set(path, data=None) -> ExtremeSet:
     """Read an ExtremeSet file, validating metadata types and contents.
 
-    data, when given, is the file's content, and path only names it in
-    errors. A JSON file exactly as write_extreme_set writes it is read by
-    _read_writer_json; any other file is decoded as Path.read_text would
-    and parsed by json.loads or the csv module, then parse_rows. A
-    ValueError names any field of the wrong type or out of range, and the
-    first point that does not strictly follow its predecessor: the
-    ExtremeSet constructor trusts its rows to be sorted and distinct.
+    data, when given, holds the file's content, as bytes or as a binary
+    file open on it, and path only names it in errors; otherwise the file
+    at path is opened. A JSON file exactly as write_extreme_set writes it
+    is read by _read_writer_json, through a read-only mmap of the file;
+    any other file by _read_general, which streams a CSV file and decodes
+    any other file whole.
     """
 
     from .search import ExtremeSet
 
     path = Path(path)
-    if data is None:
-        data = path.read_bytes()
-    fast = _read_writer_json(data)
-    if fast is not None:
-        m, n, dens, nums, complete = fast
-        return ExtremeSet(m, n, dens, nums, complete=complete)
-    text = io.TextIOWrapper(io.BytesIO(data)).read()
-    del data
-    read = _read_json if text.lstrip()[:1] == "{" else _read_csv
-    version, m, n, count, rows, complete = read(text, path)
+    with contextlib.ExitStack() as stack:
+        if data is None:
+            data = stack.enter_context(path.open("rb"))
+        if isinstance(data, bytes):
+            view, binary = data, io.BytesIO(data)
+        else:  # an empty file cannot be mapped
+            view, binary = b"", data
+            if os.fstat(data.fileno()).st_size:
+                view = stack.enter_context(mmap.mmap(
+                    data.fileno(), 0, access=mmap.ACCESS_READ))
+        fields = _read_writer_json(view)
+        if fields is None:
+            binary.seek(0)
+            text = io.TextIOWrapper(binary)
+            try:
+                fields = _read_general(path, text)
+            finally:
+                text.detach()  # closing binary is its owner's business
+    m, n, dens, nums, complete = fields
+    return ExtremeSet(m, n, dens, nums, complete=complete)
+
+
+def _read_general(path, text) -> tuple:
+    """(m, n, dens, nums, complete) of any extreme-set file, read from a
+    text stream at its start, as Path.read_text would decode it.
+
+    A CSV file is read twice, the csv module's rows streamed each time:
+    once for the row count and shapes, once to parse the rows a block at
+    a time (_parse_blocks). Any other file is decoded whole and parsed
+    with json.loads, its rows then a block at a time too. A ValueError
+    names any field of the wrong type or out of range, the count, the
+    first row of the wrong shape, the first bad cell, and the first point
+    that does not strictly follow its predecessor, in that precedence:
+    the ExtremeSet constructor trusts its rows to be sorted and distinct.
+    """
+
+    head = text.readline()
+    is_csv = head.startswith("# extremeforms")
+    if is_csv:
+        version, m, n, count, complete = _read_csv_head(head, path)
+        rows = []
+    else:
+        head += text.read()
+        if head.lstrip()[:1] != "{":
+            raise ValueError(f"{path}: missing metadata comment line")
+        version, m, n, count, rows, complete = _read_json(head, path)
+    del head
     for name, value in (("format-version", version), ("m", m), ("n", n),
                         ("count", count)):
         if type(value) is not int:  # bool is a subclass of int
@@ -291,25 +385,36 @@ def read_extreme_set(path, data: bytes | None = None) -> ExtremeSet:
     if version != FILE_FORMAT_VERSION:
         raise ValueError(f"{path}: format-version {version} unsupported "
                          f"(expected {FILE_FORMAT_VERSION})")
-    if count != len(rows):
+    width = n ** m
+    found, misshapen = _shape(width, _csv_rows(text) if is_csv else rows)
+    if count != found:
         raise ValueError(f"{path}: count field says {count} "
-                         f"but {len(rows)} points present")
-    dens, nums = parse_rows(path, n ** m, rows)
-    del text, rows  # the cells are parsed; free them before the check
+                         f"but {found} points present")
+    if misshapen is not None:
+        raise ValueError(f"{path}: point {misshapen} is not a list of "
+                         f"{width} coordinates")
+    if is_csv:
+        text.seek(0)
+        text.readline()
+        rows = _csv_rows(text)
+    dens, nums = _parse_blocks(path, width, count, rows)
+    del rows
     index = _first_unordered_row(dens, nums)
     if index is not None:
         raise ValueError(f"{path}: point {index} does not strictly follow "
                          f"point {index - 1}")
-    return ExtremeSet(m, n, dens, nums, complete=complete)
+    return m, n, dens, nums, complete
 
 
-def _read_writer_json(data: bytes):
+def _read_writer_json(data):
     """(m, n, dens, nums, complete) of a file write_extreme_set would
     write byte for byte, else None; never raises.
 
-    Every byte is checked. The head and the tail must equal the _JSON_*
-    pieces for the counts they hold. The rows go in blocks (row_blocks);
-    a block's quotes are found in a window from the previous block's end
+    data is bytes or an mmap; the pages of an mmap are dropped
+    (MADV_DONTNEED) as soon as a block of rows has consumed them. Every
+    byte is checked. The head and the tail must equal the _JSON_* pieces
+    for the counts they hold. The rows go in blocks (row_blocks); a
+    block's quotes are found in a window from the previous block's end
     that holds them all if no cell is longer than 7 bytes. Neighbouring
     quotes, across blocks too, must be separated by exactly _JSON_CELL_SEP
     or, at a row's end, _JSON_ROW_SEP, and the last one must begin the
@@ -317,9 +422,10 @@ def _read_writer_json(data: bytes):
     distinct keys are parsed once each, and each must read back as itself
     through format_rational. The rows of a block are then reduced as
     parse_rows reduces them (_reduced_rows), over the lcm of the block's
-    denominators, and must strictly ascend from the previous block's last
-    row (_first_unordered_row). A file that fails any of these checks,
-    including every file the general path would refuse, gives None.
+    denominators, and stored as _stored stores them; the rows must then
+    strictly ascend (_first_unordered_row). A file that fails any of these
+    checks, including every file the general path would refuse, gives
+    None.
     """
 
     import numpy as np
@@ -339,11 +445,11 @@ def _read_writer_json(data: bytes):
     for complete in (True, False):
         tail = (_JSON_CLOSE + ("" if complete else _JSON_INCOMPLETE)
                 + _JSON_END).encode()
-        if data.endswith(tail):
+        if data[-len(tail):] == tail:
             break
     else:
         return None
-    if not data.startswith(head):
+    if data[:len(head)] != head:
         return None
     width = n ** m
     cell_sep, row_sep = _JSON_CELL_SEP.encode(), _JSON_ROW_SEP.encode()
@@ -357,7 +463,7 @@ def _read_writer_json(data: bytes):
     masks = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.uint64)
     values = {}
     dens = np.empty(count, dtype=np.int64)
-    nums = np.empty((count, width), dtype=np.int64)
+    nums = np.empty((count, width), dtype=np.int8)
     for rows in row_blocks(count):
         size = len(dens[rows])
         window = buf[at:min(at + size * row_span, last + 1)]
@@ -378,6 +484,8 @@ def _read_writer_json(data: bytes):
             return None
         keys = (words[opens + 1] & masks[lengths]) | (
             lengths.astype(np.uint64) << np.uint64(56))
+        if isinstance(data, mmap.mmap):
+            data.madvise(mmap.MADV_DONTNEED, 0, at - at % mmap.PAGESIZE)
         ordered = np.sort(keys, axis=None)
         distinct = ordered[np.concatenate(([True],
                                            ordered[1:] != ordered[:-1]))]
@@ -391,11 +499,9 @@ def _read_writer_json(data: bytes):
                                 distinct.searchsorted(keys))
         if reduced is None:
             return None
-        dens[rows], nums[rows] = reduced
-        since = slice(max(rows.start - 1, 0), rows.stop)
-        if _first_unordered_row(dens[since], nums[since]) is not None:
-            return None
-    if at != last + 1:
+        dens[rows] = reduced[0]
+        nums = _stored(nums, rows, reduced[1])
+    if at != last + 1 or _first_unordered_row(dens, nums) is not None:
         return None
     return m, n, dens, nums, complete
 
@@ -432,28 +538,34 @@ def _canonical_cell(key: int) -> Fraction:
 def _first_unordered_row(dens, nums):
     """Index of the first row not above its predecessor, or None.
 
-    Rows are compared as rational vectors: as numerators over their
-    common denominator, in int64 when every such numerator stays below
-    2^62 (so a difference of two fits), else on search.exact_keys.
+    Rows are compared as rational vectors, a block of rows (row_blocks)
+    and the row before it at a time, widened to int64: as numerators over
+    their common denominator, in int64 when every such numerator stays
+    below 2^62 (so a difference of two fits), else on search.exact_keys.
     """
 
     import numpy as np
 
-    if len(dens) < 2:
-        return None
-    lcm = math.lcm(*set(dens.tolist()))
-    if lcm < 1 << 62 and int(np.abs(nums).max()) * (
-            lcm // int(dens.min())) < 1 << 62:
-        common = nums * (lcm // dens)[:, None]
-        step = common[1:] - common[:-1]
-        lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
-        unordered = np.flatnonzero(lead <= 0)
-        return int(unordered[0]) + 1 if len(unordered) else None
-    from .search import exact_keys
+    from .search import exact_keys, row_blocks
 
-    keys = exact_keys(zip(dens.tolist(), map(tuple, nums.tolist())))
-    return next((i for i in range(1, len(keys)) if keys[i] <= keys[i - 1]),
-                None)
+    for rows in row_blocks(len(dens)):
+        since = slice(max(rows.start - 1, 0), rows.stop)
+        block, nums_block = dens[since], nums[since].astype(np.int64)
+        lcm = math.lcm(*set(block.tolist()))
+        if lcm < 1 << 62 and int(np.abs(nums_block).max()) * (
+                lcm // int(block.min())) < 1 << 62:
+            common = nums_block * (lcm // block)[:, None]
+            step = common[1:] - common[:-1]
+            lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+            unordered = np.flatnonzero(lead <= 0).tolist()
+        else:
+            keys = exact_keys(zip(block.tolist(),
+                                  map(tuple, nums_block.tolist())))
+            unordered = [i for i in range(len(keys) - 1)
+                         if keys[i + 1] <= keys[i]]
+        if unordered:
+            return since.start + unordered[0] + 1
+    return None
 
 
 def _read_json(text: str, path: Path) -> tuple:
@@ -470,13 +582,10 @@ def _read_json(text: str, path: Path) -> tuple:
             payload.get("complete", True))
 
 
-def _read_csv(text: str, path: Path) -> tuple:
-    """(version, m, n, count, rows, complete) of a CSV extreme-set file."""
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("# extremeforms"):
-        raise ValueError(f"{path}: missing metadata comment line")
+def _read_csv_head(line: str, path: Path) -> tuple:
+    """(version, m, n, count, complete) of a CSV file's metadata line."""
     meta = {}
-    for token in lines[0][1:].split():
+    for token in line[1:].split():
         if "=" in token:
             key, _, value = token.partition("=")
             meta[key] = value
@@ -489,9 +598,12 @@ def _read_csv(text: str, path: Path) -> tuple:
     complete = meta.get("complete", "true")
     if complete not in ("true", "false"):
         raise ValueError(f"{path}: field 'complete' must be true or false")
-    return (*(int(meta[key]) for key in required),
-            [row for row in csv.reader(lines[1:]) if row],
-            complete == "true")
+    return (*(int(meta[key]) for key in required), complete == "true")
+
+
+def _csv_rows(text):
+    """The non-empty rows of a CSV text stream, from where it stands."""
+    return (row for row in csv.reader(text) if row)
 
 
 # ---------------------------------------------------------------------------
@@ -526,20 +638,42 @@ def _sidecar(entry: Path) -> Path:
     return entry.with_name(entry.name + ".sha256")
 
 
+def _scratch(target: Path) -> Path:
+    return target.with_name(f".{target.name}.{uuid.uuid4().hex}.part")
+
+
+def _sha256(path) -> str:
+    """Hex SHA-256 of a file, read in a streamed pass."""
+    with open(path, "rb") as handle:
+        return hashlib.file_digest(handle, "sha256").hexdigest()
+
+
 def _atomic_write(target: Path, data: bytes) -> None:
-    scratch = target.with_name(f".{target.name}.{uuid.uuid4().hex}.part")
+    scratch = _scratch(target)
     scratch.write_bytes(data)
     os.replace(scratch, target)
 
 
-def cache_store(cache_dir, key: str, data: bytes) -> Path:
-    """Store ``data`` under ``key`` with a SHA-256 sidecar; returns the path."""
+def cache_store(cache_dir, key: str, data) -> Path:
+    """Store data under key with a SHA-256 sidecar; returns the path.
+
+    data is bytes, or the path of a file to copy. The entry is written
+    to a scratch file, hashed there, and moved into place.
+    """
 
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     entry = cache_dir / key
-    _atomic_write(entry, data)
-    digest = hashlib.sha256(data).hexdigest()
+    scratch = _scratch(entry)
+    try:
+        if isinstance(data, bytes):
+            scratch.write_bytes(data)
+        else:
+            shutil.copyfile(data, scratch)
+        digest = _sha256(scratch)
+        os.replace(scratch, entry)
+    finally:
+        scratch.unlink(missing_ok=True)
     _atomic_write(_sidecar(entry), digest.encode("ascii"))
     return entry
 
@@ -557,3 +691,20 @@ def cache_load(cache_dir, key: str) -> bytes | None:
     if hashlib.sha256(data).hexdigest() != expected:
         return None
     return data
+
+
+def cache_copy(cache_dir, key: str, target) -> bool:
+    """Copy the entry under key to target, keeping the copy only if its
+    SHA-256 matches the sidecar; an entry that is missing, unreadable or
+    corrupt reads as a miss (False, and no target)."""
+
+    entry = Path(cache_dir) / key
+    try:
+        expected = _sidecar(entry).read_text().strip()
+        shutil.copyfile(entry, target)
+        intact = _sha256(target) == expected
+    except OSError:
+        intact = False
+    if not intact:
+        Path(target).unlink(missing_ok=True)
+    return intact

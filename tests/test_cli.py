@@ -791,7 +791,59 @@ def test_planar_hit_out_in_missing_directory_exits_2(cachedir, capsys,
     assert not (tmp_path / "nope").exists()
 
 
-def test_cache_dir_under_a_regular_file_exits_2(capsys, tmp_path):
+def test_cache_dir_under_a_regular_file_warns_and_answers(capsys, tmp_path):
+    # a cache that cannot be written costs a warning, not the answer
     (tmp_path / "file").write_text("")
-    assert_os_error(capsys, "two-slot", "--m", "3",
-                    "--cache-dir", str(tmp_path / "file" / "cache"))
+    argv = ("two-slot", "--m", "3")
+    expected = run(capsys, *argv, "--no-cache")[1]
+    code, stdout, stderr = run(capsys, *argv, "--cache-dir",
+                               str(tmp_path / "file" / "cache"))
+    assert (code, stdout) == (0, expected)
+    assert stderr.startswith("warning: cache not written: ")
+    assert stderr.count("\n") == 1 and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("argv", [("planar", "--m", "2"),
+                                  ("enum", "--m", "2", "--n", "2")],
+                         ids=["planar", "enum"])
+def test_extreme_set_with_unwritable_cache_warns_and_answers(capsys, tmp_path,
+                                                             argv):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "out.json"
+    expected = run(capsys, *argv, "--out", str(out), "--no-cache")[1]
+    artifact = out.read_bytes()
+    out.unlink()
+    code, stdout, stderr = run(capsys, *argv, "--out", str(out),
+                               "--cache-dir", str(tmp_path / "file" / "c"))
+
+    def masked(stdout):
+        return [line for line in stdout.splitlines()
+                if not line.startswith("wall-seconds:")]
+
+    assert code == 0 and masked(stdout) == masked(expected)
+    assert out.read_bytes() == artifact
+    assert stderr.startswith("warning: cache not written: ")
+    assert stderr.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "out.json"]
+
+
+def test_hit_failing_its_sidecar_is_a_miss_and_leaves_out_alone(
+        tmp_path, cachedir, capsys, monkeypatch):
+    out = tmp_path / "p1.json"
+    assert run(capsys, "planar", "--m", "1", "--out", str(out))[0] == 0
+    entry = cachedir / cache_key("planar", 1, 2, extra={"fmt": "json"})
+    raw = bytearray(entry.read_bytes())
+    raw[len(raw) // 2] ^= 1  # the copy no longer matches the sidecar
+    entry.write_bytes(bytes(raw))
+    out.write_bytes(b"keep me")
+
+    def recompute(m):
+        raise ValueError("recomputed")
+
+    monkeypatch.setattr("extremeforms.search.planar_extreme_points",
+                        recompute)
+    code, stdout, stderr = run(capsys, "planar", "--m", "1",
+                               "--out", str(out))
+    assert (code, stdout, stderr) == (2, "", "error: recomputed\n")
+    assert out.read_bytes() == b"keep me"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "p1.json"]

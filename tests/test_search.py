@@ -383,8 +383,9 @@ def test_planar_kernel_matches_int64_reference(m):
     g = np.gcd(np.gcd.reduce(nums, axis=1), size)
     reference = ExtremeSet(m, 2, size // g, nums // g[:, None])
     got = planar_extreme_points(m)
+    # |u_i| <= 16: both sets hold their numerators in int8
     assert got.dens.dtype == reference.dens.dtype == np.int64
-    assert got.nums.dtype == reference.nums.dtype == np.int64
+    assert got.nums.dtype == reference.nums.dtype == np.int8
     assert np.array_equal(got.dens, reference.dens)
     assert np.array_equal(got.nums, reference.nums)
 

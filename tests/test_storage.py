@@ -12,10 +12,12 @@ import json
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import extremeforms
 from extremeforms import search, storage
+from extremeforms.constants import bh_constant, mixed_littlewood_constant
 from extremeforms.core import FormVector
 from extremeforms.search import (
     ExtremeSet,
@@ -24,6 +26,7 @@ from extremeforms.search import (
 )
 from extremeforms.storage import (
     FILE_FORMAT_VERSION,
+    cache_copy,
     cache_key,
     cache_load,
     cache_store,
@@ -491,6 +494,150 @@ def test_fast_reader_at_block_boundaries(tmp_path, set23, monkeypatch, rows):
     assert kinds == ["swap", "row-sep", "quote", "tail"]
 
 
+# ---------------------------------------------------------------------------
+# numerators in int8 or int64
+# ---------------------------------------------------------------------------
+
+# one row at each end of int8's symmetric range
+EDGE_127 = ExtremeSet(1, 2, [1, 3], [[-127, 1], [127, -2]])
+# eleven rows that fit int8, then one that does not
+WIDENING = ExtremeSet(1, 2, [1] * 12,
+                      [[x, 0] for x in range(-5, 6)] + [[1000, 1]])
+
+
+def int64_backed(extreme_set):
+    """A copy of an int8-backed extreme_set whose nums are int64, which
+    the constructor itself would narrow."""
+
+    assert extreme_set.nums.dtype == np.int8
+    wide = ExtremeSet(extreme_set.m, extreme_set.n, extreme_set.dens,
+                      extreme_set.nums, complete=extreme_set.complete)
+    object.__setattr__(wide, "nums", extreme_set.nums.astype(np.int64))
+    return wide
+
+
+def written(tmp_path, extreme_set, fmt):
+    path = tmp_path / f"points.{fmt}"
+    write_extreme_set(path, extreme_set, fmt=fmt)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["planar1", "planar2", "planar3", "planar4",
+                                  "set23", "partial24", "long", "seven",
+                                  "edge"])
+def test_int8_and_int64_backed_sets_agree(tmp_path, request, name):
+    if name == "planar1":
+        narrow = planar_extreme_points(1)
+    elif name in ("long", "seven", "edge"):
+        narrow = {"long": LONG_CELLS, "seven": SEVEN_BYTE_CELLS,
+                  "edge": EDGE_127}[name]
+    else:
+        narrow = request.getfixturevalue(name)
+    wide = int64_backed(narrow)
+    assert narrow == wide and wide == narrow
+    assert narrow.pairs() == wide.pairs()
+    for index in (0, len(narrow) // 2, len(narrow) - 1):
+        assert narrow.point(index) == wide.point(index)
+    assert narrow.max_denominator() == wide.max_denominator()
+    m, n = narrow.m, narrow.n
+    assert bh_constant(m, n, narrow) == bh_constant(m, n, wide)
+    assert (mixed_littlewood_constant(m, n, narrow)
+            == mixed_littlewood_constant(m, n, wide))
+    for fmt in ("json", "csv"):
+        assert written(tmp_path, narrow, fmt) == written(tmp_path, wide, fmt)
+
+
+@pytest.mark.parametrize("edge, dtype", [(127, np.int8), (-127, np.int8),
+                                         (128, np.int64), (-128, np.int64)])
+def test_nums_dtype_at_the_int8_boundary(tmp_path, edge, dtype):
+    rows = sorted([[0, 1], [edge, 0]])
+    extreme_set = ExtremeSet(1, 2, [1, 1], rows)
+    assert extreme_set.nums.dtype == dtype
+    assert extreme_set.nums.tolist() == rows
+    if edge == -128:  # int8 holds -128, but -nums would not
+        from_int8 = ExtremeSet(1, 2, [1, 1], np.array(rows, dtype=np.int8))
+        assert from_int8.nums.dtype == np.int64
+        assert from_int8 == extreme_set
+    for fmt in ("json", "csv"):
+        path = tmp_path / f"edge.{fmt}"
+        write_extreme_set(path, extreme_set, fmt=fmt)
+        read = read_extreme_set(path)
+        assert read == extreme_set and read.nums.dtype == dtype
+
+
+@pytest.mark.parametrize("fmt", ["json", "compact-json", "csv"])
+@pytest.mark.parametrize("rows", [None, 1, 2, 7])
+def test_readers_widen_when_a_later_block_does_not_fit(tmp_path, monkeypatch,
+                                                       fmt, rows):
+    # the writer's JSON takes the fast reader, the others the general path
+    if rows:
+        monkeypatch.setattr(search, "BLOCK_ROWS", rows)
+    path = tmp_path / "widening"
+    write_extreme_set(path, WIDENING, fmt="csv" if fmt == "csv" else "json")
+    if fmt == "compact-json":
+        path.write_text(json.dumps(json.loads(path.read_text())))
+    data = path.read_bytes()
+    assert (storage._read_writer_json(data) is None) == (fmt != "json")
+    read = read_extreme_set(path)
+    assert read == WIDENING and read.nums.dtype == np.int64
+    assert read_extreme_set(path, data) == read
+    with path.open("rb") as handle:
+        assert read_extreme_set(path, handle) == read
+
+
+def csv_mutations(data: bytes):
+    """Faults of a CSV artifact, one or two each, with their names."""
+
+    head, _, body = data.partition(b"\n")
+    lines = body.split(b"\r\n")  # lines[i] holds point i
+
+    def spell(edits):
+        edited = lines[:]
+        for point, line in edits.items():
+            edited[point] = line
+        return head + b"\n" + b"\r\n".join(edited)
+
+    def cell(point, text):  # point's first cell replaced by text
+        return text + lines[point][lines[point].index(b","):]
+
+    yield "wide-5", spell({5: cell(5, TOO_WIDE.encode())})
+    yield "bad-6", spell({6: cell(6, b"x")})
+    yield "short-7", spell({7: lines[7].rsplit(b",", 1)[0]})
+    yield "swap-3-4", spell({3: lines[4], 4: lines[3]})
+    yield "repeat-9", spell({9: lines[8]})
+    yield "swap-3-4-bad-20", spell({3: lines[4], 4: lines[3],
+                                    20: cell(20, b"1/0")})
+    yield "bad-20-long-30", spell({20: cell(20, b"1/0"),
+                                   30: lines[30] + b",0"})
+    yield "count", data.replace(b"count=90", b"count=89", 1)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_csv_errors_name_the_same_point_at_every_block_size(tmp_path, set23,
+                                                            monkeypatch,
+                                                            rows):
+    path = tmp_path / "points.csv"
+    write_extreme_set(path, set23, fmt="csv")
+    seen = []
+    for name, data in csv_mutations(path.read_bytes()):
+        expected = read_outcome(path, data)
+        with monkeypatch.context() as blocks:
+            blocks.setattr(search, "BLOCK_ROWS", rows)
+            assert read_outcome(path, data) == expected, name
+        assert expected[0] == "error", name
+        seen.append(expected[1].split(": ", 1)[1])
+    assert seen == [
+        "point 5: does not fit int64 (denominator 9223372036854775808)",
+        "point 6: not a p/q rational: 'x'",
+        "point 7 is not a list of 9 coordinates",
+        "point 4 does not strictly follow point 3",
+        "point 9 does not strictly follow point 8",
+        "point 20: zero denominator in rational: '1/0'",
+        "point 30 is not a list of 9 coordinates",
+        "count field says 89 but 90 points present",
+    ]
+
+
 def test_write_rejects_unknown_format(tmp_path, set12):
     with pytest.raises(ValueError):
         write_extreme_set(tmp_path / "x", set12, fmt="xml")
@@ -548,6 +695,31 @@ def test_cache_missing_sidecar(tmp_path):
     for sidecar in tmp_path.glob(f"{key}.*"):
         sidecar.unlink()
     assert cache_load(tmp_path, key) is None
+
+
+def test_cache_store_copies_a_file(tmp_path, set23):
+    artifact = tmp_path / "set23.json"
+    write_extreme_set(artifact, set23)
+    key = cache_key("enum", 2, 3)
+    entry = cache_store(tmp_path / "cache", key, artifact)
+    assert cache_load(tmp_path / "cache", key) == artifact.read_bytes()
+    assert sorted(p.name for p in entry.parent.iterdir()) == [
+        key, f"{key}.sha256"]
+
+
+def test_cache_copy_keeps_only_an_intact_copy(tmp_path):
+    key = cache_key("planar", 3, 2)
+    cache = tmp_path / "cache"
+    target = tmp_path / "copy"
+    assert not cache_copy(cache, key, target)  # no entry
+    cache_store(cache, key, b"payload bytes")
+    assert cache_copy(cache, key, target)
+    assert target.read_bytes() == b"payload bytes"
+    (cache / key).write_bytes(b"payload bytez")
+    target.write_bytes(b"stale")
+    assert not cache_copy(cache, key, target)
+    assert not target.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
 
 
 def test_cache_overwrite_is_atomic_replacement(tmp_path):
