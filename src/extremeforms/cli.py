@@ -190,8 +190,8 @@ def _emit_cached_json(args: argparse.Namespace, extra: dict, identity: dict,
 
 
 def _cache_store(args: argparse.Namespace, key: str, data) -> None:
-    """Store a delivered answer (bytes, or the path of its artifact) in
-    the cache; a cache that cannot be written costs a warning, not the
+    """Store a delivered answer (bytes, or a FilePayload of its artifact)
+    in the cache; a cache that cannot be written costs a warning, not the
     answer."""
 
     from .storage import cache_store
@@ -209,16 +209,17 @@ def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path,
     Only a plain run, one with neither --budget nor --resume, reads or
     writes the cache: it always completes or raises, and its result
     depends on its key alone. A hit copies the entry to a sibling of out
-    (storage.cache_copy), which must match the entry's sidecar, and parses
-    the copy (storage.read_extreme_set, naming the cache entry in its
-    errors); only a valid set of the requested shape then replaces out,
-    so the bytes in out are the bytes that were checked. A copy that
-    fails the sidecar is a miss; a copy that does not parse raises
-    ValueError. Either way out is untouched. On a miss compute() builds
-    the set, which is written to out, and after the summary the written
-    file is copied into the cache; neither side holds a whole entry in
-    memory. An out in a missing directory raises OSError first, before
-    any cache read or computation.
+    (storage.cache_load with a target), which must match the entry's
+    sidecar, and parses the copy (storage.read_extreme_set, naming the
+    cache entry in its errors); only a valid set of the requested shape
+    then replaces out, so the bytes in out are the bytes that were
+    checked. A copy that fails the sidecar is a miss; a copy that does
+    not parse raises ValueError. Either way out is untouched. On a miss
+    compute() builds the set, which is written to out, and after the
+    summary the written file is copied into the cache; neither side holds
+    a whole entry in memory. An out in a missing directory, or a sibling
+    of out that cannot be written on a hit, raises OSError before any
+    computation.
     """
 
     from . import storage
@@ -232,10 +233,12 @@ def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path,
         and getattr(args, "resume", None) is None
     part = out.with_name(f".{out.name}.{os.getpid()}.part")
     try:
-        hit = cached and storage.cache_copy(_cache_dir(args), key, part)
+        copy = storage.cache_load(_cache_dir(args), key, part) \
+            if cached else None
+        hit = copy is not None
         if hit:
             try:
-                with part.open("rb") as handle:
+                with open(copy, "rb") as handle:
                     result = storage.read_extreme_set(
                         _cache_dir(args) / key, handle)
                 if (result.m, result.n) != (args.m, n):
@@ -256,7 +259,7 @@ def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path,
     if hit:
         print("cache: hit")
     elif cached:
-        _cache_store(args, key, out)
+        _cache_store(args, key, storage.FilePayload(out))
     return EXIT_OK
 
 

@@ -30,12 +30,12 @@ block does not fit int8, as ExtremeSet keeps it.
 The cache stores opaque byte payloads under deterministic keys, next to a
 SHA-256 sidecar. Writes go through a temporary file plus ``os.replace`` so
 concurrent readers never observe a torn entry, and a checksum mismatch is
-treated as a miss rather than an error. An extreme-set entry is never held
-in memory whole: cache_store copies a written artifact into the scratch
-file and hashes the copy in a streamed pass, and cache_copy copies an
+treated as a miss rather than an error. A payload is bytes, or for an
+extreme set a FilePayload, which is never held in memory whole:
+cache_store copies the written artifact into the scratch file and hashes
+the copy in a streamed pass, and cache_load with a target copies the
 entry out to a file of the caller's and checks the copy, which
 read_extreme_set then maps and parses a block of rows at a time.
-cache_load returns a whole (small) JSON payload.
 
 Only the extreme-set functions (format_rows, parse_rows, write_extreme_set,
 read_extreme_set and their helpers) work on arrays, and they import numpy
@@ -173,26 +173,29 @@ def parse_rows(path, width, rows) -> tuple:
     rows at a time (_parse_blocks).
 
     ValueError names the first row that is not a list of width cells,
-    before any cell is parsed.
+    before any cell is parsed (_counted).
     """
 
-    count, misshapen = _shape(width, rows)
+    return _parse_blocks(path, width, _counted(path, width, rows), rows)
+
+
+def _counted(path, width, rows, count=None) -> int:
+    """The number of rows, which may be any iterable. ValueError if count
+    is given and differs, else if a row is not a list of width cells,
+    naming the first such row."""
+
+    found, misshapen = 0, None
+    for found, row in enumerate(rows, start=1):
+        if misshapen is None and (not isinstance(row, list)
+                                  or len(row) != width):
+            misshapen = found - 1
+    if count is not None and count != found:
+        raise ValueError(f"{path}: count field says {count} "
+                         f"but {found} points present")
     if misshapen is not None:
         raise ValueError(f"{path}: point {misshapen} is not a list of "
                          f"{width} coordinates")
-    return _parse_blocks(path, width, count, rows)
-
-
-def _shape(width, rows) -> tuple:
-    """(number of rows, index of the first that is not a list of width
-    cells, or None); rows may be any iterable."""
-
-    count, misshapen = 0, None
-    for count, row in enumerate(rows, start=1):
-        if misshapen is None and (not isinstance(row, list)
-                                  or len(row) != width):
-            misshapen = count - 1
-    return count, misshapen
+    return found
 
 
 def _parse_blocks(path, width, count, rows) -> tuple:
@@ -319,7 +322,9 @@ def read_extreme_set(path, data=None) -> ExtremeSet:
     at path is opened. A JSON file exactly as write_extreme_set writes it
     is read by _read_writer_json, through a read-only mmap of the file;
     any other file by _read_general, which streams a CSV file and decodes
-    any other file whole.
+    any other file whole. A mapped file must not be truncated or
+    rewritten while it is read: touching a page past its new end kills
+    the process with SIGBUS. The CLI reads only a private copy.
     """
 
     from .search import ExtremeSet
@@ -386,13 +391,7 @@ def _read_general(path, text) -> tuple:
         raise ValueError(f"{path}: format-version {version} unsupported "
                          f"(expected {FILE_FORMAT_VERSION})")
     width = n ** m
-    found, misshapen = _shape(width, _csv_rows(text) if is_csv else rows)
-    if count != found:
-        raise ValueError(f"{path}: count field says {count} "
-                         f"but {found} points present")
-    if misshapen is not None:
-        raise ValueError(f"{path}: point {misshapen} is not a list of "
-                         f"{width} coordinates")
+    _counted(path, width, _csv_rows(text) if is_csv else rows, count)
     if is_csv:
         text.seek(0)
         text.readline()
@@ -654,11 +653,26 @@ def _atomic_write(target: Path, data: bytes) -> None:
     os.replace(scratch, target)
 
 
+class FilePayload(os.PathLike):
+    """A cache payload held in a file rather than in memory: cache_store
+    copies one into the cache, and cache_load with a target copies an
+    entry out to one. Like a bytes payload, its len() is its size."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+
+    def __fspath__(self) -> str:
+        return os.fspath(self.path)
+
+    def __len__(self) -> int:
+        return self.path.stat().st_size
+
+
 def cache_store(cache_dir, key: str, data) -> Path:
     """Store data under key with a SHA-256 sidecar; returns the path.
 
-    data is bytes, or the path of a file to copy. The entry is written
-    to a scratch file, hashed there, and moved into place.
+    data is bytes or a FilePayload. The entry is written (or copied) to a
+    scratch file, hashed there in a streamed pass, and moved into place.
     """
 
     cache_dir = Path(cache_dir)
@@ -666,10 +680,10 @@ def cache_store(cache_dir, key: str, data) -> Path:
     entry = cache_dir / key
     scratch = _scratch(entry)
     try:
-        if isinstance(data, bytes):
-            scratch.write_bytes(data)
-        else:
+        if isinstance(data, FilePayload):
             shutil.copyfile(data, scratch)
+        else:
+            scratch.write_bytes(data)
         digest = _sha256(scratch)
         os.replace(scratch, entry)
     finally:
@@ -678,33 +692,32 @@ def cache_store(cache_dir, key: str, data) -> Path:
     return entry
 
 
-def cache_load(cache_dir, key: str) -> bytes | None:
-    """Load ``key`` if present and intact; any corruption reads as a miss."""
+def cache_load(cache_dir, key: str, target=None):
+    """The payload under key if present and intact, else None: an entry
+    or sidecar that is missing or cannot be opened, and an entry that
+    fails its checksum, read as a miss.
 
-    entry = Path(cache_dir) / key
-    sidecar = _sidecar(entry)
-    try:
-        data = entry.read_bytes()
-        expected = sidecar.read_text().strip()
-    except OSError:
-        return None
-    if hashlib.sha256(data).hexdigest() != expected:
-        return None
-    return data
-
-
-def cache_copy(cache_dir, key: str, target) -> bool:
-    """Copy the entry under key to target, keeping the copy only if its
-    SHA-256 matches the sidecar; an entry that is missing, unreadable or
-    corrupt reads as a miss (False, and no target)."""
+    Without target the entry's bytes are returned. With target the entry
+    is copied to that path and its SHA-256 checked there, so it is never
+    held in memory whole; the copy is returned as a FilePayload, and on a
+    miss no target is left. An error writing target raises OSError, and
+    what was written of it is the caller's to remove.
+    """
 
     entry = Path(cache_dir) / key
     try:
         expected = _sidecar(entry).read_text().strip()
-        shutil.copyfile(entry, target)
-        intact = _sha256(target) == expected
+        if target is None:
+            data = entry.read_bytes()
+        else:
+            source = entry.open("rb")
     except OSError:
-        intact = False
-    if not intact:
-        Path(target).unlink(missing_ok=True)
-    return intact
+        return None
+    if target is None:
+        return data if hashlib.sha256(data).hexdigest() == expected else None
+    with source, open(target, "wb") as copy:
+        shutil.copyfileobj(source, copy)
+    if _sha256(target) == expected:
+        return FilePayload(target)
+    os.unlink(target)
+    return None

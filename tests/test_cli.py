@@ -847,3 +847,53 @@ def test_hit_failing_its_sidecar_is_a_miss_and_leaves_out_alone(
     assert (code, stdout, stderr) == (2, "", "error: recomputed\n")
     assert out.read_bytes() == b"keep me"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "p1.json"]
+
+
+def test_planar_hit_with_unwritable_copy_exits_2_before_computing(
+        tmp_path, cachedir, capsys, monkeypatch):
+    # the hit's copy of the entry goes next to --out; a failure to write
+    # it is an error, not a miss that recomputes
+    out = tmp_path / "p.json"
+    assert run(capsys, "planar", "--m", "2", "--out", str(out))[0] == 0
+    out.write_bytes(b"keep me")
+    # the copy's path leads into a missing directory
+    (tmp_path / f".p.json.{os.getpid()}.part").symlink_to(
+        tmp_path / "nope" / "part")
+
+    def recompute(m):
+        raise AssertionError("a failed copy must not recompute")
+
+    monkeypatch.setattr("extremeforms.search.planar_extreme_points",
+                        recompute)
+    assert_os_error(capsys, "planar", "--m", "2", "--out", str(out))
+    assert out.read_bytes() == b"keep me"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "p.json"]
+
+
+TRACE_CLI = Path(__file__).resolve().parents[1] / "bench" / "trace_cli.py"
+
+
+def test_planar_runs_under_the_benchmark_tracer(tmp_path):
+    # the tracer records len() of every payload cache_store and
+    # cache_load see, the extreme-set artifact's included
+    env = dict(os.environ, EXTREMEFORMS_CACHE=str(tmp_path / "cache"),
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = tmp_path / "p.json"
+    runs = []
+    for name in ("fresh", "hit"):
+        spans = tmp_path / f"{name}.spans.json"
+        done = subprocess.run([sys.executable, str(TRACE_CLI), str(spans),
+                               "planar", "--m", "2", "--out", str(out)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        trace = json.loads(spans.read_text())
+        assert trace["missing"] == []
+        runs.append({span["name"]: span for span in trace["spans"]})
+    fresh, hit = runs
+    size = out.stat().st_size
+    assert fresh["storage.cache_load"]["hit"] is False
+    assert fresh["storage.cache_store"]["bytes"] == size
+    assert hit["storage.cache_load"]["hit"] is True
+    assert hit["storage.cache_load"]["bytes"] == size
+    assert "storage.cache_store" not in hit

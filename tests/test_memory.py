@@ -13,8 +13,9 @@ import tracemalloc
 from extremeforms.cli import main
 from extremeforms.constants import bh_constant
 from extremeforms.storage import (
-    cache_copy,
+    FilePayload,
     cache_key,
+    cache_load,
     cache_store,
     read_extreme_set,
     write_extreme_set,
@@ -58,9 +59,10 @@ def test_cache_streams_the_artifact(tmp_path, planar4):
     write_extreme_set(artifact, planar4)
     key = cache_key("planar", 4, 2, extra={"fmt": "json"})
     cache = tmp_path / "cache"
-    assert heap_peak(lambda: cache_store(cache, key, artifact)) <= 2 * MB
+    assert heap_peak(lambda: cache_store(cache, key,
+                                         FilePayload(artifact))) <= 2 * MB
     copy = tmp_path / "copy.json"
-    assert heap_peak(lambda: cache_copy(cache, key, copy)) <= 2 * MB
+    assert heap_peak(lambda: cache_load(cache, key, copy)) <= 2 * MB
     assert copy.read_bytes() == artifact.read_bytes()
 
 

@@ -26,7 +26,7 @@ from extremeforms.search import (
 )
 from extremeforms.storage import (
     FILE_FORMAT_VERSION,
-    cache_copy,
+    FilePayload,
     cache_key,
     cache_load,
     cache_store,
@@ -701,25 +701,37 @@ def test_cache_store_copies_a_file(tmp_path, set23):
     artifact = tmp_path / "set23.json"
     write_extreme_set(artifact, set23)
     key = cache_key("enum", 2, 3)
-    entry = cache_store(tmp_path / "cache", key, artifact)
+    assert len(FilePayload(artifact)) == artifact.stat().st_size
+    entry = cache_store(tmp_path / "cache", key, FilePayload(artifact))
     assert cache_load(tmp_path / "cache", key) == artifact.read_bytes()
     assert sorted(p.name for p in entry.parent.iterdir()) == [
         key, f"{key}.sha256"]
 
 
-def test_cache_copy_keeps_only_an_intact_copy(tmp_path):
+def test_cache_load_to_a_target_keeps_only_an_intact_copy(tmp_path):
     key = cache_key("planar", 3, 2)
     cache = tmp_path / "cache"
     target = tmp_path / "copy"
-    assert not cache_copy(cache, key, target)  # no entry
+    assert cache_load(cache, key, target) is None  # no entry
     cache_store(cache, key, b"payload bytes")
-    assert cache_copy(cache, key, target)
+    copy = cache_load(cache, key, target)
+    assert isinstance(copy, FilePayload) and copy.path == target
+    assert len(copy) == len(b"payload bytes")
     assert target.read_bytes() == b"payload bytes"
     (cache / key).write_bytes(b"payload bytez")
     target.write_bytes(b"stale")
-    assert not cache_copy(cache, key, target)
+    assert cache_load(cache, key, target) is None
     assert not target.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
+
+
+def test_cache_load_raises_when_its_target_cannot_be_written(tmp_path):
+    # reading the entry may miss; writing the caller's target may not
+    key = cache_key("planar", 3, 2)
+    cache_store(tmp_path / "cache", key, b"payload bytes")
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(IsADirectoryError):
+        cache_load(tmp_path / "cache", key, tmp_path / "dir")
 
 
 def test_cache_overwrite_is_atomic_replacement(tmp_path):
