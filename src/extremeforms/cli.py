@@ -18,8 +18,9 @@ internal invariant violation. A cache that cannot be written costs a
 warning on stderr after the answer, not the answer. Heavy imports happen
 inside the handlers so that --help and argument errors stay fast: verify,
 --help and JSON cache hits (bh, mixed, khinchin, two-slot, kg, blei) never
-load numpy. A JSON hit is printed only if it parses as an object whose
-identifying fields equal those a fresh run writes.
+load numpy, and verify, which parses its point with core alone, never
+loads storage either. A JSON hit is printed only if it parses as an
+object whose identifying fields equal those a fresh run writes.
 """
 
 from __future__ import annotations
@@ -351,8 +352,7 @@ def _handle_planar(args: argparse.Namespace) -> int:
 
 
 def _handle_verify(args: argparse.Namespace) -> int:
-    from .core import FormVector, is_extreme
-    from .storage import parse_point_list
+    from .core import FormVector, is_extreme, parse_point_list
 
     coeffs = parse_point_list(args.point)
     a = FormVector(coeffs, args.m, args.n)
@@ -398,7 +398,7 @@ def _handle_convex_constant(args: argparse.Namespace) -> int:
 
 
 def _handle_khinchin(args: argparse.Namespace) -> int:
-    from .storage import parse_rational
+    from .core import parse_rational
 
     q = parse_rational(args.exponent)
     identity = {"name": "khinchin-aq", "lambda": str(q)}

@@ -12,11 +12,13 @@ element by its row of V.
 
 The module also holds the exact certificate layer: fraction-free integer
 elimination (_IntEliminator, _exact_solve), the sup-norm test in_unit_ball
-and the extremality certificate is_extreme. Everything in this module is
-exact: integers for sign data, Fractions for coefficients, no floating
-point anywhere, and it imports no numpy. The CLI commands that need
-nothing else (verify, --help, and JSON cache hits) therefore never load
-numpy. All values are immutable and all functions pure.
+and the extremality certificate is_extreme, and the strict parsers of
+single "p/q" values (parse_rational, parse_point_list). Everything in
+this module is exact: integers for sign data, Fractions for
+coefficients, no floating point anywhere, and it imports no numpy. The
+CLI commands that need nothing else (verify, --help, and JSON cache
+hits) therefore never load numpy, and verify needs nothing but this
+module. All values are immutable and all functions pure.
 
 Two normalization rules are fixed here and relied on everywhere else:
 
@@ -32,6 +34,7 @@ Two normalization rules are fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -42,6 +45,8 @@ TensorVector = tuple  # n^m signs
 MultiIndex = tuple  # m entries in [1, n]
 
 CELL_LIMIT = 1 << 24  # |V| * n^m cells allowed in one enumeration
+
+_RATIONAL_PATTERN = re.compile(r"-?\d+(/\d+)?\Z")
 
 
 class ResourceBudgetError(RuntimeError):
@@ -280,6 +285,37 @@ class FormVector:
 
     def __neg__(self) -> "FormVector":
         return FormVector(tuple(-c for c in self.coeffs), self.m, self.n)
+
+
+# ---------------------------------------------------------------------------
+# rational wire format
+# ---------------------------------------------------------------------------
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a "p/q" string strictly: no whitespace, signs, or decimals."""
+
+    if not isinstance(text, str) or _RATIONAL_PATTERN.fullmatch(text) is None:
+        raise ValueError(f"not a p/q rational: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational: {text!r}") from None
+
+
+def parse_point_list(text: str) -> tuple:
+    """Parse a comma-separated coefficient list such as "1/2,1/2,0,0".
+
+    Errors carry the one-based position of the offending entry so CLI
+    users can locate the problem inside long coordinate strings.
+    """
+
+    values = []
+    for position, chunk in enumerate(text.split(","), start=1):
+        try:
+            values.append(parse_rational(chunk))
+        except ValueError as err:
+            raise ValueError(f"entry {position}: {err}") from None
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ Extreme sets go between files and the integer arrays of ExtremeSet
 without a FormVector. format_rows formats each distinct (u_i, d) cell
 once, and parse_rows parses each distinct cell string once; the enum
 resume file shares both. format_rational and parse_rational are the
-per-value steps inside them, uncached; outside them only single values
-(--point, --lambda) go through them. A row whose reduced denominator or
-numerator does not fit int64 is refused with a ValueError naming the point.
+per-value steps inside them, uncached. parse_rational and
+parse_point_list live in core, so the single values (--point, --lambda)
+are parsed without this module. A row whose reduced denominator or
+numerator does not fit int64 is refused with a ValueError naming the
+point.
 
 The JSON layout is byte for byte json.dumps(payload, indent=1), built from
 the _JSON_* pieces below. write_extreme_set writes the suffixed cells one
@@ -39,8 +41,9 @@ read_extreme_set then maps and parses a block of rows at a time.
 
 Only the extreme-set functions (format_rows, parse_rows, write_extreme_set,
 read_extreme_set and their helpers) work on arrays, and they import numpy
-and search when called. The cache and the single-value parsers load
-nothing heavy, so verify, --help and JSON cache hits run without numpy.
+and search when called. The cache loads nothing heavy, so --help and
+JSON cache hits run without numpy, and verify loads neither numpy nor
+this module.
 """
 
 from __future__ import annotations
@@ -62,13 +65,15 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
+# the single-value parsers live in core, which verify loads without this
+# module; they are imported here for the readers and under their old home
+from .core import parse_point_list, parse_rational  # noqa: F401
 
 if TYPE_CHECKING:
     from .search import ExtremeSet
 
 FILE_FORMAT_VERSION = 1
 
-_RATIONAL_PATTERN = re.compile(r"-?\d+(/\d+)?\Z")
 _INTEGER_PATTERN = re.compile(r"-?\d+\Z")
 _KEY_TOKEN_PATTERN = re.compile(r"[^A-Za-z0-9_.+-]")
 
@@ -98,33 +103,6 @@ def format_rational(value: Fraction) -> str:
     """Render a rational as a reduced "p/q" string ("p" when q = 1)."""
 
     return str(Fraction(value))
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse a "p/q" string strictly: no whitespace, signs, or decimals."""
-
-    if not isinstance(text, str) or _RATIONAL_PATTERN.fullmatch(text) is None:
-        raise ValueError(f"not a p/q rational: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational: {text!r}") from None
-
-
-def parse_point_list(text: str) -> tuple:
-    """Parse a comma-separated coefficient list such as "1/2,1/2,0,0".
-
-    Errors carry the one-based position of the offending entry so CLI
-    users can locate the problem inside long coordinate strings.
-    """
-
-    values = []
-    for position, chunk in enumerate(text.split(","), start=1):
-        try:
-            values.append(parse_rational(chunk))
-        except ValueError as err:
-            raise ValueError(f"entry {position}: {err}") from None
-    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -481,25 +459,34 @@ def _read_writer_json(data):
         lengths = closes - opens - 1
         if lengths.max() > 7:  # an empty cell fails _canonical_cell
             return None
-        keys = (words[opens + 1] & masks[lengths]) | (
-            lengths.astype(np.uint64) << np.uint64(56))
+        # each array of the block is freed once it is used up, so the
+        # block holds about two int64 arrays of its cells at a time
+        keys = words[opens + 1]
+        del quotes, opens, closes, ends, starts
+        keys &= masks[lengths]
+        keys |= lengths.astype(np.uint64) << np.uint64(56)
+        del lengths
         if isinstance(data, mmap.mmap):
             data.madvise(mmap.MADV_DONTNEED, 0, at - at % mmap.PAGESIZE)
         ordered = np.sort(keys, axis=None)
         distinct = ordered[np.concatenate(([True],
                                            ordered[1:] != ordered[:-1]))]
+        del ordered
         distinct_keys = distinct.tolist()
         try:
             values.update((key, _canonical_cell(key))
                           for key in distinct_keys if key not in values)
         except ValueError:
             return None
-        reduced = _reduced_rows([values[key] for key in distinct_keys],
-                                distinct.searchsorted(keys))
+        index = distinct.searchsorted(keys)
+        del keys, distinct
+        reduced = _reduced_rows([values[key] for key in distinct_keys], index)
+        del index
         if reduced is None:
             return None
         dens[rows] = reduced[0]
         nums = _stored(nums, rows, reduced[1])
+        del reduced
     if at != last + 1 or _first_unordered_row(dens, nums) is not None:
         return None
     return m, n, dens, nums, complete

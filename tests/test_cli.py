@@ -678,6 +678,29 @@ def test_storage_import_loads_no_numpy():
     assert run_numpy_free() == ""
 
 
+# Runs main on its arguments in a fresh interpreter that imports nothing
+# else first, then fails naming numpy or storage if either was loaded.
+CORE_ONLY_CHECK = (
+    "import sys\n"
+    "from extremeforms.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "heavy = sorted({'numpy', 'extremeforms.storage'} & set(sys.modules))\n"
+    "sys.exit(f'exit {code}, loaded {heavy}' if code or heavy else 0)")
+
+
+def test_verify_loads_neither_numpy_nor_storage(cachedir):
+    # verify parses its point with core's parse_point_list
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", CORE_ONLY_CHECK, "verify",
+                           "--m", "2", "--n", "3",
+                           "--point=0,0,0,0,0,0,0,0,1"],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "extreme; rank 9 of 9\n"
+
+
 NUMPY_MA_CHECK = (
     "import sys\n"
     "from extremeforms.cli import main\n"

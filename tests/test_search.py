@@ -319,8 +319,10 @@ def test_planar_matches_general_trilinear(set32, planar3):
     assert planar3.coefficient_tuples() == set32.coefficient_tuples()
 
 
-def test_planar_matches_general_quadrilinear(planar4):
-    # the largest set _finalize is handed: 65536 points from 32768 keys
+def test_planar_matches_general_quadrilinear(planar4, monkeypatch):
+    # the largest set _finalize is handed: 65536 points from 32768 keys;
+    # a parallelotope stays on the walk (double description took 129 s)
+    monkeypatch.setattr(search, "_double_description", refuse_dd)
     assert extreme_points(4, 2) == planar4
 
 
@@ -400,6 +402,92 @@ def test_planar_int8_bound_refuses_before_any_array(monkeypatch):
     monkeypatch.setattr(search, "_tables", no_tables)
     with pytest.raises(ResourceBudgetError, match="int8"):
         planar_extreme_points(7)
+
+
+# ---------------------------------------------------------------------------
+# exact double description
+# ---------------------------------------------------------------------------
+
+def dd_points(m, n):
+    return ExtremeSet.from_pairs(
+        m, n, search._double_description(_tables(m, n)["vertices"]))
+
+
+def refuse_dd(rows):
+    raise AssertionError("double description ran")
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 2), (1, 3), (1, 4)])
+def test_double_description_matches_brute_force(m, n):
+    assert dd_points(m, n) == brute_force_vertices(m, n)
+
+
+def test_double_description_matches_the_complete_walk(set23):
+    # the first check of (2,3) by a second route: brute force refuses it
+    with pytest.raises(ResourceBudgetError, match="5857280"):
+        brute_force_vertices(2, 3)
+    walked, cursor = orbit_points(2, 3)
+    assert cursor is None and walked.complete
+    assert dd_points(2, 3) == walked == set23
+    assert len(set23) == 90
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_double_description_matches_planar(m):
+    assert dd_points(m, 2) == planar_extreme_points(m)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_complete_linear_balls_are_cross_polytopes(n):
+    # the walk took 9 s on (1,6); the unit ball of linear forms is the
+    # l1 ball, whose vertices are the signed unit vectors
+    cross = {tuple(s * (i == j) for j in range(n))
+             for i in range(n) for s in (1, -1)}
+    assert extreme_points(1, n).coefficient_tuples() == cross
+
+
+def test_complete_runs_route_by_shape(monkeypatch, set32, planar3):
+    # complete runs of non-parallelotopes go to double description, and
+    # the parallelotopes, budgeted and resumed runs to the walk
+    dd_calls = []
+    dd = search._double_description
+
+    def counting(rows):
+        dd_calls.append(len(rows))
+        return dd(rows)
+
+    monkeypatch.setattr(search, "_double_description", counting)
+    monkeypatch.setattr(search, "_anchored_walk", None)
+    extreme_points(2, 3)
+    extreme_points(1, 5)
+    assert dd_calls == [32, 32]
+    monkeypatch.undo()
+    monkeypatch.setattr(search, "_double_description", refuse_dd)
+    assert extreme_points(3, 2) == set32 == planar3
+    assert len(extreme_points(1, 2)) == 4
+    assert len(extreme_points(2, 3, budget=walk_bound(2, 3))) == 90
+    with pytest.raises(BudgetExceeded) as info:
+        extreme_points(2, 3, budget=0)
+    assert len(extreme_points(2, 3, resume=info.value.resume)) == 90
+
+
+@pytest.mark.parametrize("m, n", [(2, 5), (1, 17), (3, 3)])
+def test_complete_runs_refuse_past_the_dimension_before_any_work(
+        m, n, monkeypatch):
+    monkeypatch.setattr(search, "_double_description", refuse_dd)
+    monkeypatch.setattr(search, "_tables", None)
+    monkeypatch.setattr(search, "_anchored_walk", None)
+    with pytest.raises(ResourceBudgetError,
+                       match=f"n\\^m = {n ** m} exceeds supported dimension"):
+        extreme_points(m, n)
+
+
+def test_double_description_refuses_rows_that_cut_no_polytope():
+    with pytest.raises(InternalInvariantError, match="do not span"):
+        search._double_description([(1, 0), (-1, 0)])
+    # a1 <= 1, -a1 <= 1, a2 <= 1 is unbounded below in a2: a ray at t = 0
+    with pytest.raises(InternalInvariantError, match="not a vertex"):
+        search._double_description([(1, 0), (-1, 0), (0, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +829,18 @@ def per_basis_points(m, n, budget=None, resume=None):
     return search._finalize(m, n, keys, complete=True), None
 
 
+def walk_bound(m, n):
+    """A budget the walk cannot exhaust: the (n^m - 1)-subsets of its
+    candidate rows, at least the anchored bases (2304 for (2,3))."""
+    return math.comb(len(_tables(m, n)["representatives"]), n ** m - 1)
+
+
 def orbit_points(m, n, budget=None, resume=None):
+    """The orbit walk's points and cursor. A complete run of a ball that
+    is not a parallelotope takes double description, so budget None gives
+    the walk a budget that completes it."""
+    if budget is None:
+        budget = walk_bound(m, n)
     try:
         return extreme_points(m, n, budget, resume), None
     except BudgetExceeded as stop:

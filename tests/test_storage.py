@@ -87,6 +87,14 @@ def test_parse_rational_round_trip_random():
         assert parse_rational(format_rational(value)) == value
 
 
+def test_single_value_parsers_live_in_core():
+    # storage re-exports them, so its old names are the same objects
+    from extremeforms import core, storage
+
+    assert storage.parse_rational is core.parse_rational
+    assert storage.parse_point_list is core.parse_point_list
+
+
 def test_parse_point_list():
     assert parse_point_list("1/2,1/2,0,0") == (F(1, 2), F(1, 2), F(0), F(0))
     assert parse_point_list("1") == (F(1),)
