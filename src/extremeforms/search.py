@@ -8,7 +8,7 @@ extreme_points picks one by the kind of run, with no flag:
 * a complete run (no budget, no resume) of a ball that is not a
   parallelotope, meaning V has more than n^m antipodal pairs (n >= 3),
   is a double description of the rows of V in Python ints
-  (_double_description): 90 points of (2,3) from at most 252 rays;
+  (dd.double_description): 90 points of (2,3) from at most 252 rays;
 * budgeted and resumed runs, and the parallelotopes (n <= 2, where the
   walk has one anchored basis and one kernel run lists every vertex),
   take the basis walk below.
@@ -75,7 +75,6 @@ JSON cache hits) never import it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -579,88 +578,6 @@ def orbit(a: FormVector) -> set:
 
 
 # ---------------------------------------------------------------------------
-# exact double description
-# ---------------------------------------------------------------------------
-
-def _double_description(rows) -> list:
-    """Vertices of {a : <v, a> <= 1 for v in rows} as gcd-reduced (d, u).
-
-    Exact double description in Python ints. A vertex a is the ray (t, a),
-    t > 0, of the cone {t - <v, a> >= 0}. The start is the simplicial cone
-    of the first independent homogenized rows (_IntEliminator), whose rays
-    are the columns of its exact inverse; every other row is then added
-    in order. A row splits the rays by the sign of its value; the rays on
-    its nonnegative side stay, and a positive ray p and a negative ray q
-    give the new ray value_p q - value_q p when they are adjacent. Tight
-    sets are int bitmasks over the rows, and the test is combinatorial:
-    p and q share at least dim - 1 tight rows (dim = len(a)) and no third
-    ray's tight set contains the shared ones. It is exact while the rays
-    are exactly the extreme rays of the cone cut so far, which each step
-    keeps. The rows must cut out a bounded full-dimensional polytope;
-    InternalInvariantError otherwise.
-    """
-    cone = [(1, *(-x for x in v)) for v in rows]
-    dim = len(cone[0]) - 1
-    eliminator, start = _IntEliminator(), []
-    for i, row in enumerate(cone):
-        if len(start) <= dim and eliminator.push(row):
-            start.append(i)
-    if len(start) <= dim:
-        raise InternalInvariantError("the rows do not span")
-    inverse = _exact_solve([cone[i] for i in start],
-                           [[int(i == j) for j in range(dim + 1)]
-                            for i in range(dim + 1)])
-    full = sum(1 << i for i in start)
-    rays, tights = [], []
-    for j, column in enumerate(zip(*inverse)):
-        scale = math.lcm(*(x.denominator for x in column))
-        rays.append(_gcd_reduced([int(x * scale) for x in column]))
-        tights.append(full & ~(1 << start[j]))
-    chosen = set(start)
-    for i, row in enumerate(cone):
-        if i in chosen:
-            continue
-        values = [sum(map(operator.mul, row, ray)) for ray in rays]
-        positive = [k for k, x in enumerate(values) if x > 0]
-        negative = [k for k, x in enumerate(values) if x < 0]
-        bit = 1 << i
-        kept = [k for k, x in enumerate(values) if x >= 0]
-        new_rays = [rays[k] for k in kept]
-        new_tights = [tights[k] | bit if values[k] == 0 else tights[k]
-                      for k in kept]
-        for p in positive:
-            tight_p, value_p, ray_p = tights[p], values[p], rays[p]
-            # the tight sets of the rays other than p and q, with 0 (which
-            # contains no common set of dim - 1 >= 1 rows) for p and q
-            others = tights.copy()
-            others[p] = 0
-            for q in negative:
-                common = tight_p & tights[q]
-                if common.bit_count() < dim - 1:
-                    continue
-                others[q] = 0
-                third = common in map(common.__and__, others)
-                others[q] = tights[q]
-                if third:
-                    continue
-                value_q, ray_q = values[q], rays[q]
-                new_rays.append(_gcd_reduced(
-                    [value_p * y - value_q * x for x, y in zip(ray_p, ray_q)]))
-                new_tights.append(common | bit)
-        rays, tights = new_rays, new_tights
-    for ray, tight in zip(rays, tights):
-        if ray[0] <= 0 or tight.bit_count() < dim:
-            raise InternalInvariantError(
-                "a double-description ray is not a vertex")
-    return [(ray[0], tuple(ray[1:])) for ray in rays]
-
-
-def _gcd_reduced(ray) -> tuple:
-    g = math.gcd(*ray)
-    return tuple(x // g for x in ray) if g > 1 else tuple(ray)
-
-
-# ---------------------------------------------------------------------------
 # the assembled pipeline
 # ---------------------------------------------------------------------------
 
@@ -739,7 +656,7 @@ def extreme_points(m, n, budget=None, resume=None) -> ExtremeSet:
 
     A complete run (no budget, no resume) of a ball with more than n^m
     antipodal pairs in V (n >= 3) is an exact double description of the
-    rows of V (_double_description). Every other run is one depth-first
+    rows of V (dd.double_description). Every other run is one depth-first
     walk over the anchored bases, in this process: budgeted and resumed
     runs, and the parallelotopes (n <= 2), whose one anchored basis the
     kernel solves in one run. budget bounds the number of (reduced) bases
@@ -750,8 +667,11 @@ def extreme_points(m, n, budget=None, resume=None) -> ExtremeSet:
     _refuse_past_dimension(n ** m)
     if budget is None and resume is None \
             and len(_tables(m, n)["ball"]) > n ** m:
+        # imported here, so that only the runs that use it compile it
+        from extremeforms import dd
+
         return ExtremeSet.from_pairs(
-            m, n, _double_description(_tables(m, n)["vertices"]))
+            m, n, dd.double_description(_tables(m, n)["vertices"]))
     walk = _anchored_walk(m, n, budget, resume)
     keys, cache, chunk = set(), {}, []
     try:

@@ -32,7 +32,7 @@ from extremeforms.core import (
     enumerate_tensor_vertices,
     inner,
 )
-from extremeforms import search
+from extremeforms import dd, search
 from extremeforms.search import (
     MAX_PIPELINE_DIMENSION,
     BudgetExceeded,
@@ -57,7 +57,7 @@ from known_points import (
     QUADRILINEAR_2_VERIFIED,
     TRILINEAR_2_SAMPLE,
 )
-from support import fraction_rank
+from support import fraction_rank, fraction_solve
 
 F = Fraction
 
@@ -322,7 +322,7 @@ def test_planar_matches_general_trilinear(set32, planar3):
 def test_planar_matches_general_quadrilinear(planar4, monkeypatch):
     # the largest set _finalize is handed: 65536 points from 32768 keys;
     # a parallelotope stays on the walk (double description took 129 s)
-    monkeypatch.setattr(search, "_double_description", refuse_dd)
+    monkeypatch.setattr(dd, "double_description", refuse_dd)
     assert extreme_points(4, 2) == planar4
 
 
@@ -410,7 +410,7 @@ def test_planar_int8_bound_refuses_before_any_array(monkeypatch):
 
 def dd_points(m, n):
     return ExtremeSet.from_pairs(
-        m, n, search._double_description(_tables(m, n)["vertices"]))
+        m, n, dd.double_description(_tables(m, n)["vertices"]))
 
 
 def refuse_dd(rows):
@@ -450,19 +450,19 @@ def test_complete_runs_route_by_shape(monkeypatch, set32, planar3):
     # complete runs of non-parallelotopes go to double description, and
     # the parallelotopes, budgeted and resumed runs to the walk
     dd_calls = []
-    dd = search._double_description
+    engine = dd.double_description
 
     def counting(rows):
         dd_calls.append(len(rows))
-        return dd(rows)
+        return engine(rows)
 
-    monkeypatch.setattr(search, "_double_description", counting)
+    monkeypatch.setattr(dd, "double_description", counting)
     monkeypatch.setattr(search, "_anchored_walk", None)
     extreme_points(2, 3)
     extreme_points(1, 5)
     assert dd_calls == [32, 32]
     monkeypatch.undo()
-    monkeypatch.setattr(search, "_double_description", refuse_dd)
+    monkeypatch.setattr(dd, "double_description", refuse_dd)
     assert extreme_points(3, 2) == set32 == planar3
     assert len(extreme_points(1, 2)) == 4
     assert len(extreme_points(2, 3, budget=walk_bound(2, 3))) == 90
@@ -474,7 +474,7 @@ def test_complete_runs_route_by_shape(monkeypatch, set32, planar3):
 @pytest.mark.parametrize("m, n", [(2, 5), (1, 17), (3, 3)])
 def test_complete_runs_refuse_past_the_dimension_before_any_work(
         m, n, monkeypatch):
-    monkeypatch.setattr(search, "_double_description", refuse_dd)
+    monkeypatch.setattr(dd, "double_description", refuse_dd)
     monkeypatch.setattr(search, "_tables", None)
     monkeypatch.setattr(search, "_anchored_walk", None)
     with pytest.raises(ResourceBudgetError,
@@ -482,12 +482,53 @@ def test_complete_runs_refuse_past_the_dimension_before_any_work(
         extreme_points(m, n)
 
 
+def polytope_vertices(rows):
+    """Vertices of {a : <v, a> <= 1} by every square subsystem, solved
+    by plain Gauss-Jordan and kept when feasible, as (d, u) pairs."""
+    dim = len(rows[0])
+    found = set()
+    for subset in combinations(rows, dim):
+        if fraction_rank(subset) < dim:
+            continue
+        a = fraction_solve(subset, [1] * dim)
+        if all(inner(a, v) <= 1 for v in rows):
+            d = math.lcm(*(x.denominator for x in a))
+            found.add((d, tuple(int(x * d) for x in a)))
+    return found
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_double_description_matches_subsystems_on_random_polytopes(seed):
+    # small integer rows inside a box: many ties and degenerate vertices,
+    # where the combinatorial pair test must still find every edge
+    rng = random.Random(seed)
+    dim = 2 + seed % 3
+    box = [tuple(s * (i == j) for j in range(dim))
+           for i in range(dim) for s in (1, -1)]
+    rows = box + [tuple(rng.randint(-2, 2) for _ in range(dim))
+                  for _ in range(4 + seed % 5)]
+    rows = list(dict.fromkeys(r for r in rows if any(r)))
+    assert set(dd.double_description(rows)) == polytope_vertices(rows)
+
+
+def test_double_description_loads_no_numpy():
+    code = ("import sys, extremeforms.dd\n"
+            "sys.exit('numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_double_description_refuses_rows_that_cut_no_polytope():
+    # an interval's two rays share no tight row, which the test needs
+    with pytest.raises(ValueError, match="length >= 2"):
+        dd.double_description([(1,), (-1,), (2,)])
     with pytest.raises(InternalInvariantError, match="do not span"):
-        search._double_description([(1, 0), (-1, 0)])
+        dd.double_description([(1, 0), (-1, 0)])
     # a1 <= 1, -a1 <= 1, a2 <= 1 is unbounded below in a2: a ray at t = 0
     with pytest.raises(InternalInvariantError, match="not a vertex"):
-        search._double_description([(1, 0), (-1, 0), (0, 1)])
+        dd.double_description([(1, 0), (-1, 0), (0, 1)])
 
 
 # ---------------------------------------------------------------------------
