@@ -440,7 +440,7 @@ def test_double_description_matches_planar(m):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_complete_linear_balls_are_cross_polytopes(n):
-    # the walk took 9 s on (1,6); the unit ball of linear forms is the
+    # the walk took 10 s on (1,6); the unit ball of linear forms is the
     # l1 ball, whose vertices are the signed unit vectors
     cross = {tuple(s * (i == j) for j in range(n))
              for i in range(n) for s in (1, -1)}
