@@ -16,11 +16,16 @@ Exit codes: 0 success, 2 invalid input or an OSError, 3 resource budget
 exceeded (for budgeted enumerations the resume state path is printed), 4
 internal invariant violation. A cache that cannot be written costs a
 warning on stderr after the answer, not the answer. Heavy imports happen
-inside the handlers so that --help and argument errors stay fast: verify,
---help and JSON cache hits (bh, mixed, khinchin, two-slot, kg, blei) never
-load numpy, and verify, which parses its point with core alone, never
-loads storage either. A JSON hit is printed only if it parses as an
-object whose identifying fields equal those a fresh run writes.
+inside the handlers so that --help and argument errors stay fast. numpy
+is loaded only for sets past one block of rows (search.BLOCK_ROWS), by
+the basis walk, and by constants and grothendieck: verify, --help, JSON
+cache hits (bh, mixed, khinchin, two-slot, kg, blei), oracle, and
+complete enum and planar runs of at most one block of points, fresh or
+from the cache, never load it; planar --m 4, budgeted or resumed enum,
+and fresh bh, mixed, kg, khinchin, two-slot and blei do. verify, which
+parses its point with core alone, never loads storage either. A JSON hit is printed only if it
+parses as an object whose identifying fields equal those a fresh run
+writes.
 """
 
 from __future__ import annotations
@@ -289,6 +294,7 @@ def _load_resume_file(path: Path, m: int, n: int):
     The rows are trusted, as --point is: they are parsed, not certified.
     """
 
+    from .search import pairs_of
     from .storage import parse_rows
 
     try:
@@ -307,7 +313,7 @@ def _load_resume_file(path: Path, m: int, n: int):
         raise ValueError(f"{path}: search must be an object and partial "
                          f"a list")
     dens, nums = parse_rows(path, n ** m, partial)
-    return list(zip(dens.tolist(), map(tuple, nums.tolist()))), search
+    return pairs_of(dens, nums, n ** m), search
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ extreme_points picks one by the kind of run, with no flag:
   parallelotope, meaning V has more than n^m antipodal pairs (n >= 3),
   is a double description of the rows of V in Python ints
   (dd.double_description): 90 points of (2,3) from at most 252 rays;
-* budgeted and resumed runs, and the parallelotopes (n <= 2, where the
-  walk has one anchored basis and one kernel run lists every vertex),
-  take the basis walk below.
+* a complete run of the parallelotope n = 2 is planar_extreme_points,
+  the closed form below;
+* budgeted and resumed runs, and complete runs of n = 1, take the basis
+  walk below.
 
 The basis walk is a four-step pipeline:
 
@@ -59,29 +60,34 @@ is unique (a Walsh-Hadamard matrix), and every solution is automatically
 extreme; planar_extreme_points exploits that shortcut to reach 2^(2^m)
 points directly.
 
-Every search ends in an ExtremeSet of gcd-reduced integer rows (d, u) in
-two int64 arrays, sorted on exact integer keys. Fractions appear only
-where a caller asks for FormVectors (ExtremeSet.points, iteration,
-point(i)), in _det_adjugate's exact fallback, in the exact inverse that
-starts a double description, and in the brute_force_vertices oracle,
-which keeps its own exact Fraction solve and only uses the container.
+Every search ends in an ExtremeSet of gcd-reduced integer rows (d, u),
+held in two flat stdlib arrays, sorted on exact integer keys. Fractions
+appear only where a caller asks for FormVectors (ExtremeSet.points,
+iteration, point(i)), in _det_adjugate's exact fallback, in the exact
+inverse that starts a double description, and in the brute_force_vertices
+oracle, which keeps its own exact Fraction solve and only uses the
+container.
 
-The certificates (in_unit_ball, is_extreme), the exact eliminator and
-InternalInvariantError live in core and are re-exported here. This module
-loads numpy, so the commands that never load numpy (verify, --help, and
-JSON cache hits) never import it.
+The rule for numpy is "Python ints up to one block of rows (BLOCK_ROWS),
+numpy past it". Only the basis walk's kernels, the m = 4 planar kernel
+and the scans over sets of more than one block import numpy, each inside
+the function, so every complete run of at most BLOCK_ROWS points (the
+double description, planar m <= 3, brute_force_vertices) and the
+ExtremeSet it returns never load it. The certificates (in_unit_ball,
+is_extreme), the exact eliminator and InternalInvariantError live in core
+and are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product, repeat
+from operator import add, mul, sub
 from typing import Iterator
-
-import numpy as np
 
 # The exact certificate layer lives in core, which loads no numpy; it is
 # imported here for the pipeline and re-exported under its old home.
@@ -97,6 +103,7 @@ from extremeforms.core import (  # noqa: F401
     in_unit_ball,
     inner,
     is_extreme,
+    tensor_vertex_count,
 )
 
 RESUME_FORMAT_VERSION = 1
@@ -113,7 +120,8 @@ KERNEL_BLOCK_WIDTH = 4
 # Largest point count planar_extreme_points lists: 2^(2^m) for m <= 4.
 MAX_PLANAR_POINTS = 1 << 17
 # Rows per block (row_blocks) of the scans over a whole ExtremeSet, which
-# bounds their temporaries by the block, not by the set.
+# bounds their temporaries by the block, not by the set. A set of at most
+# one block is built, scanned, written and read in Python ints alone.
 BLOCK_ROWS = 1024
 
 
@@ -136,7 +144,7 @@ _fraction = lru_cache(maxsize=1 << 16)(Fraction)
 
 def reduced_row(coeffs) -> tuple:
     """(d, u) with coeffs == u / d, gcd-reduced, d > 0, as Python ints."""
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
     d = math.lcm(*(c.denominator for c in coeffs))
     return d, tuple(c.numerator * (d // c.denominator) for c in coeffs)
 
@@ -164,15 +172,35 @@ def exact_keys(pairs) -> list:
 
 
 def fits_int8(nums) -> bool:
-    """Whether every entry of the integer array nums lies in [-127, 127]."""
-    return nums.size == 0 or (int(nums.min()) >= -127
-                              and int(nums.max()) <= 127)
+    """Whether every entry of nums lies in [-127, 127]: nums is an integer
+    numpy array, or a flat sequence of ints, scanned in Python."""
+    if hasattr(nums, "dtype"):
+        return nums.size == 0 or (int(nums.min()) >= -127
+                                  and int(nums.max()) <= 127)
+    return not nums or (min(nums) >= -127 and max(nums) <= 127)
 
 
 def row_blocks(count) -> list:
     """Slices of BLOCK_ROWS consecutive rows that cover range(count)."""
     return [slice(start, start + BLOCK_ROWS)
             for start in range(0, count, BLOCK_ROWS)]
+
+
+def pairs_of(dens, nums, width) -> list:
+    """(d, u) pairs of Python ints from flat int arrays: row i is
+    dens[i] over the width entries of nums from i * width."""
+    return list(zip(dens.tolist(), zip(*[iter(nums.tolist())] * width)))
+
+
+def int_view(flat, shape):
+    """A read-only numpy view of a flat array.array ('b' as int8, 'q' as
+    int64) in the given shape, sharing its buffer."""
+    import numpy as np
+
+    view = np.frombuffer(flat, dtype=np.int8 if flat.typecode == "b"
+                         else np.int64).reshape(shape)
+    view.flags.writeable = False
+    return view
 
 
 def exact_order(pairs) -> list:
@@ -183,44 +211,98 @@ def exact_order(pairs) -> list:
                                      key=keys.__getitem__)]
 
 
-@dataclass(frozen=True, eq=False)
+def ball_rows(vertices) -> list:
+    """One row per antipodal pair {v, -v} of vertices, the first of each
+    pair in their order: the rows that cut out the unit ball."""
+    rows, negations = [], set()
+    for v in vertices:
+        if v not in negations:
+            rows.append(v)
+            negations.add(tuple(-x for x in v))
+    return rows
+
+
+def _stored_nums(nums, rows):
+    """nums, the numerators of rows rows, as one flat array.array: 'b'
+    when every entry fits int8 (fits_int8), else 'q'.
+
+    nums is a flat array.array, kept as it is when its typecode is right;
+    a numpy array, copied once through its buffer; or a sequence of rows
+    or of ints. Past one block of rows the int8 test reads a numpy view.
+    """
+    if hasattr(nums, "dtype"):
+        import numpy as np
+
+        source = np.asarray(nums).reshape(-1)
+        flat = array("b" if fits_int8(source) else "q", [0]) * source.size
+        np.frombuffer(flat, dtype=np.int8 if flat.typecode == "b"
+                      else np.int64)[:] = source
+        return flat
+    if not isinstance(nums, array) or nums.typecode not in "bq":
+        nums = list(nums)
+        if nums and hasattr(nums[0], "__iter__"):
+            nums = list(chain.from_iterable(nums))
+        nums = array("q", nums)
+    narrow = fits_int8(int_view(nums, -1) if rows > BLOCK_ROWS else nums)
+    if narrow != (nums.typecode == "b"):
+        nums = array("b" if narrow else "q", nums)
+    return nums
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class ExtremeSet:
     """Canonically sorted, deduplicated set of extreme coefficient vectors.
 
-    Row i is the point nums[i] / dens[i]: dens is int64[k], nums is
-    [k, n^m], each row gcd-reduced with a positive denominator, rows in
-    the lexicographic order of the rational vectors. nums is int8 when
-    every entry lies in [-127, 127] (fits_int8) and int64 otherwise, so
-    -nums and abs(nums) never overflow; a scan widens one block of rows
-    (row_blocks) to int64 before any other arithmetic. The constructor
-    trusts its arrays; from_pairs and from_points reduce, deduplicate and
-    sort. FormVectors are built only on demand and cached. complete=False
-    marks a budget-truncated run; the points present are still genuine
-    extreme points. Equality compares m, n and the arrays' values.
+    Row i is the point u / d with d = dens[i] and u the n^m numerators
+    from nums[i]: each row gcd-reduced with a positive denominator, rows in
+    the lexicographic order of the rational vectors. The rows are held in
+    two flat stdlib arrays: the denominators as 'q' (int64) and the
+    numerators as 'b' (int8) when every entry lies in [-127, 127]
+    (fits_int8), as 'q' otherwise, so -nums and abs(nums) never overflow.
+    dens and nums are read-only numpy views of them, int64[k] and
+    int8 or int64 [k, n^m], made on access with no copy; only numpy code
+    reads them, so a set of at most one block of rows never imports numpy.
+    A scan widens one block of rows (row_blocks) to int64 before any other
+    arithmetic. The constructor takes arrays, numpy arrays or sequences
+    and trusts their order; from_pairs and from_points reduce, deduplicate
+    and sort. FormVectors are built only on demand and cached.
+    complete=False marks a budget-truncated run; the points present are
+    still genuine extreme points. Equality compares m, n and the rows'
+    values.
     """
 
     m: int
     n: int
-    dens: np.ndarray
-    nums: np.ndarray
-    complete: bool = True
+    complete: bool
 
-    def __post_init__(self):
-        dens = np.asarray(self.dens, dtype=np.int64)
-        nums = self.nums
-        if getattr(nums, "dtype", None) != np.int8:
-            nums = np.asarray(nums, dtype=np.int64)
-        nums = nums.reshape(len(dens), self.n ** self.m)
-        nums = nums.astype(np.int8 if fits_int8(nums) else np.int64,
-                           copy=False)
-        object.__setattr__(self, "dens", dens)
-        object.__setattr__(self, "nums", nums)
+    def __init__(self, m, n, dens, nums, complete=True):
+        if not isinstance(dens, array) or dens.typecode != "q":
+            dens = array("q", dens.tolist() if hasattr(dens, "dtype")
+                         else dens)
+        nums = _stored_nums(nums, len(dens))
+        if len(nums) != len(dens) * n ** m:
+            raise ValueError(f"{len(nums)} numerators for {len(dens)} rows "
+                             f"of {n ** m}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "_dens", dens)
+        object.__setattr__(self, "_nums", nums)
+
+    @property
+    def dens(self):
+        return int_view(self._dens, len(self._dens))
+
+    @property
+    def nums(self):
+        return int_view(self._nums, (len(self._dens), self.n ** self.m))
 
     @classmethod
     def from_pairs(cls, m, n, pairs, complete=True) -> "ExtremeSet":
         """From gcd-reduced (d, u) integer pairs with d > 0 and |u| < 2^63."""
         rows = exact_order(set(pairs))
-        return cls(m, n, [d for d, _ in rows], [u for _, u in rows],
+        return cls(m, n, [d for d, _ in rows],
+                   list(chain.from_iterable(u for _, u in rows)),
                    complete=complete)
 
     @classmethod
@@ -243,7 +325,7 @@ class ExtremeSet:
         return cls.from_pairs(m, n, pairs, complete=complete)
 
     def __len__(self) -> int:
-        return len(self.dens)
+        return len(self._dens)
 
     def __iter__(self):
         return iter(self.points)
@@ -252,8 +334,7 @@ class ExtremeSet:
         if not isinstance(other, ExtremeSet):
             return NotImplemented
         return ((self.m, self.n) == (other.m, other.n)
-                and np.array_equal(self.dens, other.dens)
-                and np.array_equal(self.nums, other.nums))
+                and self._dens == other._dens and self._nums == other._nums)
 
     def __contains__(self, item) -> bool:
         coeffs = item.coeffs if isinstance(item, FormVector) else tuple(item)
@@ -268,7 +349,9 @@ class ExtremeSet:
 
     def point(self, index) -> FormVector:
         """Row index as a FormVector, without building the others."""
-        return self._form(int(self.dens[index]), self.nums[index].tolist())
+        row, width = range(len(self))[index], self.n ** self.m
+        return self._form(self._dens[row],
+                          self._nums[row * width:(row + 1) * width])
 
     @cached_property
     def points(self) -> tuple:
@@ -276,21 +359,18 @@ class ExtremeSet:
 
     def pairs(self) -> list:
         """The rows as (d, u) pairs of Python ints."""
-        return list(zip(self.dens.tolist(), map(tuple, self.nums.tolist())))
+        return pairs_of(self._dens, self._nums, self.n ** self.m)
 
     def max_denominator(self) -> int:
         """Largest reduced denominator of any coordinate, d // gcd(u_i, d).
 
-        Per row that is d // min_i gcd(u_i, d), taken a block of rows at a
-        time over the rows with d above the best so far (no other beats it)."""
-        best = 1
-        for rows in row_blocks(len(self)):
-            dens = self.dens[rows]
-            above = dens > best
-            if above.any():
-                nums = self.nums[rows][above].astype(np.int64)
-                gcds = np.gcd(nums, dens[above, None])
-                best = max(best, int((dens[above] // gcds.min(axis=1)).max()))
+        Per row that is d // min_i gcd(u_i, d), over the rows with d above
+        the best so far (no other beats it), in Python ints."""
+        best, width = 1, self.n ** self.m
+        for row, d in enumerate(self._dens):
+            if d > best:
+                u = self._nums[row * width:(row + 1) * width]
+                best = max(best, d // min(map(math.gcd, u, repeat(d))))
         return best
 
     def coefficient_tuples(self) -> frozenset:
@@ -308,6 +388,8 @@ def _det_adjugate(mat):
     any mismatch the exact route gives the least common denominator. Both
     yield the same keys, since _process_basis gcd-reduces them against D.
     """
+    import numpy as np
+
     size = mat.shape[0]
     as_float = mat.astype(np.float64)
     detf = np.linalg.det(as_float)
@@ -347,6 +429,8 @@ def _kernel_exact(size) -> bool:
 
 @lru_cache(maxsize=64)
 def _tables(m, n):
+    import numpy as np
+
     vertices = enumerate_tensor_vertices(m, n)
     index = {v: i for i, v in enumerate(vertices)}
     negated = [index[tuple(-c for c in v)] for v in vertices]
@@ -374,6 +458,8 @@ def _sign_block(size):
     of a block's width, so it never asks for more than
     2^(KERNEL_HEAD_WIDTH - 1) rows.
     """
+    import numpy as np
+
     count = 1 << (size - 1)
     bits = (np.arange(count, dtype=np.int64)[:, None]
             >> np.arange(size - 2, -1, -1, dtype=np.int64)[None, :]) & 1
@@ -491,6 +577,8 @@ def _stabilizer(m, n):
     elements), n = 1, and any size past 64 pairs, the group is the
     identity alone and table is None.
     """
+    import numpy as np
+
     size = n ** m
     tables = _tables(m, n)
     if m == 1 or n == 1 or len(tables["ball"]) > 64:
@@ -518,11 +606,15 @@ def _stabilizer(m, n):
 
 # the bit of a 64-bit mask that stands for each ball position: lower
 # positions take higher bits, so of two bases the one with the greater mask
-# comes first in the walk's order. Built from Python ints: a uint64 ufunc
-# at import time would grow the resident memory of every command that
-# imports this module.
-_POSITION_BIT = np.array([1 << bit for bit in range(63, -1, -1)],
-                         dtype=np.uint64)
+# comes first in the walk's order. Built from Python ints on first use,
+# since only the walk loads numpy.
+@lru_cache(maxsize=1)
+def _position_bit():
+    import numpy as np
+
+    return np.array([1 << bit for bit in range(63, -1, -1)], dtype=np.uint64)
+
+
 # bases extreme_points takes from its walk per call of _chunk_keys
 ORBIT_CHUNK = 16
 
@@ -542,6 +634,8 @@ def _chunk_keys(m, n, chunk, keys, cache):
     gcd-reduced, so the images are keys again. For the identity group
     every basis is its own orbit and goes to the kernel directly.
     """
+    import numpy as np
+
     perms, table = _stabilizer(m, n)
     if table is None or not chunk:
         for basis in chunk:
@@ -549,8 +643,9 @@ def _chunk_keys(m, n, chunk, keys, cache):
         return
     rows = np.array(chunk)
     masks = np.zeros((len(table), len(rows)), dtype=np.uint64)
+    position_bit = _position_bit()
     for column in rows.T:
-        masks |= _POSITION_BIT[table[:, column]]
+        masks |= position_bit[table[:, column]]
     best = masks.argmax(axis=0)
     ball_rows = _tables(m, n)["ball_rows"]
     for basis, g, mask in zip(rows, best.tolist(),
@@ -574,7 +669,7 @@ def _chunk_keys(m, n, chunk, keys, cache):
 def orbit(a: FormVector) -> set:
     """The sign-group orbit {v * a : v in V}; always contains -a."""
     return {FormVector(tuple(s * c for s, c in zip(v, a.coeffs)), a.m, a.n)
-            for v in _tables(a.m, a.n)["vertices"]}
+            for v in enumerate_tensor_vertices(a.m, a.n)}
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +694,8 @@ def _process_basis(m, n, row_indices, keys):
     gcd-reduced (denominator, numerator tuple) pairs with the denominator
     positive, a unique representation of the rational vector.
     """
+    import numpy as np
+
     tables = _tables(m, n)
     size = n ** m
     det, adj = _det_adjugate(tables["vmat"][row_indices])
@@ -654,24 +751,29 @@ def _finalize(m, n, keys, complete):
 def extreme_points(m, n, budget=None, resume=None) -> ExtremeSet:
     """All extreme points of the unit ball of m-linear forms on R^n.
 
-    A complete run (no budget, no resume) of a ball with more than n^m
-    antipodal pairs in V (n >= 3) is an exact double description of the
-    rows of V (dd.double_description). Every other run is one depth-first
-    walk over the anchored bases, in this process: budgeted and resumed
-    runs, and the parallelotopes (n <= 2), whose one anchored basis the
-    kernel solves in one run. budget bounds the number of (reduced) bases
-    walked in this call, of which the kernel solves one per orbit
-    (_chunk_keys); exceeding it raises BudgetExceeded whose .partial is an
-    honest subset and whose .resume continues the search.
+    A complete run (no budget, no resume) builds no walk table. The ball
+    is a parallelotope exactly when V has n^m antipodal pairs (n <= 2). A
+    ball that is not one (n >= 3) is an exact double description of the
+    rows of V (dd.double_description), and n = 2 is the closed form
+    planar_extreme_points(m); neither loads numpy. Every other run is one
+    depth-first walk over the anchored bases, in this process: budgeted
+    and resumed runs, and complete runs of n = 1. budget bounds the number
+    of (reduced) bases walked in this call, of which the kernel solves one
+    per orbit (_chunk_keys); exceeding it raises BudgetExceeded whose
+    .partial is an honest subset and whose .resume continues the search.
+    The dimension is refused (n^m > MAX_PIPELINE_DIMENSION) before any
+    engine runs.
     """
     _refuse_past_dimension(n ** m)
-    if budget is None and resume is None \
-            and len(_tables(m, n)["ball"]) > n ** m:
-        # imported here, so that only the runs that use it compile it
-        from extremeforms import dd
+    if budget is None and resume is None:
+        if tensor_vertex_count(m, n) // 2 > n ** m:
+            # imported here, so that only the runs that use it compile it
+            from extremeforms import dd
 
-        return ExtremeSet.from_pairs(
-            m, n, dd.double_description(_tables(m, n)["vertices"]))
+            return ExtremeSet.from_pairs(m, n, dd.double_description(
+                enumerate_tensor_vertices(m, n)))
+        if n == 2:
+            return planar_extreme_points(m)
     walk = _anchored_walk(m, n, budget, resume)
     keys, cache, chunk = set(), {}, []
     try:
@@ -697,11 +799,13 @@ def planar_extreme_points(m) -> ExtremeSet:
     anchored system for every sign vector f, and |<a, v>| = 1 for all of
     V; all 2^(2^m) solutions are extreme and distinct.
 
-    The numerators u = H^t f are doubled up in int8, nums + h_j above
-    nums - h_j from the last row h_j to the first: the row order of
-    f = 1 - 2 bits, bit 0 most significant. |u_i| <= 2^m <= 16 under
-    MAX_PLANAR_POINTS; int8 holds it up to m = 6, and m >= 7 is refused
-    before any array is formed. The ExtremeSet keeps the int8 array.
+    The numerators u = H^t f are doubled up, nums + h_j above nums - h_j
+    from the last row h_j to the first: the row order of f = 1 - 2 bits,
+    bit 0 most significant. Up to BLOCK_ROWS points (m <= 3) this runs in
+    Python ints, and past it (m = 4) in numpy int8 (_planar_kernel), in the
+    same rows and order. |u_i| <= 2^m <= 16 under MAX_PLANAR_POINTS; int8
+    holds it up to m = 6, and m >= 7 is refused before any row is formed.
+    The ExtremeSet keeps the numerators in int8.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -711,8 +815,34 @@ def planar_extreme_points(m) -> ExtremeSet:
             f"planar set for m={m} has {count} points, "
             f"cap {MAX_PLANAR_POINTS}")
     size = 2 ** m
-    if size > np.iinfo(np.int8).max:  # |u_i| <= size must fit int8
+    if size > 127:  # |u_i| <= size must fit int8
         raise ResourceBudgetError(f"m={m}: planar numerators pass int8")
+    if count > BLOCK_ROWS:
+        return _planar_kernel(m)
+    h = ball_rows(enumerate_tensor_vertices(m, 2))
+    if any(sum(map(mul, a, b)) != (size if i == j else 0)
+           for i, a in enumerate(h) for j, b in enumerate(h)):
+        raise InternalInvariantError("planar basis rows are not orthogonal")
+    nums = [(0,) * size]
+    for row in reversed(h):
+        nums = ([tuple(map(add, u, row)) for u in nums]
+                + [tuple(map(sub, u, row)) for u in nums])
+    # one common denominator, so this order is the exact rational order
+    nums.sort()
+    dens, flat = [], []
+    for u in nums:
+        g = math.gcd(size, *u)
+        dens.append(size // g)
+        flat.extend(x // g for x in u)
+    return ExtremeSet(m, 2, dens, flat)
+
+
+def _planar_kernel(m) -> ExtremeSet:
+    """planar_extreme_points(m) in numpy int8, for the sizes past one
+    block of rows."""
+    import numpy as np
+
+    size = 2 ** m
     h = _tables(m, 2)["ball"]
     if not np.array_equal(h @ h.T, size * np.eye(size, dtype=np.int64)):
         raise InternalInvariantError("planar basis rows are not orthogonal")
@@ -735,11 +865,11 @@ def brute_force_vertices(m, n) -> ExtremeSet:
     Independent route: every full-rank n^m-subset of the constraint
     vectors, every sign pattern, exact solve, exact feasibility filter.
     Intentionally shares no search structure with extreme_points beyond
-    the vertex tables, so agreement between the two is meaningful.
+    the vertex list of core and its antipodal representatives (ball_rows),
+    so agreement between the two is meaningful.
     """
     size = n ** m
-    tables = _tables(m, n)
-    constraints = [tuple(int(x) for x in row) for row in tables["ball"]]
+    constraints = ball_rows(enumerate_tensor_vertices(m, n))
     work = math.comb(len(constraints), size) * 2 ** size
     if size > 9 or work > 2_000_000:
         raise ResourceBudgetError(

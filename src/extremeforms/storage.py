@@ -8,26 +8,32 @@ the same metadata. Every file records a format version so that a future
 change of index convention cannot silently corrupt comparisons.
 
 Extreme sets go between files and the integer arrays of ExtremeSet
-without a FormVector. format_rows formats each distinct (u_i, d) cell
-once, and parse_rows parses each distinct cell string once; the enum
-resume file shares both. format_rational and parse_rational are the
-per-value steps inside them, uncached. parse_rational and
-parse_point_list live in core, so the single values (--point, --lambda)
-are parsed without this module. A row whose reduced denominator or
-numerator does not fit int64 is refused with a ValueError naming the
-point.
+without a FormVector, by the rule of search: Python ints up to one block
+of rows (search.BLOCK_ROWS), numpy past it. format_rows formats each
+distinct (u_i, d) cell once, and parse_rows parses each distinct cell
+string once; the enum resume file shares both. format_rational and
+parse_rational are the per-value steps inside them, uncached.
+parse_rational and parse_point_list live in core, so the single values
+(--point, --lambda) are parsed without this module. A row whose reduced
+denominator or numerator does not fit int64 is refused with a ValueError
+naming the point.
 
 The JSON layout is byte for byte json.dumps(payload, indent=1), built from
-the _JSON_* pieces below. write_extreme_set writes the suffixed cells one
-block of rows at a time, and read_extreme_set first tries _read_writer_json, a
-numpy reader that accepts only a file those same pieces spell out exactly,
-cell by cell in canonical form and rows in strict order, checked one block
-of rows at a time too (search.row_blocks). Any other file (another JSON
-layout, a long cell, a fault of any kind, and every CSV file) goes through
-json.loads or the csv module (streamed), then the parse_rows steps a block
-at a time, which give every error message; the fast reader never raises.
-Both readers fill nums in int8 and widen it to int64 once, only if some
-block does not fit int8, as ExtremeSet keeps it.
+the _JSON_* pieces below. write_extreme_set joins the cells of a set of at
+most one block in Python, and writes a larger set's suffixed cells one
+block of rows at a time. read_extreme_set reads the count in the head
+first. A file of at most one block is read whole and first tried by
+_read_small_json, which splits the text at the _JSON_* separators and
+accepts only a file those pieces spell out exactly, in Python ints. A
+larger file is first tried by _read_writer_json, a numpy reader with the
+same acceptance, checked one block of rows at a time (search.row_blocks).
+Any other file (another JSON layout, a long cell for the numpy reader, a
+fault of any kind, and every CSV file) goes through json.loads or the csv
+module (streamed), then the parse_rows steps, in Python for one block and
+a block at a time past it, which give every error message; the fast
+readers never raise. Every reader fills the flat arrays ExtremeSet keeps,
+nums in int8 unless some entry does not fit, and hands them over without
+a copy.
 
 The cache stores opaque byte payloads under deterministic keys, next to a
 SHA-256 sidecar. Writes go through a temporary file plus ``os.replace`` so
@@ -40,10 +46,11 @@ entry out to a file of the caller's and checks the copy, which
 read_extreme_set then maps and parses a block of rows at a time.
 
 Only the extreme-set functions (format_rows, parse_rows, write_extreme_set,
-read_extreme_set and their helpers) work on arrays, and they import numpy
-and search when called. The cache loads nothing heavy, so --help and
-JSON cache hits run without numpy, and verify loads neither numpy nor
-this module.
+read_extreme_set and their helpers) work on arrays, and they import
+search when called, and numpy only for a set past one block of rows. The
+cache loads nothing heavy, so --help, JSON cache hits and every extreme
+set of at most one block, fresh or from the cache, run without numpy,
+and verify loads neither numpy nor this module.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ import os
 import re
 import shutil
 import uuid
+from array import array
 from fractions import Fraction
 from itertools import chain, islice
 from pathlib import Path
@@ -112,10 +120,32 @@ def format_rational(value: Fraction) -> str:
 def format_rows(dens, nums) -> list:
     """Cell strings of the rows nums[i] / dens[i], in order, duplicates kept.
 
-    Each distinct (u_i, d) is formatted once (_suffixed_cells).
+    Each distinct (u_i, d) is formatted once: in Python up to one block of
+    rows (_cell_rows), past it with numpy (_suffixed_cells).
     """
 
+    from .search import BLOCK_ROWS
+
+    if len(dens) <= BLOCK_ROWS:
+        return _cell_rows(zip(dens, nums))
     return _suffixed_cells(dens, nums).tolist()
+
+
+def _cell_rows(pairs) -> list:
+    """The cells of the (d, u) rows pairs as lists of strings, each
+    distinct (u_i, d) formatted once."""
+
+    table = {}
+    rows = []
+    for d, u in pairs:
+        row = []
+        for x in u:
+            cell = table.get((x, d))
+            if cell is None:
+                cell = table[x, d] = format_rational(Fraction(x, d))
+            row.append(cell)
+        rows.append(row)
+    return rows
 
 
 def _suffixed_cells(dens, nums, sep="", row_sep=""):
@@ -147,8 +177,8 @@ def _suffixed_cells(dens, nums, sep="", row_sep=""):
 
 
 def parse_rows(path, width, rows) -> tuple:
-    """Rows of cell strings to (dens, nums) arrays, in order, a block of
-    rows at a time (_parse_blocks).
+    """Rows of cell strings to (dens, nums) flat int arrays, in order, a
+    block of rows at a time (_parse_blocks).
 
     ValueError names the first row that is not a list of width cells,
     before any cell is parsed (_counted).
@@ -178,25 +208,28 @@ def _counted(path, width, rows, count=None) -> int:
 
 def _parse_blocks(path, width, count, rows) -> tuple:
     """(dens, nums) of the count rows of width cell strings that the
-    iterable rows yields, parsed a block at a time (row_blocks) and
-    stored as _stored stores them.
+    iterable rows yields, as ExtremeSet stores them: flat array.arrays,
+    nums in int8 unless some entry does not fit.
 
-    In a block, each distinct cell string is parsed once. When the common
-    denominator L of the block's cells and every numerator over L fit
-    int64, its rows are reduced in numpy; otherwise row by row in Python
-    integers, where a row that does not fit int64 (or holds a bad cell)
-    raises ValueError naming its point.
+    Each distinct cell string is parsed once. Up to one block of rows
+    this runs in Python ints (_python_rows). Past it the rows go a block
+    at a time (row_blocks): when the common denominator L of the block's
+    cells and every numerator over L fit int64, its rows are reduced in
+    numpy; otherwise row by row in Python integers. Either way a row that
+    does not fit int64 (or holds a bad cell) raises ValueError naming its
+    point.
     """
 
+    from .search import BLOCK_ROWS, row_blocks
+
+    if count <= BLOCK_ROWS:
+        return _python_rows(path, rows)
     import numpy as np
 
-    from .search import int64_row, row_blocks
-
     rows = iter(rows)
-    dens = np.empty(count, dtype=np.int64)
-    nums = np.empty((count, width), dtype=np.int8)
+    dens, nums = _int_rows(count, 1, "q"), _int_rows(count, width, "b")
     for block in row_blocks(count):
-        cells = list(islice(rows, len(dens[block])))
+        cells = list(islice(rows, len(dens[1][block])))
         try:
             values = {text: parse_rational(text)
                       for text in set(chain.from_iterable(cells))}
@@ -210,32 +243,69 @@ def _parse_blocks(path, width, count, rows) -> tuple:
                 dtype=np.int64, count=len(cells) * width).reshape(
                     len(cells), width))
         if reduced is None:
-            pairs = []
-            for index, row in enumerate(cells, start=block.start):
-                try:
-                    pairs.append(int64_row(parse_rational(cell)
-                                           for cell in row))
-                except ValueError as err:
-                    raise ValueError(f"{path}: point {index}: {err}") \
-                        from None
-            reduced = ([d for d, _ in pairs], [u for _, u in pairs])
-        dens[block] = reduced[0]
+            block_dens, block_nums = _python_rows(path, cells, block.start)
+            reduced = block_dens, np.asarray(block_nums).reshape(len(cells),
+                                                                 width)
+        dens[1][block, 0] = reduced[0]
         nums = _stored(nums, block, np.asarray(reduced[1], dtype=np.int64))
-    return dens, nums
+    return dens[0], nums[0]
 
 
-def _stored(nums, rows, block):
-    """nums with block written at rows. nums starts in int8 and is widened
-    to int64, once, when a block does not fit int8 (search.fits_int8)."""
+def _python_rows(path, rows, start=0) -> tuple:
+    """(dens, nums) of the rows of cell strings, in Python ints: each row
+    gcd-reduced over the lcm of its denominators (int64_row), each
+    distinct cell parsed once. ValueError names the first row that holds
+    a bad cell or does not fit int64, counting the rows from start."""
+
+    from .search import fits_int8, int64_row
+
+    values = {}
+
+    def value(cell):
+        try:
+            return values[cell]
+        except KeyError:
+            found = values[cell] = parse_rational(cell)
+            return found
+        except TypeError:  # an unhashable cell, which parse_rational names
+            return parse_rational(cell)
+
+    dens, nums = array("q"), []
+    for index, row in enumerate(rows, start):
+        try:
+            d, u = int64_row(map(value, row))
+        except ValueError as err:
+            raise ValueError(f"{path}: point {index}: {err}") from None
+        dens.append(d)
+        nums.extend(u)
+    return dens, array("b" if fits_int8(nums) else "q", nums)
+
+
+def _int_rows(count, width, typecode) -> tuple:
+    """A zeroed flat array.array of count rows of width ints ('b' or 'q'),
+    and a writable numpy view of it, [count, width]."""
 
     import numpy as np
 
+    flat = array(typecode, [0]) * (count * width)
+    return flat, np.frombuffer(flat, dtype=np.int8 if typecode == "b"
+                               else np.int64).reshape(count, width)
+
+
+def _stored(nums, rows, block):
+    """nums, a pair from _int_rows, with block written at rows. nums
+    starts in int8 and is widened to int64, once, when a block does not
+    fit int8 (search.fits_int8)."""
+
     from .search import fits_int8
 
-    if nums.dtype == np.int8 and not fits_int8(block):
-        nums = nums.astype(np.int64)
-    nums[rows] = block
-    return nums
+    flat, view = nums
+    if flat.typecode == "b" and not fits_int8(block):
+        flat, wide = _int_rows(*view.shape, "q")
+        wide[:] = view
+        view = wide
+    view[rows] = block
+    return flat, view
 
 
 def _reduced_rows(values, index):
@@ -260,11 +330,13 @@ def write_extreme_set(path, extreme_set: ExtremeSet, fmt: str = "json") -> None:
     The JSON text is assembled from the _JSON_* pieces, byte for byte the
     output of ``json.dumps(payload, indent=1)``, and the CSV text as
     ``csv.writer`` writes it; cells hold only digits, "-" and "/", which
-    JSON and CSV both leave unescaped and unquoted. The suffixed cells
-    (_suffixed_cells) go through one handle, a block of rows at a time.
+    JSON and CSV both leave unescaped and unquoted. A set of at most one
+    block of rows is formatted in Python (_cell_rows) and joined whole;
+    a larger one goes through one handle a block of rows at a time, as
+    suffixed cells (_suffixed_cells).
     """
 
-    from .search import row_blocks
+    from .search import BLOCK_ROWS, row_blocks
 
     path = Path(path)
     if fmt not in ("json", "csv"):
@@ -283,12 +355,18 @@ def write_extreme_set(path, extreme_set: ExtremeSet, fmt: str = "json") -> None:
         tail, seps = "", (",", "\r\n")
     with path.open("w", newline="" if fmt == "csv" else None) as handle:
         handle.write(head)
-        for rows in row_blocks(count):
-            cells = _suffixed_cells(extreme_set.dens[rows],
-                                    extreme_set.nums[rows], *seps)
-            if fmt == "json" and rows.stop >= count:
-                cells[-1, -1] = cells[-1, -1][:-len(_JSON_ROW_SEP)]
-            handle.write("".join(cells.ravel().tolist()))
+        if count <= BLOCK_ROWS:
+            lines = [seps[0].join(row)
+                     for row in _cell_rows(extreme_set.pairs())]
+            handle.write(seps[1].join(lines)
+                         + (seps[1] if fmt == "csv" and count else ""))
+        else:
+            for rows in row_blocks(count):
+                cells = _suffixed_cells(extreme_set.dens[rows],
+                                        extreme_set.nums[rows], *seps)
+                if fmt == "json" and rows.stop >= count:
+                    cells[-1, -1] = cells[-1, -1][:-len(_JSON_ROW_SEP)]
+                handle.write("".join(cells.ravel().tolist()))
         handle.write(tail)
 
 
@@ -297,20 +375,30 @@ def read_extreme_set(path, data=None) -> ExtremeSet:
 
     data, when given, holds the file's content, as bytes or as a binary
     file open on it, and path only names it in errors; otherwise the file
-    at path is opened. A JSON file exactly as write_extreme_set writes it
-    is read by _read_writer_json, through a read-only mmap of the file;
-    any other file by _read_general, which streams a CSV file and decodes
-    any other file whole. A mapped file must not be truncated or
-    rewritten while it is read: touching a page past its new end kills
-    the process with SIGBUS. The CLI reads only a private copy.
+    at path is opened. The count in the file's head is read first. A file
+    of at most one block of rows (search.BLOCK_ROWS) is read whole, and
+    if it is JSON exactly as write_extreme_set writes it, checked and
+    parsed in Python by _read_small_json. A larger such JSON file is read
+    by _read_writer_json, through a read-only mmap of the file. Any other
+    file goes to _read_general, which streams a CSV file and decodes any
+    other file whole. A mapped file must not be truncated or rewritten
+    while it is read: touching a page past its new end kills the process
+    with SIGBUS. The CLI reads only a private copy.
     """
 
-    from .search import ExtremeSet
+    from .search import BLOCK_ROWS, ExtremeSet
 
     path = Path(path)
     with contextlib.ExitStack() as stack:
         if data is None:
             data = stack.enter_context(path.open("rb"))
+        numbers = _HEAD_NUMBERS.match(
+            data[:256] if isinstance(data, bytes) else data.read(256))
+        small = numbers is not None and int(numbers[4]) <= BLOCK_ROWS
+        if not isinstance(data, bytes):
+            data.seek(0)
+            if small:
+                data = data.read()
         if isinstance(data, bytes):
             view, binary = data, io.BytesIO(data)
         else:  # an empty file cannot be mapped
@@ -318,7 +406,7 @@ def read_extreme_set(path, data=None) -> ExtremeSet:
             if os.fstat(data.fileno()).st_size:
                 view = stack.enter_context(mmap.mmap(
                     data.fileno(), 0, access=mmap.ACCESS_READ))
-        fields = _read_writer_json(view)
+        fields = (_read_small_json if small else _read_writer_json)(view)
         if fields is None:
             binary.seek(0)
             text = io.TextIOWrapper(binary)
@@ -328,6 +416,72 @@ def read_extreme_set(path, data=None) -> ExtremeSet:
                 text.detach()  # closing binary is its owner's business
     m, n, dens, nums, complete = fields
     return ExtremeSet(m, n, dens, nums, complete=complete)
+
+
+def _writer_frame(data):
+    """(m, n, count, head, tail, complete) when the bytes or mmap data
+    begin and end as write_extreme_set writes a file of the counts its
+    head holds, head and tail being the lengths of those pieces, else
+    None. The head and the tail must equal the _JSON_* pieces exactly."""
+
+    numbers = _HEAD_NUMBERS.match(data[:256])
+    if numbers is None:
+        return None
+    # the version is checked with the whole head below; the bounds keep
+    # n ** m cheap, and other sizes take the general path
+    m, n, count = map(int, numbers.groups()[1:])
+    if not (1 <= m <= 64 and 1 <= n <= 64 and count >= 1):
+        return None
+    head = (_JSON_HEAD.format(version=FILE_FORMAT_VERSION, m=m, n=n,
+                              count=count) + _JSON_OPEN).encode()
+    for complete in (True, False):
+        tail = (_JSON_CLOSE + ("" if complete else _JSON_INCOMPLETE)
+                + _JSON_END).encode()
+        if data[-len(tail):] == tail:
+            break
+    else:
+        return None
+    if len(data) < len(head) + len(tail) or data[:len(head)] != head:
+        return None
+    return m, n, count, len(head), len(tail), complete
+
+
+def _read_small_json(data: bytes):
+    """(m, n, dens, nums, complete) of a file that write_extreme_set would
+    write byte for byte, else None; never raises. For files of at most one
+    block of rows, in Python ints.
+
+    The head and the tail must be the writer's (_writer_frame); the body
+    between them, split at _JSON_ROW_SEP and each row at _JSON_CELL_SEP,
+    must give count rows of n^m cells, each of which reads back as itself
+    through format_rational (_canonical), so the file is exactly the join
+    of its cells. The rows are then parsed as the general path parses
+    them (_python_rows), must fit int64, and must strictly ascend
+    (_first_unordered_row). A file that fails any of these checks,
+    including every file the general path would refuse, gives None.
+    """
+
+    frame = _writer_frame(data)
+    if frame is None:
+        return None
+    m, n, count, head, tail, complete = frame
+    try:
+        body = data[head:len(data) - tail].decode("ascii")
+    except UnicodeDecodeError:
+        return None
+    rows = [row.split(_JSON_CELL_SEP) for row in body.split(_JSON_ROW_SEP)]
+    width = n ** m
+    if len(rows) != count or any(len(row) != width for row in rows):
+        return None
+    try:
+        for cell in set(chain.from_iterable(rows)):
+            _canonical(cell)
+        dens, nums = _python_rows(None, rows)
+    except ValueError:
+        return None
+    if _first_unordered_row(dens, nums, width) is not None:
+        return None
+    return m, n, dens, nums, complete
 
 
 def _read_general(path, text) -> tuple:
@@ -376,7 +530,7 @@ def _read_general(path, text) -> tuple:
         rows = _csv_rows(text)
     dens, nums = _parse_blocks(path, width, count, rows)
     del rows
-    index = _first_unordered_row(dens, nums)
+    index = _first_unordered_row(dens, nums, width)
     if index is not None:
         raise ValueError(f"{path}: point {index} does not strictly follow "
                          f"point {index - 1}")
@@ -409,40 +563,24 @@ def _read_writer_json(data):
 
     from .search import row_blocks
 
-    numbers = _HEAD_NUMBERS.match(data[:256])
-    if numbers is None:
+    frame = _writer_frame(data)
+    if frame is None:
         return None
-    # the version is checked with the whole head below; the bounds keep
-    # n ** m cheap, and other sizes take the general path
-    m, n, count = map(int, numbers.groups()[1:])
-    if not (1 <= m <= 64 and 1 <= n <= 64 and count >= 1):
-        return None
-    head = (_JSON_HEAD.format(version=FILE_FORMAT_VERSION, m=m, n=n,
-                              count=count) + _JSON_OPEN).encode()
-    for complete in (True, False):
-        tail = (_JSON_CLOSE + ("" if complete else _JSON_INCOMPLETE)
-                + _JSON_END).encode()
-        if data[-len(tail):] == tail:
-            break
-    else:
-        return None
-    if data[:len(head)] != head:
-        return None
+    m, n, count, head, tail, complete = frame
     width = n ** m
     cell_sep, row_sep = _JSON_CELL_SEP.encode(), _JSON_ROW_SEP.encode()
     # the most bytes a row of 7-byte cells spans, quote to quote
     row_span = width * (7 + len(cell_sep)) + len(row_sep)
     buf = np.frombuffer(data, dtype=np.uint8)
-    at, last = len(head) - 1, len(data) - len(tail)
+    at, last = head - 1, len(data) - tail
     # words[p] is the little-endian uint64 of the 8 bytes from position p
     words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data,
                        strides=(1,))
     masks = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.uint64)
     values = {}
-    dens = np.empty(count, dtype=np.int64)
-    nums = np.empty((count, width), dtype=np.int8)
+    dens, nums = _int_rows(count, 1, "q"), _int_rows(count, width, "b")
     for rows in row_blocks(count):
-        size = len(dens[rows])
+        size = len(dens[1][rows])
         window = buf[at:min(at + size * row_span, last + 1)]
         quotes = np.flatnonzero(window == ord('"'))[:2 * size * width]
         if len(quotes) < 2 * size * width:
@@ -484,10 +622,11 @@ def _read_writer_json(data):
         del index
         if reduced is None:
             return None
-        dens[rows] = reduced[0]
+        dens[1][rows, 0] = reduced[0]
         nums = _stored(nums, rows, reduced[1])
         del reduced
-    if at != last + 1 or _first_unordered_row(dens, nums) is not None:
+    dens, nums = dens[0], nums[0]
+    if at != last + 1 or _first_unordered_row(dens, nums, width) is not None:
         return None
     return m, n, dens, nums, complete
 
@@ -514,26 +653,43 @@ def _canonical_cell(key: int) -> Fraction:
     cell is ASCII and exactly format_rational of its value."""
 
     length = key >> 56
-    text = key.to_bytes(8, "little")[:length].decode("ascii")
+    return _canonical(key.to_bytes(8, "little")[:length].decode("ascii"))
+
+
+def _canonical(text: str) -> Fraction:
+    """The rational text spells, or ValueError unless text is exactly
+    format_rational of its value."""
+
     value = parse_rational(text)
     if format_rational(value) != text:
         raise ValueError(f"not canonical: {text!r}")
     return value
 
 
-def _first_unordered_row(dens, nums):
+def _first_unordered_row(dens, nums, width):
     """Index of the first row not above its predecessor, or None.
 
-    Rows are compared as rational vectors, a block of rows (row_blocks)
-    and the row before it at a time, widened to int64: as numerators over
-    their common denominator, in int64 when every such numerator stays
-    below 2^62 (so a difference of two fits), else on search.exact_keys.
+    dens and nums are flat arrays as ExtremeSet stores them, rows of width
+    numerators. Rows are compared as rational vectors: up to one block of
+    rows in Python ints, cross-multiplied; past it a block of rows
+    (row_blocks) and the row before it at a time, widened to int64, as
+    numerators over their common denominator, in int64 when every such
+    numerator stays below 2^62 (so a difference of two fits), else on
+    search.exact_keys.
     """
 
+    from .search import BLOCK_ROWS, exact_keys, int_view, pairs_of, row_blocks
+
+    if len(dens) <= BLOCK_ROWS:
+        rows = pairs_of(dens, nums, width)
+        for index in range(1, len(rows)):
+            (d, u), (e, w) = rows[index - 1], rows[index]
+            if not [x * e for x in u] < [x * d for x in w]:
+                return index
+        return None
     import numpy as np
 
-    from .search import exact_keys, row_blocks
-
+    dens, nums = int_view(dens, len(dens)), int_view(nums, (len(dens), width))
     for rows in row_blocks(len(dens)):
         since = slice(max(rows.start - 1, 0), rows.stop)
         block, nums_block = dens[since], nums[since].astype(np.int64)

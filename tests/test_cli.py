@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -676,6 +677,108 @@ def test_json_cache_hit_loads_no_numpy(cachedir, capsys, argv):
 
 def test_storage_import_loads_no_numpy():
     assert run_numpy_free() == ""
+
+
+# In a fresh interpreter with numpy blocked, runs every small-exact step of
+# bench/workloads.py (seed 0, whose digests bench/reference.json holds),
+# then planar --m 1..3 and enum --m 2 --n 2 twice each (miss, then hit) and
+# --help, through cli.main in the working directory given; prints the
+# check_step errors of the steps and each other command's exit code,
+# stdout and artifact as JSON.
+NUMPY_BLOCKED_RUN = (
+    "import contextlib, importlib.util, io, json, sys\n"
+    "sys.modules['numpy'] = None\n"
+    "sys.dont_write_bytecode = True\n"
+    "spec = importlib.util.spec_from_file_location('workloads', sys.argv[1])\n"
+    "workloads = importlib.util.module_from_spec(spec)\n"
+    "sys.modules['workloads'] = workloads\n"
+    "spec.loader.exec_module(workloads)\n"
+    "from extremeforms.cli import main\n"
+    "cache = ['--cache-dir', sys.argv[2]]\n"
+    "def run(argv):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+    "        code = main([*argv, *cache])\n"
+    "    return code, out.getvalue()\n"
+    "reference = workloads.load_reference()\n"
+    "errors, outcomes = {}, {}\n"
+    "for step in workloads.WORKLOADS['small-exact'](0, reference):\n"
+    "    code, stdout = run(step.argv)\n"
+    "    artifact = step.artifact and open(step.artifact, 'rb').read()\n"
+    "    outcome = workloads.Outcome(code, stdout, artifact)\n"
+    "    errors[step.name] = workloads.check_step(\n"
+    "        step, outcome, outcomes, 0, reference)\n"
+    "    outcomes[step.name] = outcome\n"
+    "others = []\n"
+    "for argv, artifact in [*[(['planar', '--m', str(m)],\n"
+    "                          f'extremeforms-planar-m{m}.json')\n"
+    "                         for m in (1, 2, 3) for _ in 'ab'],\n"
+    "                       *[(['enum', '--m', '2', '--n', '2'],\n"
+    "                          'extremeforms-enum-m2-n2.json')] * 2,\n"
+    "                       (['--help'], None)]:\n"
+    "    code, stdout = run(argv)\n"
+    "    others.append([argv, code, stdout,\n"
+    "                   artifact and open(artifact).read()])\n"
+    "loaded = sorted(name for name in sys.modules\n"
+    "                if name.startswith('numpy.'))\n"
+    "print(json.dumps({'errors': errors, 'others': others,\n"
+    "                  'loaded': loaded}))")
+
+
+def test_small_exact_and_planar_runs_never_import_numpy(tmp_path,
+                                                        monkeypatch):
+    # the same bytes as bench/reference.json, and the planar and enum
+    # artifacts of one block that the numpy paths write
+    from extremeforms import search
+    from extremeforms.storage import write_extreme_set
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_BLOCKED_RUN,
+         str(root / "bench" / "workloads.py"), str(tmp_path / "cache")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["loaded"] == []
+    assert len(result["errors"]) == 11
+    assert all(errors == [] for errors in result["errors"].values()), \
+        result["errors"]
+    # written past a one-row block, by the numpy writer, from the numpy
+    # planar kernel and the walk
+    monkeypatch.setattr(search, "BLOCK_ROWS", 1)
+    expected = tmp_path / "expected.json"
+    sets = [search._planar_kernel(m) for m in (1, 2, 3)]
+    sets.append(search.extreme_points(2, 2, budget=16))
+    hits = []
+    for (argv, code, stdout, artifact), extreme_set in zip(
+            result["others"][:-1], [s for s in sets for _ in "ab"]):
+        write_extreme_set(expected, extreme_set)
+        assert code == 0, argv
+        assert artifact == expected.read_text(), argv
+        assert f"count: {len(extreme_set)}\n" in stdout
+        hits.append(stdout.endswith("cache: hit\n"))
+    assert hits == [False, True] * 4
+    argv, code, stdout, _ = result["others"][-1]
+    assert code == 0 and stdout.startswith("usage: extremeforms")
+
+
+@pytest.mark.parametrize("argv", [("enum", "--out", "x.json"), ("bh",),
+                                  ("mixed",)], ids=["enum", "bh", "mixed"])
+def test_unbudgeted_2_4_stops_at_the_ray_cap(tmp_path, cachedir, capsys,
+                                             monkeypatch, argv):
+    # double description passes 1024 live rays at row 75 of 128, after
+    # about a second; without the cap the run would not end
+    monkeypatch.chdir(tmp_path)
+    command, *flags = argv
+    started = time.perf_counter()
+    code, stdout, stderr = run(capsys, command, "--m", "2", "--n", "4",
+                               *flags)
+    assert time.perf_counter() - started < 60
+    assert (code, stdout) == (3, "")
+    assert stderr == ("resource budget exceeded: double description passed "
+                      "1024 live rays at row 75 of 128\n")
+    assert not (tmp_path / "x.json").exists()
+    assert not cachedir.exists() or list(cachedir.iterdir()) == []
 
 
 # Runs main on its arguments in a fresh interpreter that imports nothing

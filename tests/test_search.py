@@ -311,20 +311,29 @@ def test_midpoints_are_never_extreme(set32):
 # the planar fast path
 # ---------------------------------------------------------------------------
 
-def test_planar_matches_general_bilinear(set22, planar2):
-    assert planar2.coefficient_tuples() == set22.coefficient_tuples()
+# complete n = 2 runs take planar_extreme_points, so the walk, which has
+# one anchored basis here, is given a budget it cannot exhaust
+
+def test_planar_matches_general_bilinear(planar2):
+    walked, cursor = orbit_points(2, 2)
+    assert cursor is None and walked == planar2
+    assert planar2.coefficient_tuples() == walked.coefficient_tuples()
 
 
-def test_planar_matches_general_trilinear(set32, planar3):
-    assert planar3.coefficient_tuples() == set32.coefficient_tuples()
+def test_planar_matches_general_trilinear(planar3):
+    walked, cursor = orbit_points(3, 2)
+    assert cursor is None and walked == planar3
+    assert planar3.coefficient_tuples() == walked.coefficient_tuples()
 
 
 def test_planar_matches_general_quadrilinear(planar4, monkeypatch):
     # the largest set _finalize is handed: 65536 points from 32768 keys;
-    # a parallelotope stays on the walk, where double description would
-    # take minutes
+    # a budgeted run never takes double description, which would take
+    # minutes on this parallelotope
     monkeypatch.setattr(dd, "double_description", refuse_dd)
-    assert extreme_points(4, 2) == planar4
+    walked, cursor = orbit_points(4, 2)
+    assert cursor is None and walked.complete
+    assert walked == planar4
 
 
 def test_planar_trilinear_frozen(planar3):
@@ -373,10 +382,9 @@ def test_planar_budget_guard():
         planar_extreme_points(5)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_planar_kernel_matches_int64_reference(m):
-    # reference: a = H^t f / 2^m for every f = 1 - 2 bits, formed by an
-    # int64 matmul and sorted by a 2^m-key int64 lexsort
+def planar_reference(m):
+    """a = H^t f / 2^m for every f = 1 - 2 bits, formed by an int64
+    matmul and sorted by a 2^m-key int64 lexsort."""
     count, size = 2 ** (2 ** m), 2 ** m
     h = _tables(m, 2)["ball"]
     bits = (np.arange(count, dtype=np.int64)[:, None]
@@ -384,13 +392,35 @@ def test_planar_kernel_matches_int64_reference(m):
     numerators = (1 - 2 * bits) @ h
     nums = numerators[np.lexsort(numerators.T[::-1])]
     g = np.gcd(np.gcd.reduce(nums, axis=1), size)
-    reference = ExtremeSet(m, 2, size // g, nums // g[:, None])
-    got = planar_extreme_points(m)
+    return ExtremeSet(m, 2, size // g, nums // g[:, None])
+
+
+def assert_same_planar_set(got, reference):
     # |u_i| <= 16: both sets hold their numerators in int8
     assert got.dens.dtype == reference.dens.dtype == np.int64
     assert got.nums.dtype == reference.nums.dtype == np.int8
     assert np.array_equal(got.dens, reference.dens)
     assert np.array_equal(got.nums, reference.nums)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_planar_kernel_matches_int64_reference(m):
+    assert_same_planar_set(planar_extreme_points(m), planar_reference(m))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("path", ["python", "numpy"])
+def test_planar_paths_match_int64_reference_at_the_block_boundary(
+        m, path, monkeypatch):
+    # the set has 2^(2^m) rows: BLOCK_ROWS at that count takes the Python
+    # kernel, one below it the numpy kernel, and the other is refused
+    count = 2 ** (2 ** m)
+    monkeypatch.setattr(search, "BLOCK_ROWS",
+                        count if path == "python" else count - 1)
+    reference = planar_reference(m)
+    monkeypatch.setattr(search, "_planar_kernel" if path == "python"
+                        else "ball_rows", None)
+    assert_same_planar_set(planar_extreme_points(m), reference)
 
 
 def test_planar_int8_bound_refuses_before_any_array(monkeypatch):
@@ -448,8 +478,9 @@ def test_complete_linear_balls_are_cross_polytopes(n):
 
 
 def test_complete_runs_route_by_shape(monkeypatch, set32, planar3):
-    # complete runs of non-parallelotopes go to double description, and
-    # the parallelotopes, budgeted and resumed runs to the walk
+    # complete runs of non-parallelotopes go to double description, those
+    # of n = 2 to planar_extreme_points, and n = 1, budgeted and resumed
+    # runs to the walk
     dd_calls = []
     engine = dd.double_description
 
@@ -457,15 +488,30 @@ def test_complete_runs_route_by_shape(monkeypatch, set32, planar3):
         dd_calls.append(len(rows))
         return engine(rows)
 
+    planar_calls = []
+    planar = search.planar_extreme_points
+
+    def counting_planar(m):
+        planar_calls.append(m)
+        return planar(m)
+
     monkeypatch.setattr(dd, "double_description", counting)
+    monkeypatch.setattr(search, "planar_extreme_points", counting_planar)
+    # a complete run builds no walk table
+    monkeypatch.setattr(search, "_tables", None)
     monkeypatch.setattr(search, "_anchored_walk", None)
     extreme_points(2, 3)
     extreme_points(1, 5)
     assert dd_calls == [32, 32]
-    monkeypatch.undo()
-    monkeypatch.setattr(dd, "double_description", refuse_dd)
+    # the parallelotopes on R^2 take the planar closed form
     assert extreme_points(3, 2) == set32 == planar3
     assert len(extreme_points(1, 2)) == 4
+    assert planar_calls == [3, 1] and dd_calls == [32, 32]
+    monkeypatch.undo()
+    monkeypatch.setattr(dd, "double_description", refuse_dd)
+    monkeypatch.setattr(search, "planar_extreme_points", None)
+    # n = 1, budgeted and resumed runs walk
+    assert extreme_points(3, 1).coefficient_tuples() == {(1,), (-1,)}
     assert len(extreme_points(2, 3, budget=walk_bound(2, 3))) == 90
     with pytest.raises(BudgetExceeded) as info:
         extreme_points(2, 3, budget=0)
@@ -1054,6 +1100,48 @@ def test_max_denominator_is_per_cell():
     smaller_wins = ExtremeSet.from_pairs(1, 2, [(6, (2, 3)), (5, (1, 0))])
     assert smaller_wins.max_denominator() == 5
     assert ExtremeSet.from_points(1, 2, ()).max_denominator() == 1
+
+
+def numpy_max_denominator(extreme_set):
+    """max_denominator by a whole-set numpy scan, the reference."""
+    dens = extreme_set.dens.astype(np.int64)
+    nums = extreme_set.nums.astype(np.int64)
+    if not len(dens):
+        return 1
+    return max(1, int((dens // np.gcd(nums, dens[:, None]).min(axis=1))
+                      .max()))
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_max_denominator_matches_numpy_at_the_block_boundary(
+        monkeypatch, set23, planar3, block):
+    # sets of exactly BLOCK_ROWS and BLOCK_ROWS + 1 rows, from windows of
+    # sets with denominators 1 to 4 and of hand-built rows up to 12
+    monkeypatch.setattr(search, "BLOCK_ROWS", block)
+    hand_built = [(6, (2, 3, 0, 0)), (5, (1, 0, 0, 0)), (1, (0, 0, 1, 0)),
+                  (6, (0, 0, 2, 3)), (10, (5, 2, 0, 0)), (4, (2, 1, 0, 0)),
+                  (3, (1, 1, 1, 0)), (12, (4, 3, 0, 0)), (9, (3, 1, 0, 0))]
+    sources = [(2, 3, set23.pairs()), (3, 2, planar3.pairs()),
+               (2, 2, hand_built)]
+    for m, n, pairs in sources:
+        for size in (block, block + 1):
+            for start in range(0, len(pairs) - size + 1, 5):
+                window = ExtremeSet.from_pairs(m, n,
+                                               pairs[start:start + size])
+                assert window.max_denominator() \
+                    == numpy_max_denominator(window)
+
+
+def test_double_description_refuses_past_its_ray_cap(monkeypatch):
+    # (2,3) peaks at 252 live rays, (1,8) at 22
+    monkeypatch.setattr(dd, "MAX_DD_RAYS", 252)
+    assert len(extreme_points(2, 3)) == 90
+    monkeypatch.setattr(dd, "MAX_DD_RAYS", 251)
+    with pytest.raises(ResourceBudgetError,
+                       match="passed 251 live rays at row 23 of 32"):
+        extreme_points(2, 3)
+    monkeypatch.setattr(dd, "MAX_DD_RAYS", 22)
+    assert len(extreme_points(1, 8)) == 16
 
 
 def test_from_points_sorts_and_rejects_rows_past_int64(set22):

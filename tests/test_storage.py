@@ -8,6 +8,7 @@ checksum sidecar instead of returning damaged data.
 
 import csv
 import io
+from array import array
 import json
 import os
 from fractions import Fraction
@@ -354,19 +355,30 @@ def read_outcome(path, data=None):
                    read.nums.dtype, read.nums.tolist(), read.complete)
 
 
-def check_fast_reader(path, data, monkeypatch):
-    """The fast reader's answer on data, checked against the general path;
-    read_extreme_set must give what the general path alone gives."""
+def fast_outcome(fields):
+    """read_outcome's form of a fast reader's fields, or None."""
 
-    fast = storage._read_writer_json(data)
+    if fields is None:
+        return None
+    m, n, dens, nums, complete = fields
+    read = ExtremeSet(m, n, dens, nums, complete=complete)
+    return "set", (read.m, read.n, read.dens.dtype, read.dens.tolist(),
+                   read.nums.dtype, read.nums.tolist(), read.complete)
+
+
+def check_fast_reader(path, data, monkeypatch):
+    """Both fast readers' answers on data, the numpy one and the Python
+    one, each checked against the general path; read_extreme_set must
+    give what the general path alone gives."""
+
+    fast = (storage._read_writer_json(data), storage._read_small_json(data))
     with monkeypatch.context() as general_only:
         general_only.setattr(storage, "_read_writer_json", lambda data: None)
+        general_only.setattr(storage, "_read_small_json", lambda data: None)
         expected = read_outcome(path, data)
     assert read_outcome(path, data) == expected
-    if fast is not None:
-        m, n, dens, nums, complete = fast
-        assert expected == ("set", (m, n, dens.dtype, dens.tolist(),
-                                    nums.dtype, nums.tolist(), complete))
+    for fields in fast:
+        assert fast_outcome(fields) in (None, expected)
     return fast, expected
 
 
@@ -405,8 +417,11 @@ def test_fast_reader_matches_the_general_path(tmp_path, request, monkeypatch,
         extreme_set = request.getfixturevalue(name)
     path = tmp_path / "points.json"
     write_extreme_set(path, extreme_set)
-    fast, expected = check_fast_reader(path, path.read_bytes(), monkeypatch)
-    assert (fast is None) == (name == "long")
+    (numpy_fast, python_fast), expected = check_fast_reader(
+        path, path.read_bytes(), monkeypatch)
+    # the numpy reader's keys hold cells of at most 7 bytes
+    assert (numpy_fast is None) == (name == "long")
+    assert python_fast is not None
     assert expected[0] == "set"
     assert read_extreme_set(path) == extreme_set
     assert read_extreme_set(path).complete == (name != "partial24")
@@ -497,7 +512,7 @@ def test_fast_reader_at_block_boundaries(tmp_path, set23, monkeypatch, rows):
     kinds = []
     for kind, data in boundary_mutations(path.read_bytes(), rows):
         fast, expected = check_fast_reader(path, data, monkeypatch)
-        assert fast is None and expected[0] == "error", kind
+        assert fast == (None, None) and expected[0] == "error", kind
         kinds.append(kind)
     assert kinds == ["swap", "row-sep", "quote", "tail"]
 
@@ -520,7 +535,8 @@ def int64_backed(extreme_set):
     assert extreme_set.nums.dtype == np.int8
     wide = ExtremeSet(extreme_set.m, extreme_set.n, extreme_set.dens,
                       extreme_set.nums, complete=extreme_set.complete)
-    object.__setattr__(wide, "nums", extreme_set.nums.astype(np.int64))
+    object.__setattr__(wide, "_nums", array("q", extreme_set._nums))
+    assert wide.nums.dtype == np.int64
     return wide
 
 
@@ -644,6 +660,94 @@ def test_csv_errors_name_the_same_point_at_every_block_size(tmp_path, set23,
         "point 30 is not a list of 9 coordinates",
         "count field says 89 but 90 points present",
     ]
+
+
+# ---------------------------------------------------------------------------
+# Python up to one block of rows, numpy past it
+# ---------------------------------------------------------------------------
+
+def boundary_sets(pairs, block):
+    """Complete and partial windows of the (2,3) rows pairs with exactly
+    block and block + 1 rows: one block, which the Python paths take, and
+    one row past it, which the numpy paths take."""
+
+    return [ExtremeSet.from_pairs(2, 3, pairs[start:start + size],
+                                  complete=complete)
+            for size in (block, block + 1)
+            for start, complete in ((0, True), (len(pairs) - size, False))]
+
+
+def boundary_faults(extreme_set, data: bytes, fmt: str):
+    """Faults of the artifact data of extreme_set, each with its name: its
+    first cell replaced (a bad cell, a zero denominator, a cell past
+    int64, a cell that is not canonical), a count one too high, and, with
+    two rows or more, its first two rows swapped."""
+
+    if fmt == "json":
+        opening, row_sep = storage._JSON_OPEN.encode(), \
+            storage._JSON_ROW_SEP.encode()
+        head, _, rest = data.partition(opening)
+        body, closing, tail = rest.rpartition(storage._JSON_CLOSE.encode())
+        count_field = b'"count": %d'
+    else:
+        opening, row_sep, closing, tail = b"\n", b"\r\n", b"", b""
+        head, _, body = data.partition(opening)
+        count_field = b"count=%d"
+    rows = body.split(row_sep)
+
+    def spell(rows):
+        return head + opening + row_sep.join(rows) + closing + tail
+
+    first, _, rest = rows[0].partition(b'"' if fmt == "json" else b",")
+    for name, text in (("bad", b"x"), ("zero", b"1/0"),
+                       ("wide", TOO_WIDE.encode()), ("uncanonical", b"2/4")):
+        yield name, spell([rows[0].replace(first, text, 1), *rows[1:]])
+    count = len(extreme_set)
+    yield "count", data.replace(count_field % count,
+                                count_field % (count + 1), 1)
+    if count >= 2:
+        yield "swap", spell([rows[1], rows[0], *rows[2:]])
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_writer_bytes_agree_at_the_block_boundary(tmp_path, monkeypatch,
+                                                  set23, block, fmt):
+    monkeypatch.setattr(search, "BLOCK_ROWS", block)
+    for extreme_set in boundary_sets(set23.pairs(), block):
+        assert written(tmp_path, extreme_set, fmt) \
+            == reference_bytes(extreme_set, fmt)
+        pairs = extreme_set.pairs()
+        dens, nums = [d for d, _ in pairs], [u for _, u in pairs]
+        assert storage.format_rows(dens, nums) == storage._cell_rows(pairs) \
+            == storage._suffixed_cells(dens, nums).tolist()
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_readers_agree_at_the_block_boundary(tmp_path, monkeypatch, set23,
+                                             block, fmt):
+    # a file of one block against the same file read past one block: the
+    # result or the error message must not depend on the path
+    path = tmp_path / f"points.{fmt}"
+    for extreme_set in boundary_sets(set23.pairs(), block):
+        write_extreme_set(path, extreme_set, fmt=fmt)
+        data = path.read_bytes()
+        for name, faulted in [("none", data),
+                              *boundary_faults(extreme_set, data, fmt)]:
+            python = read_outcome(path, faulted)
+            path.write_bytes(faulted)
+            assert read_outcome(path) == python, name
+            with monkeypatch.context() as blocks:
+                blocks.setattr(search, "BLOCK_ROWS", block)
+                assert read_outcome(path, faulted) == python, name
+                assert read_outcome(path) == python, name
+            if name == "none":
+                read = read_extreme_set(path)
+                assert read == extreme_set
+                assert read.complete == extreme_set.complete
+            elif name != "uncanonical":
+                assert python[0] == "error", name
 
 
 def test_write_rejects_unknown_format(tmp_path, set12):
