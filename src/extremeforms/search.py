@@ -172,12 +172,15 @@ def exact_keys(pairs) -> list:
 
 
 def fits_int8(nums) -> bool:
-    """Whether every entry of nums lies in [-127, 127]: nums is an integer
-    numpy array, or a flat sequence of ints, scanned in Python."""
-    if hasattr(nums, "dtype"):
-        return nums.size == 0 or (int(nums.min()) >= -127
-                                  and int(nums.max()) <= 127)
+    """Whether every entry of the flat sequence of ints nums lies in
+    [-127, 127], scanned in Python."""
     return not nums or (min(nums) >= -127 and max(nums) <= 127)
+
+
+def array_fits_int8(nums) -> bool:
+    """fits_int8 for an integer numpy array, scanned in numpy."""
+    return nums.size == 0 or (int(nums.min()) >= -127
+                              and int(nums.max()) <= 127)
 
 
 def row_blocks(count) -> list:
@@ -192,14 +195,14 @@ def pairs_of(dens, nums, width) -> list:
     return list(zip(dens.tolist(), zip(*[iter(nums.tolist())] * width)))
 
 
-def int_view(flat, shape):
-    """A read-only numpy view of a flat array.array ('b' as int8, 'q' as
-    int64) in the given shape, sharing its buffer."""
+def int_view(flat, shape, writable=False):
+    """A numpy view of a flat array.array ('b' as int8, 'q' as int64) in
+    the given shape, sharing its buffer; read-only unless writable."""
     import numpy as np
 
     view = np.frombuffer(flat, dtype=np.int8 if flat.typecode == "b"
                          else np.int64).reshape(shape)
-    view.flags.writeable = False
+    view.flags.writeable = writable
     return view
 
 
@@ -211,7 +214,7 @@ def exact_order(pairs) -> list:
                                      key=keys.__getitem__)]
 
 
-def ball_rows(vertices) -> list:
+def antipodal_representatives(vertices) -> list:
     """One row per antipodal pair {v, -v} of vertices, the first of each
     pair in their order: the rows that cut out the unit ball."""
     rows, negations = [], set()
@@ -231,19 +234,18 @@ def _stored_nums(nums, rows):
     or of ints. Past one block of rows the int8 test reads a numpy view.
     """
     if hasattr(nums, "dtype"):
-        import numpy as np
-
-        source = np.asarray(nums).reshape(-1)
-        flat = array("b" if fits_int8(source) else "q", [0]) * source.size
-        np.frombuffer(flat, dtype=np.int8 if flat.typecode == "b"
-                      else np.int64)[:] = source
+        source = nums.reshape(-1)
+        flat = (array("b" if array_fits_int8(source) else "q", [0])
+                * source.size)
+        int_view(flat, -1, writable=True)[:] = source
         return flat
     if not isinstance(nums, array) or nums.typecode not in "bq":
         nums = list(nums)
         if nums and hasattr(nums[0], "__iter__"):
             nums = list(chain.from_iterable(nums))
         nums = array("q", nums)
-    narrow = fits_int8(int_view(nums, -1) if rows > BLOCK_ROWS else nums)
+    narrow = (array_fits_int8(int_view(nums, -1)) if rows > BLOCK_ROWS
+              else fits_int8(nums))
     if narrow != (nums.typecode == "b"):
         nums = array("b" if narrow else "q", nums)
     return nums
@@ -817,12 +819,12 @@ def planar_extreme_points(m) -> ExtremeSet:
     size = 2 ** m
     if size > 127:  # |u_i| <= size must fit int8
         raise ResourceBudgetError(f"m={m}: planar numerators pass int8")
-    if count > BLOCK_ROWS:
-        return _planar_kernel(m)
-    h = ball_rows(enumerate_tensor_vertices(m, 2))
+    h = antipodal_representatives(enumerate_tensor_vertices(m, 2))
     if any(sum(map(mul, a, b)) != (size if i == j else 0)
            for i, a in enumerate(h) for j, b in enumerate(h)):
         raise InternalInvariantError("planar basis rows are not orthogonal")
+    if count > BLOCK_ROWS:
+        return _planar_kernel(m, h)
     nums = [(0,) * size]
     for row in reversed(h):
         nums = ([tuple(map(add, u, row)) for u in nums]
@@ -837,17 +839,14 @@ def planar_extreme_points(m) -> ExtremeSet:
     return ExtremeSet(m, 2, dens, flat)
 
 
-def _planar_kernel(m) -> ExtremeSet:
-    """planar_extreme_points(m) in numpy int8, for the sizes past one
-    block of rows."""
+def _planar_kernel(m, h) -> ExtremeSet:
+    """planar_extreme_points(m) in numpy int8 from its checked basis rows
+    h, for the sizes past one block of rows."""
     import numpy as np
 
     size = 2 ** m
-    h = _tables(m, 2)["ball"]
-    if not np.array_equal(h @ h.T, size * np.eye(size, dtype=np.int64)):
-        raise InternalInvariantError("planar basis rows are not orthogonal")
     nums = np.zeros((1, size), dtype=np.int8)
-    for row in h[::-1].astype(np.int8):
+    for row in np.array(h[::-1], dtype=np.int8):
         nums = np.concatenate([nums + row, nums - row])
     # one common denominator, so this order is the exact rational order
     nums = nums[np.lexsort(nums.T[::-1])]
@@ -865,11 +864,12 @@ def brute_force_vertices(m, n) -> ExtremeSet:
     Independent route: every full-rank n^m-subset of the constraint
     vectors, every sign pattern, exact solve, exact feasibility filter.
     Intentionally shares no search structure with extreme_points beyond
-    the vertex list of core and its antipodal representatives (ball_rows),
+    the vertex list of core and its antipodal representatives
+    (antipodal_representatives),
     so agreement between the two is meaningful.
     """
     size = n ** m
-    constraints = ball_rows(enumerate_tensor_vertices(m, n))
+    constraints = antipodal_representatives(enumerate_tensor_vertices(m, n))
     work = math.comb(len(constraints), size) * 2 ** size
     if size > 9 or work > 2_000_000:
         raise ResourceBudgetError(

@@ -10,8 +10,9 @@ change of index convention cannot silently corrupt comparisons.
 Extreme sets go between files and the integer arrays of ExtremeSet
 without a FormVector, by the rule of search: Python ints up to one block
 of rows (search.BLOCK_ROWS), numpy past it. format_rows formats each
-distinct (u_i, d) cell once, and parse_rows parses each distinct cell
-string once; the enum resume file shares both. format_rational and
+distinct (u_i, d) cell once, in numpy, and parse_rows parses each
+distinct cell string once; the enum resume file, written only by runs
+that have loaded numpy for the walk, shares both. format_rational and
 parse_rational are the per-value steps inside them, uncached.
 parse_rational and parse_point_list live in core, so the single values
 (--point, --lambda) are parsed without this module. A row whose reduced
@@ -47,10 +48,10 @@ read_extreme_set then maps and parses a block of rows at a time.
 
 Only the extreme-set functions (format_rows, parse_rows, write_extreme_set,
 read_extreme_set and their helpers) work on arrays, and they import
-search when called, and numpy only for a set past one block of rows. The
-cache loads nothing heavy, so --help, JSON cache hits and every extreme
-set of at most one block, fresh or from the cache, run without numpy,
-and verify loads neither numpy nor this module.
+search when called, and numpy only for format_rows and for a set past
+one block of rows. The cache loads nothing heavy, so --help, JSON cache
+hits and every extreme set of at most one block, fresh or from the
+cache, run without numpy, and verify loads neither numpy nor this module.
 """
 
 from __future__ import annotations
@@ -120,14 +121,9 @@ def format_rational(value: Fraction) -> str:
 def format_rows(dens, nums) -> list:
     """Cell strings of the rows nums[i] / dens[i], in order, duplicates kept.
 
-    Each distinct (u_i, d) is formatted once: in Python up to one block of
-    rows (_cell_rows), past it with numpy (_suffixed_cells).
+    Each distinct (u_i, d) is formatted once (_suffixed_cells).
     """
 
-    from .search import BLOCK_ROWS
-
-    if len(dens) <= BLOCK_ROWS:
-        return _cell_rows(zip(dens, nums))
     return _suffixed_cells(dens, nums).tolist()
 
 
@@ -285,22 +281,21 @@ def _int_rows(count, width, typecode) -> tuple:
     """A zeroed flat array.array of count rows of width ints ('b' or 'q'),
     and a writable numpy view of it, [count, width]."""
 
-    import numpy as np
+    from .search import int_view
 
     flat = array(typecode, [0]) * (count * width)
-    return flat, np.frombuffer(flat, dtype=np.int8 if typecode == "b"
-                               else np.int64).reshape(count, width)
+    return flat, int_view(flat, (count, width), writable=True)
 
 
 def _stored(nums, rows, block):
     """nums, a pair from _int_rows, with block written at rows. nums
     starts in int8 and is widened to int64, once, when a block does not
-    fit int8 (search.fits_int8)."""
+    fit int8 (search.array_fits_int8)."""
 
-    from .search import fits_int8
+    from .search import array_fits_int8
 
     flat, view = nums
-    if flat.typecode == "b" and not fits_int8(block):
+    if flat.typecode == "b" and not array_fits_int8(block):
         flat, wide = _int_rows(*view.shape, "q")
         wide[:] = view
         view = wide

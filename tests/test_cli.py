@@ -747,7 +747,7 @@ def test_small_exact_and_planar_runs_never_import_numpy(tmp_path,
     # planar kernel and the walk
     monkeypatch.setattr(search, "BLOCK_ROWS", 1)
     expected = tmp_path / "expected.json"
-    sets = [search._planar_kernel(m) for m in (1, 2, 3)]
+    sets = [search.planar_extreme_points(m) for m in (1, 2, 3)]
     sets.append(search.extreme_points(2, 2, budget=16))
     hits = []
     for (argv, code, stdout, artifact), extreme_set in zip(

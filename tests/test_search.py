@@ -418,9 +418,12 @@ def test_planar_paths_match_int64_reference_at_the_block_boundary(
     monkeypatch.setattr(search, "BLOCK_ROWS",
                         count if path == "python" else count - 1)
     reference = planar_reference(m)
-    monkeypatch.setattr(search, "_planar_kernel" if path == "python"
-                        else "ball_rows", None)
+    kernel = search._planar_kernel
+    calls = []
+    monkeypatch.setattr(search, "_planar_kernel",
+                        lambda m, h: calls.append(m) or kernel(m, h))
     assert_same_planar_set(planar_extreme_points(m), reference)
+    assert calls == ([] if path == "python" else [m])
 
 
 def test_planar_int8_bound_refuses_before_any_array(monkeypatch):
