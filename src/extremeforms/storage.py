@@ -23,18 +23,16 @@ The JSON layout is byte for byte json.dumps(payload, indent=1), built from
 the _JSON_* pieces below. write_extreme_set joins the cells of a set of at
 most one block in Python, and writes a larger set's suffixed cells one
 block of rows at a time. read_extreme_set reads the count in the head
-first. A file of at most one block is read whole and first tried by
-_read_small_json, which splits the text at the _JSON_* separators and
-accepts only a file those pieces spell out exactly, in Python ints. A
-larger file is first tried by _read_writer_json, a numpy reader with the
-same acceptance, checked one block of rows at a time (search.row_blocks).
-Any other file (another JSON layout, a long cell for the numpy reader, a
-fault of any kind, and every CSV file) goes through json.loads or the csv
-module (streamed), then the parse_rows steps, in Python for one block and
-a block at a time past it, which give every error message; the fast
-readers never raise. Every reader fills the flat arrays ExtremeSet keeps,
-nums in int8 unless some entry does not fit, and hands them over without
-a copy.
+first. A file past one block is first tried by _read_writer_json, a numpy
+reader that accepts only a file those pieces spell out exactly, checked
+one block of rows at a time (search.row_blocks), and never raises. Every
+other file (one of at most one block, another JSON layout, a long cell
+for the numpy reader, a fault of any kind, and every CSV file) goes
+through json.loads or the csv module (streamed), then the parse_rows
+steps, in Python for one block and a block at a time past it, which give
+every error message. Past one block the readers fill nums in int8 unless
+some entry does not fit; every reader hands its flat arrays to
+ExtremeSet, which keeps them without a copy when their type is right.
 
 The cache stores opaque byte payloads under deterministic keys, next to a
 SHA-256 sidecar. Writes go through a temporary file plus ``os.replace`` so
@@ -66,7 +64,6 @@ import mmap
 import os
 import re
 import shutil
-import uuid
 from array import array
 from fractions import Fraction
 from itertools import chain, islice
@@ -204,11 +201,12 @@ def _counted(path, width, rows, count=None) -> int:
 
 def _parse_blocks(path, width, count, rows) -> tuple:
     """(dens, nums) of the count rows of width cell strings that the
-    iterable rows yields, as ExtremeSet stores them: flat array.arrays,
-    nums in int8 unless some entry does not fit.
+    iterable rows yields, as flat array.arrays.
 
     Each distinct cell string is parsed once. Up to one block of rows
-    this runs in Python ints (_python_rows). Past it the rows go a block
+    this runs in Python ints (_python_rows), nums in int64, which the
+    ExtremeSet constructor narrows when it can. Past it nums is int8
+    unless some entry does not fit, and the rows go a block
     at a time (row_blocks): when the common denominator L of the block's
     cells and every numerator over L fit int64, its rows are reduced in
     numpy; otherwise row by row in Python integers. Either way a row that
@@ -248,12 +246,13 @@ def _parse_blocks(path, width, count, rows) -> tuple:
 
 
 def _python_rows(path, rows, start=0) -> tuple:
-    """(dens, nums) of the rows of cell strings, in Python ints: each row
-    gcd-reduced over the lcm of its denominators (int64_row), each
-    distinct cell parsed once. ValueError names the first row that holds
-    a bad cell or does not fit int64, counting the rows from start."""
+    """(dens, nums) of the rows of cell strings as flat 'q' arrays, in
+    Python ints: each row gcd-reduced over the lcm of its denominators
+    (int64_row), each distinct cell parsed once. ValueError names the
+    first row that holds a bad cell or does not fit int64, counting the
+    rows from start."""
 
-    from .search import fits_int8, int64_row
+    from .search import int64_row
 
     values = {}
 
@@ -266,7 +265,7 @@ def _python_rows(path, rows, start=0) -> tuple:
         except TypeError:  # an unhashable cell, which parse_rational names
             return parse_rational(cell)
 
-    dens, nums = array("q"), []
+    dens, nums = array("q"), array("q")
     for index, row in enumerate(rows, start):
         try:
             d, u = int64_row(map(value, row))
@@ -274,7 +273,7 @@ def _python_rows(path, rows, start=0) -> tuple:
             raise ValueError(f"{path}: point {index}: {err}") from None
         dens.append(d)
         nums.extend(u)
-    return dens, array("b" if fits_int8(nums) else "q", nums)
+    return dens, nums
 
 
 def _int_rows(count, width, typecode) -> tuple:
@@ -371,14 +370,13 @@ def read_extreme_set(path, data=None) -> ExtremeSet:
     data, when given, holds the file's content, as bytes or as a binary
     file open on it, and path only names it in errors; otherwise the file
     at path is opened. The count in the file's head is read first. A file
-    of at most one block of rows (search.BLOCK_ROWS) is read whole, and
-    if it is JSON exactly as write_extreme_set writes it, checked and
-    parsed in Python by _read_small_json. A larger such JSON file is read
-    by _read_writer_json, through a read-only mmap of the file. Any other
-    file goes to _read_general, which streams a CSV file and decodes any
-    other file whole. A mapped file must not be truncated or rewritten
-    while it is read: touching a page past its new end kills the process
-    with SIGBUS. The CLI reads only a private copy.
+    past one block of rows (search.BLOCK_ROWS) that is JSON exactly as
+    write_extreme_set writes it is read by _read_writer_json, through a
+    read-only mmap of the file. Every other file is streamed from its
+    start by _read_general, which decodes a JSON file whole. A mapped file
+    must not be truncated or rewritten while it is read: touching a page
+    past its new end kills the process with SIGBUS. The CLI reads only a
+    private copy.
     """
 
     from .search import BLOCK_ROWS, ExtremeSet
@@ -387,21 +385,14 @@ def read_extreme_set(path, data=None) -> ExtremeSet:
     with contextlib.ExitStack() as stack:
         if data is None:
             data = stack.enter_context(path.open("rb"))
-        numbers = _HEAD_NUMBERS.match(
-            data[:256] if isinstance(data, bytes) else data.read(256))
-        small = numbers is not None and int(numbers[4]) <= BLOCK_ROWS
-        if not isinstance(data, bytes):
-            data.seek(0)
-            if small:
-                data = data.read()
-        if isinstance(data, bytes):
-            view, binary = data, io.BytesIO(data)
-        else:  # an empty file cannot be mapped
-            view, binary = b"", data
-            if os.fstat(data.fileno()).st_size:
-                view = stack.enter_context(mmap.mmap(
-                    data.fileno(), 0, access=mmap.ACCESS_READ))
-        fields = (_read_small_json if small else _read_writer_json)(view)
+        binary = io.BytesIO(data) if isinstance(data, bytes) else data
+        numbers = _HEAD_NUMBERS.match(binary.read(256))
+        fields = None
+        if numbers is not None and int(numbers[4]) > BLOCK_ROWS:
+            # the head matched, so the file is not empty and can be mapped
+            view = data if isinstance(data, bytes) else stack.enter_context(
+                mmap.mmap(data.fileno(), 0, access=mmap.ACCESS_READ))
+            fields = _read_writer_json(view)
         if fields is None:
             binary.seek(0)
             text = io.TextIOWrapper(binary)
@@ -411,72 +402,6 @@ def read_extreme_set(path, data=None) -> ExtremeSet:
                 text.detach()  # closing binary is its owner's business
     m, n, dens, nums, complete = fields
     return ExtremeSet(m, n, dens, nums, complete=complete)
-
-
-def _writer_frame(data):
-    """(m, n, count, head, tail, complete) when the bytes or mmap data
-    begin and end as write_extreme_set writes a file of the counts its
-    head holds, head and tail being the lengths of those pieces, else
-    None. The head and the tail must equal the _JSON_* pieces exactly."""
-
-    numbers = _HEAD_NUMBERS.match(data[:256])
-    if numbers is None:
-        return None
-    # the version is checked with the whole head below; the bounds keep
-    # n ** m cheap, and other sizes take the general path
-    m, n, count = map(int, numbers.groups()[1:])
-    if not (1 <= m <= 64 and 1 <= n <= 64 and count >= 1):
-        return None
-    head = (_JSON_HEAD.format(version=FILE_FORMAT_VERSION, m=m, n=n,
-                              count=count) + _JSON_OPEN).encode()
-    for complete in (True, False):
-        tail = (_JSON_CLOSE + ("" if complete else _JSON_INCOMPLETE)
-                + _JSON_END).encode()
-        if data[-len(tail):] == tail:
-            break
-    else:
-        return None
-    if len(data) < len(head) + len(tail) or data[:len(head)] != head:
-        return None
-    return m, n, count, len(head), len(tail), complete
-
-
-def _read_small_json(data: bytes):
-    """(m, n, dens, nums, complete) of a file that write_extreme_set would
-    write byte for byte, else None; never raises. For files of at most one
-    block of rows, in Python ints.
-
-    The head and the tail must be the writer's (_writer_frame); the body
-    between them, split at _JSON_ROW_SEP and each row at _JSON_CELL_SEP,
-    must give count rows of n^m cells, each of which reads back as itself
-    through format_rational (_canonical), so the file is exactly the join
-    of its cells. The rows are then parsed as the general path parses
-    them (_python_rows), must fit int64, and must strictly ascend
-    (_first_unordered_row). A file that fails any of these checks,
-    including every file the general path would refuse, gives None.
-    """
-
-    frame = _writer_frame(data)
-    if frame is None:
-        return None
-    m, n, count, head, tail, complete = frame
-    try:
-        body = data[head:len(data) - tail].decode("ascii")
-    except UnicodeDecodeError:
-        return None
-    rows = [row.split(_JSON_CELL_SEP) for row in body.split(_JSON_ROW_SEP)]
-    width = n ** m
-    if len(rows) != count or any(len(row) != width for row in rows):
-        return None
-    try:
-        for cell in set(chain.from_iterable(rows)):
-            _canonical(cell)
-        dens, nums = _python_rows(None, rows)
-    except ValueError:
-        return None
-    if _first_unordered_row(dens, nums, width) is not None:
-        return None
-    return m, n, dens, nums, complete
 
 
 def _read_general(path, text) -> tuple:
@@ -539,7 +464,7 @@ def _read_writer_json(data):
     data is bytes or an mmap; the pages of an mmap are dropped
     (MADV_DONTNEED) as soon as a block of rows has consumed them. Every
     byte is checked. The head and the tail must equal the _JSON_* pieces
-    for the counts they hold. The rows go in blocks (row_blocks); a
+    for the counts the head holds. The rows go in blocks (row_blocks); a
     block's quotes are found in a window from the previous block's end
     that holds them all if no cell is longer than 7 bytes. Neighbouring
     quotes, across blocks too, must be separated by exactly _JSON_CELL_SEP
@@ -558,16 +483,31 @@ def _read_writer_json(data):
 
     from .search import row_blocks
 
-    frame = _writer_frame(data)
-    if frame is None:
+    numbers = _HEAD_NUMBERS.match(data[:256])
+    if numbers is None:
         return None
-    m, n, count, head, tail, complete = frame
+    # the version is checked with the whole head below; the bounds keep
+    # n ** m cheap, and other sizes take the general path
+    m, n, count = map(int, numbers.groups()[1:])
+    if not (1 <= m <= 64 and 1 <= n <= 64 and count >= 1):
+        return None
+    head = (_JSON_HEAD.format(version=FILE_FORMAT_VERSION, m=m, n=n,
+                              count=count) + _JSON_OPEN).encode()
+    for complete in (True, False):
+        tail = (_JSON_CLOSE + ("" if complete else _JSON_INCOMPLETE)
+                + _JSON_END).encode()
+        if data[-len(tail):] == tail:
+            break
+    else:
+        return None
+    if len(data) < len(head) + len(tail) or data[:len(head)] != head:
+        return None
     width = n ** m
     cell_sep, row_sep = _JSON_CELL_SEP.encode(), _JSON_ROW_SEP.encode()
     # the most bytes a row of 7-byte cells spans, quote to quote
     row_span = width * (7 + len(cell_sep)) + len(row_sep)
     buf = np.frombuffer(data, dtype=np.uint8)
-    at, last = head - 1, len(data) - tail
+    at, last = len(head) - 1, len(data) - len(tail)
     # words[p] is the little-endian uint64 of the 8 bytes from position p
     words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data,
                        strides=(1,))
@@ -647,14 +587,7 @@ def _canonical_cell(key: int) -> Fraction:
     """The rational a packed cell key spells, or ValueError unless the
     cell is ASCII and exactly format_rational of its value."""
 
-    length = key >> 56
-    return _canonical(key.to_bytes(8, "little")[:length].decode("ascii"))
-
-
-def _canonical(text: str) -> Fraction:
-    """The rational text spells, or ValueError unless text is exactly
-    format_rational of its value."""
-
+    text = key.to_bytes(8, "little")[:key >> 56].decode("ascii")
     value = parse_rational(text)
     if format_rational(value) != text:
         raise ValueError(f"not canonical: {text!r}")
@@ -776,13 +709,13 @@ def _sidecar(entry: Path) -> Path:
 
 
 def _scratch(target: Path) -> Path:
-    return target.with_name(f".{target.name}.{uuid.uuid4().hex}.part")
+    return target.with_name(f".{target.name}.{os.urandom(16).hex()}.part")
 
 
-def _sha256(path) -> str:
-    """Hex SHA-256 of a file, read in a streamed pass."""
+def _sha256(path) -> bytes:
+    """Hex SHA-256 of a file as ASCII bytes, read in a streamed pass."""
     with open(path, "rb") as handle:
-        return hashlib.file_digest(handle, "sha256").hexdigest()
+        return hashlib.file_digest(handle, "sha256").hexdigest().encode()
 
 
 def _atomic_write(target: Path, data: bytes) -> None:
@@ -826,14 +759,15 @@ def cache_store(cache_dir, key: str, data) -> Path:
         os.replace(scratch, entry)
     finally:
         scratch.unlink(missing_ok=True)
-    _atomic_write(_sidecar(entry), digest.encode("ascii"))
+    _atomic_write(_sidecar(entry), digest)
     return entry
 
 
 def cache_load(cache_dir, key: str, target=None):
     """The payload under key if present and intact, else None: an entry
     or sidecar that is missing or cannot be opened, and an entry that
-    fails its checksum, read as a miss.
+    fails its checksum, read as a miss. The sidecar is compared as bytes,
+    so one that is not text is a mismatch too.
 
     Without target the entry's bytes are returned. With target the entry
     is copied to that path and its SHA-256 checked there, so it is never
@@ -844,7 +778,7 @@ def cache_load(cache_dir, key: str, target=None):
 
     entry = Path(cache_dir) / key
     try:
-        expected = _sidecar(entry).read_text().strip()
+        expected = _sidecar(entry).read_bytes().strip()
         if target is None:
             data = entry.read_bytes()
         else:
@@ -852,7 +786,8 @@ def cache_load(cache_dir, key: str, target=None):
     except OSError:
         return None
     if target is None:
-        return data if hashlib.sha256(data).hexdigest() == expected else None
+        digest = hashlib.sha256(data).hexdigest().encode()
+        return data if digest == expected else None
     with source, open(target, "wb") as copy:
         shutil.copyfileobj(source, copy)
     if _sha256(target) == expected:

@@ -37,6 +37,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def masked(stdout):
+    """The lines of stdout but the measured wall time."""
+    return [line for line in stdout.splitlines()
+            if not line.startswith("wall-seconds:")]
+
+
 # ---------------------------------------------------------------------------
 # enum
 # ---------------------------------------------------------------------------
@@ -394,13 +400,18 @@ def test_enum_rejects_cache_hit_with_unordered_rows(tmp_path, cachedir,
 
 
 @pytest.mark.parametrize("argv", [("planar", "--m", "3"),
-                                  ("enum", "--m", "2", "--n", "2")])
+                                  ("enum", "--m", "2", "--n", "2"),
+                                  ("planar", "--m", "4")])
 def test_canonical_cache_hit_never_calls_json_loads(tmp_path, cachedir,
                                                     capsys, monkeypatch,
                                                     argv):
-    # a hit on an entry the writer wrote takes the fast reader
-    from extremeforms import storage
+    # a hit on an entry the writer wrote past one block of rows takes the
+    # fast reader: the small sets in blocks of one row, planar m = 4 at
+    # the real block size
+    from extremeforms import search, storage
 
+    if argv != ("planar", "--m", "4"):
+        monkeypatch.setattr(search, "BLOCK_ROWS", 1)
     out = tmp_path / "artifact.json"
     code, fresh, _ = run(capsys, *argv, "--out", str(out))
     assert code == 0
@@ -414,10 +425,6 @@ def test_canonical_cache_hit_never_calls_json_loads(tmp_path, cachedir,
     code, hit, _ = run(capsys, *argv, "--out", str(out))
     assert code == 0
     assert out.read_bytes() == artifact
-
-    def masked(stdout):
-        return [line for line in stdout.splitlines()
-                if not line.startswith("wall-seconds:")]
 
     assert masked(hit) == masked(fresh) + ["cache: hit"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.json",
@@ -681,7 +688,8 @@ def test_storage_import_loads_no_numpy():
 
 # In a fresh interpreter with numpy blocked, runs every small-exact step of
 # bench/workloads.py (seed 0, whose digests bench/reference.json holds),
-# then planar --m 1..3 and enum --m 2 --n 2 twice each (miss, then hit) and
+# then planar --m 1..3 and enum --m 2 --n 2 twice each (miss, then hit),
+# enum --m 3 --n 2 --format csv again (a hit on the step's entry) and
 # --help, through cli.main in the working directory given; prints the
 # check_step errors of the steps and each other command's exit code,
 # stdout and artifact as JSON.
@@ -714,6 +722,9 @@ NUMPY_BLOCKED_RUN = (
     "                         for m in (1, 2, 3) for _ in 'ab'],\n"
     "                       *[(['enum', '--m', '2', '--n', '2'],\n"
     "                          'extremeforms-enum-m2-n2.json')] * 2,\n"
+    "                       (['enum', '--m', '3', '--n', '2',\n"
+    "                         '--format', 'csv'],\n"
+    "                        'extremeforms-enum-m3-n2.csv'),\n"
     "                       (['--help'], None)]:\n"
     "    code, stdout = run(argv)\n"
     "    others.append([argv, code, stdout,\n"
@@ -727,7 +738,7 @@ NUMPY_BLOCKED_RUN = (
 def test_small_exact_and_planar_runs_never_import_numpy(tmp_path,
                                                         monkeypatch):
     # the same bytes as bench/reference.json, and the planar and enum
-    # artifacts of one block that the numpy paths write
+    # artifacts of one block that the numpy paths write, JSON and CSV
     from extremeforms import search
     from extremeforms.storage import write_extreme_set
 
@@ -749,15 +760,17 @@ def test_small_exact_and_planar_runs_never_import_numpy(tmp_path,
     expected = tmp_path / "expected.json"
     sets = [search.planar_extreme_points(m) for m in (1, 2, 3)]
     sets.append(search.extreme_points(2, 2, budget=16))
+    # enum (3,2) lists the planar m = 3 set
+    runs = [(s, "json") for s in sets for _ in "ab"] + [(sets[2], "csv")]
     hits = []
-    for (argv, code, stdout, artifact), extreme_set in zip(
-            result["others"][:-1], [s for s in sets for _ in "ab"]):
-        write_extreme_set(expected, extreme_set)
+    for (argv, code, stdout, artifact), (extreme_set, fmt) in zip(
+            result["others"][:-1], runs, strict=True):
+        write_extreme_set(expected, extreme_set, fmt=fmt)
         assert code == 0, argv
         assert artifact == expected.read_text(), argv
         assert f"count: {len(extreme_set)}\n" in stdout
         hits.append(stdout.endswith("cache: hit\n"))
-    assert hits == [False, True] * 4
+    assert hits == [False, True] * 4 + [True]
     argv, code, stdout, _ = result["others"][-1]
     assert code == 0 and stdout.startswith("usage: extremeforms")
 
@@ -942,15 +955,28 @@ def test_extreme_set_with_unwritable_cache_warns_and_answers(capsys, tmp_path,
     code, stdout, stderr = run(capsys, *argv, "--out", str(out),
                                "--cache-dir", str(tmp_path / "file" / "c"))
 
-    def masked(stdout):
-        return [line for line in stdout.splitlines()
-                if not line.startswith("wall-seconds:")]
-
     assert code == 0 and masked(stdout) == masked(expected)
     assert out.read_bytes() == artifact
     assert stderr.startswith("warning: cache not written: ")
     assert stderr.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "out.json"]
+
+
+@pytest.mark.parametrize("argv", [("planar", "--m", "2"),
+                                  ("two-slot", "--m", "3")],
+                         ids=["planar", "two-slot"])
+def test_sidecar_that_is_not_text_is_a_miss(tmp_path, cachedir, capsys,
+                                            argv):
+    # the command answers afresh and stores its entry again
+    out = ("--out", str(tmp_path / "out.json")) if argv[0] == "planar" else ()
+    code, fresh, _ = run(capsys, *argv, *out)
+    assert code == 0
+    [sidecar] = cachedir.glob("*.sha256")
+    digest = sidecar.read_bytes()
+    sidecar.write_bytes(b"\xff")
+    code, stdout, _ = run(capsys, *argv, *out)
+    assert code == 0 and masked(stdout) == masked(fresh)
+    assert sidecar.read_bytes() == digest
 
 
 def test_hit_failing_its_sidecar_is_a_miss_and_leaves_out_alone(

@@ -367,18 +367,16 @@ def fast_outcome(fields):
 
 
 def check_fast_reader(path, data, monkeypatch):
-    """Both fast readers' answers on data, the numpy one and the Python
-    one, each checked against the general path; read_extreme_set must
-    give what the general path alone gives."""
+    """The fast reader's answer on data, in a 1-tuple, checked against
+    the general path; read_extreme_set must give what the general path
+    alone gives."""
 
-    fast = (storage._read_writer_json(data), storage._read_small_json(data))
+    fast = (storage._read_writer_json(data),)
     with monkeypatch.context() as general_only:
         general_only.setattr(storage, "_read_writer_json", lambda data: None)
-        general_only.setattr(storage, "_read_small_json", lambda data: None)
         expected = read_outcome(path, data)
     assert read_outcome(path, data) == expected
-    for fields in fast:
-        assert fast_outcome(fields) in (None, expected)
+    assert fast_outcome(fast[0]) in (None, expected)
     return fast, expected
 
 
@@ -417,11 +415,10 @@ def test_fast_reader_matches_the_general_path(tmp_path, request, monkeypatch,
         extreme_set = request.getfixturevalue(name)
     path = tmp_path / "points.json"
     write_extreme_set(path, extreme_set)
-    (numpy_fast, python_fast), expected = check_fast_reader(
+    (numpy_fast,), expected = check_fast_reader(
         path, path.read_bytes(), monkeypatch)
     # the numpy reader's keys hold cells of at most 7 bytes
     assert (numpy_fast is None) == (name == "long")
-    assert python_fast is not None
     assert expected[0] == "set"
     assert read_extreme_set(path) == extreme_set
     assert read_extreme_set(path).complete == (name != "partial24")
@@ -512,9 +509,38 @@ def test_fast_reader_at_block_boundaries(tmp_path, set23, monkeypatch, rows):
     kinds = []
     for kind, data in boundary_mutations(path.read_bytes(), rows):
         fast, expected = check_fast_reader(path, data, monkeypatch)
-        assert fast == (None, None) and expected[0] == "error", kind
+        assert fast == (None,) and expected[0] == "error", kind
         kinds.append(kind)
     assert kinds == ["swap", "row-sep", "quote", "tail"]
+
+
+@pytest.mark.parametrize("source", ["path", "bytes", "handle"])
+def test_only_files_past_one_block_reach_the_fast_reader(tmp_path, set23,
+                                                         monkeypatch, source):
+    # a file of at most one block goes straight to the general path
+    path = tmp_path / "points.json"
+    write_extreme_set(path, set23)
+
+    class Reached(Exception):
+        pass
+
+    def reached(data):
+        raise Reached
+
+    def read():
+        if source == "path":
+            return read_extreme_set(path)
+        if source == "bytes":
+            return read_extreme_set(path, path.read_bytes())
+        with path.open("rb") as handle:
+            return read_extreme_set(path, handle)
+
+    monkeypatch.setattr(storage, "_read_writer_json", reached)
+    monkeypatch.setattr(search, "BLOCK_ROWS", len(set23))
+    assert read() == set23
+    monkeypatch.setattr(search, "BLOCK_ROWS", len(set23) - 1)
+    with pytest.raises(Reached):
+        read()
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +619,8 @@ def test_nums_dtype_at_the_int8_boundary(tmp_path, edge, dtype):
 @pytest.mark.parametrize("rows", [None, 1, 2, 7])
 def test_readers_widen_when_a_later_block_does_not_fit(tmp_path, monkeypatch,
                                                        fmt, rows):
-    # the writer's JSON takes the fast reader, the others the general path
+    # past one block the writer's JSON takes the fast reader, the others
+    # the general path
     if rows:
         monkeypatch.setattr(search, "BLOCK_ROWS", rows)
     path = tmp_path / "widening"
@@ -799,6 +826,16 @@ def test_cache_rejects_corruption(tmp_path):
     raw[0] ^= 0xFF
     entry.write_bytes(bytes(raw))
     assert cache_load(tmp_path, key) is None
+
+
+def test_cache_sidecar_that_is_not_text_is_a_miss(tmp_path):
+    key = cache_key("planar", 2, 2)
+    cache_store(tmp_path / "cache", key, b"payload bytes")
+    (tmp_path / "cache" / f"{key}.sha256").write_bytes(b"\xff")
+    assert cache_load(tmp_path / "cache", key) is None
+    target = tmp_path / "copy"
+    assert cache_load(tmp_path / "cache", key, target) is None
+    assert not target.exists()
 
 
 def test_cache_missing_sidecar(tmp_path):
