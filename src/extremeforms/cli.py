@@ -218,15 +218,19 @@ def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path,
     (storage.cache_load with a target), which must match the entry's
     sidecar, and parses the copy (storage.read_extreme_set, naming the
     cache entry in its errors); only a valid set of the requested shape
-    then replaces out, so the bytes in out are the bytes that were
-    checked. A copy that fails the sidecar is a miss; a copy that does
-    not parse raises ValueError. Either way out is untouched. On a miss
-    compute() builds the set, which is written to out, and after the
-    summary the written file is copied into the cache; neither side holds
-    a whole entry in memory. An out in a missing directory, or a sibling
-    of out that cannot be written on a hit, raises OSError before any
-    computation.
+    is then written through out, as a fresh run writes it (a symlink
+    stays a link), so the bytes in out are the bytes that were checked. A
+    copy that fails the sidecar is a miss; a copy that does not parse
+    raises ValueError. Either way out is untouched. On a miss compute()
+    builds the set, which is written to out, and after the summary the
+    written file is copied into the cache if out is a regular file (or a
+    link to one): a device or a pipe holds no artifact to copy. Neither
+    side holds a whole entry in memory. An out in a missing directory, or
+    a sibling of out that cannot be written on a hit, raises OSError
+    before any computation.
     """
+
+    import shutil
 
     from . import storage
 
@@ -252,7 +256,8 @@ def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path,
                                      f"not (m={args.m}, n={n})")
             except ValueError as err:
                 raise ValueError(f"cache entry {key}: {err}") from None
-            os.replace(part, out)
+            with open(copy, "rb") as source, open(out, "wb") as target:
+                shutil.copyfileobj(source, target)
     finally:
         part.unlink(missing_ok=True)
     if not hit:
@@ -264,7 +269,7 @@ def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path,
     print(f"file: {out}")
     if hit:
         print("cache: hit")
-    elif cached:
+    elif cached and out.is_file():
         _cache_store(args, key, storage.FilePayload(out))
     return EXIT_OK
 
@@ -385,16 +390,13 @@ def _handle_convex_constant(args: argparse.Namespace) -> int:
 
     def compute():
         # search before constants: the other order raises the peak RSS
-        from .search import extreme_points, planar_extreme_points
+        from .search import extreme_points
         from . import constants
 
-        if args.n == 2:
-            points = planar_extreme_points(args.m)
-        else:
-            points = extreme_points(args.m, args.n)
         constant = (constants.bh_constant if args.command == "bh"
                     else constants.mixed_littlewood_constant)
-        return constant(args.m, args.n, points).to_json_dict()
+        return constant(args.m, args.n,
+                        extreme_points(args.m, args.n)).to_json_dict()
 
     identity = {"name": ("bohnenblust-hille" if args.command == "bh"
                          else "mixed-littlewood"),

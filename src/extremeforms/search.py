@@ -144,9 +144,10 @@ _fraction = lru_cache(maxsize=1 << 16)(Fraction)
 
 def reduced_row(coeffs) -> tuple:
     """(d, u) with coeffs == u / d, gcd-reduced, d > 0, as Python ints."""
-    coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-    d = math.lcm(*(c.denominator for c in coeffs))
-    return d, tuple(c.numerator * (d // c.denominator) for c in coeffs)
+    ratios = [(c if isinstance(c, Fraction) else Fraction(c))
+              .as_integer_ratio() for c in coeffs]
+    d = math.lcm(*[q for _, q in ratios])
+    return d, tuple(p * (d // q) for p, q in ratios)
 
 
 def int64_row(coeffs) -> tuple:
@@ -155,7 +156,7 @@ def int64_row(coeffs) -> tuple:
     ExtremeSet stores its rows in int64; this is its stated size limit.
     """
     d, u = reduced_row(coeffs)
-    if (d >> 63) or any(abs(x) >> 63 for x in u):
+    if (d >> 63) or max(map(abs, u), default=0) >> 63:
         raise ValueError(f"does not fit int64 (denominator {d})")
     return d, u
 

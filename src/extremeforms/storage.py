@@ -8,31 +8,30 @@ the same metadata. Every file records a format version so that a future
 change of index convention cannot silently corrupt comparisons.
 
 Extreme sets go between files and the integer arrays of ExtremeSet
-without a FormVector, by the rule of search: Python ints up to one block
-of rows (search.BLOCK_ROWS), numpy past it. format_rows formats each
-distinct (u_i, d) cell once, in numpy, and parse_rows parses each
-distinct cell string once; the enum resume file, written only by runs
-that have loaded numpy for the walk, shares both. format_rational and
-parse_rational are the per-value steps inside them, uncached.
-parse_rational and parse_point_list live in core, so the single values
-(--point, --lambda) are parsed without this module. A row whose reduced
-denominator or numerator does not fit int64 is refused with a ValueError
-naming the point.
+without a FormVector. format_rows formats each distinct (u_i, d) cell
+once, and parse_rows parses each distinct cell string once, both in
+Python ints; the enum resume file shares both with the artifacts.
+format_rational and parse_rational are the per-value steps inside them,
+uncached. parse_rational and parse_point_list live in core, so the
+single values (--point, --lambda) are parsed without this module. A row
+whose reduced denominator or numerator does not fit int64 is refused
+with a ValueError naming the point.
 
 The JSON layout is byte for byte json.dumps(payload, indent=1), built from
 the _JSON_* pieces below. write_extreme_set joins the cells of a set of at
-most one block in Python, and writes a larger set's suffixed cells one
-block of rows at a time. read_extreme_set reads the count in the head
-first. A file past one block is first tried by _read_writer_json, a numpy
-reader that accepts only a file those pieces spell out exactly, checked
-one block of rows at a time (search.row_blocks), and never raises. Every
-other file (one of at most one block, another JSON layout, a long cell
-for the numpy reader, a fault of any kind, and every CSV file) goes
-through json.loads or the csv module (streamed), then the parse_rows
-steps, in Python for one block and a block at a time past it, which give
-every error message. Past one block the readers fill nums in int8 unless
-some entry does not fit; every reader hands its flat arrays to
-ExtremeSet, which keeps them without a copy when their type is right.
+most one block of rows (search.BLOCK_ROWS) in Python, and writes a larger
+set's suffixed cells one block of rows at a time, in numpy.
+read_extreme_set reads the count in the head first. A file past one
+block is first tried by _read_writer_json, a numpy reader that accepts
+only a file those pieces spell out exactly, checked one block of rows at
+a time (search.row_blocks), and never raises; it fills nums in int8
+unless some entry does not fit. Every other file, at any size (one of at
+most one block, another JSON layout, a long cell for the numpy reader, a
+fault of any kind, and every CSV file), goes through json.loads or the
+csv module (streamed), then one Python pass over its rows (parse_rows),
+which gives every error message. Every reader hands its flat arrays to
+ExtremeSet, which narrows nums to int8 when it can and keeps an array
+without a copy when its type is right.
 
 The cache stores opaque byte payloads under deterministic keys, next to a
 SHA-256 sidecar. Writes go through a temporary file plus ``os.replace`` so
@@ -42,14 +41,15 @@ extreme set a FilePayload, which is never held in memory whole:
 cache_store copies the written artifact into the scratch file and hashes
 the copy in a streamed pass, and cache_load with a target copies the
 entry out to a file of the caller's and checks the copy, which
-read_extreme_set then maps and parses a block of rows at a time.
+read_extreme_set then reads.
 
 Only the extreme-set functions (format_rows, parse_rows, write_extreme_set,
 read_extreme_set and their helpers) work on arrays, and they import
-search when called, and numpy only for format_rows and for a set past
-one block of rows. The cache loads nothing heavy, so --help, JSON cache
-hits and every extreme set of at most one block, fresh or from the
-cache, run without numpy, and verify loads neither numpy nor this module.
+search when called, and numpy only for a set past one block of rows: the
+writer, _read_writer_json and the order check. The cache loads nothing
+heavy, so --help, JSON cache hits, the enum resume rows and every
+extreme set of at most one block, fresh or from the cache, run without
+numpy, and verify loads neither numpy nor this module.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ import re
 import shutil
 from array import array
 from fractions import Fraction
-from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -118,10 +117,10 @@ def format_rational(value: Fraction) -> str:
 def format_rows(dens, nums) -> list:
     """Cell strings of the rows nums[i] / dens[i], in order, duplicates kept.
 
-    Each distinct (u_i, d) is formatted once (_suffixed_cells).
+    Each distinct (u_i, d) is formatted once (_cell_rows).
     """
 
-    return _suffixed_cells(dens, nums).tolist()
+    return _cell_rows(zip(dens, nums))
 
 
 def _cell_rows(pairs) -> list:
@@ -169,88 +168,18 @@ def _suffixed_cells(dens, nums, sep="", row_sep=""):
     return cells
 
 
-def parse_rows(path, width, rows) -> tuple:
-    """Rows of cell strings to (dens, nums) flat int arrays, in order, a
-    block of rows at a time (_parse_blocks).
+def parse_rows(path, width, rows, count=None) -> tuple:
+    """(dens, nums) of the rows of width cell strings that the iterable
+    rows yields, in order, as flat 'q' arrays, in one pass in Python ints:
+    each row gcd-reduced over the lcm of its denominators (int64_row),
+    each distinct cell parsed once.
 
-    ValueError names the first row that is not a list of width cells,
-    before any cell is parsed (_counted).
+    The pass counts the rows, checks their shapes and parses their cells,
+    and stops parsing at the first fault. A ValueError then names, in this
+    precedence: a count, when given, that differs from the number of
+    rows; the first row that is not a list of width cells; the first row
+    that holds a bad cell or does not fit int64.
     """
-
-    return _parse_blocks(path, width, _counted(path, width, rows), rows)
-
-
-def _counted(path, width, rows, count=None) -> int:
-    """The number of rows, which may be any iterable. ValueError if count
-    is given and differs, else if a row is not a list of width cells,
-    naming the first such row."""
-
-    found, misshapen = 0, None
-    for found, row in enumerate(rows, start=1):
-        if misshapen is None and (not isinstance(row, list)
-                                  or len(row) != width):
-            misshapen = found - 1
-    if count is not None and count != found:
-        raise ValueError(f"{path}: count field says {count} "
-                         f"but {found} points present")
-    if misshapen is not None:
-        raise ValueError(f"{path}: point {misshapen} is not a list of "
-                         f"{width} coordinates")
-    return found
-
-
-def _parse_blocks(path, width, count, rows) -> tuple:
-    """(dens, nums) of the count rows of width cell strings that the
-    iterable rows yields, as flat array.arrays.
-
-    Each distinct cell string is parsed once. Up to one block of rows
-    this runs in Python ints (_python_rows), nums in int64, which the
-    ExtremeSet constructor narrows when it can. Past it nums is int8
-    unless some entry does not fit, and the rows go a block
-    at a time (row_blocks): when the common denominator L of the block's
-    cells and every numerator over L fit int64, its rows are reduced in
-    numpy; otherwise row by row in Python integers. Either way a row that
-    does not fit int64 (or holds a bad cell) raises ValueError naming its
-    point.
-    """
-
-    from .search import BLOCK_ROWS, row_blocks
-
-    if count <= BLOCK_ROWS:
-        return _python_rows(path, rows)
-    import numpy as np
-
-    rows = iter(rows)
-    dens, nums = _int_rows(count, 1, "q"), _int_rows(count, width, "b")
-    for block in row_blocks(count):
-        cells = list(islice(rows, len(dens[1][block])))
-        try:
-            values = {text: parse_rational(text)
-                      for text in set(chain.from_iterable(cells))}
-        except (TypeError, ValueError):  # TypeError: an unhashable cell
-            values = None
-        reduced = None
-        if values is not None:
-            ids = dict(zip(values, range(len(values))))
-            reduced = _reduced_rows(list(values.values()), np.fromiter(
-                map(ids.__getitem__, chain.from_iterable(cells)),
-                dtype=np.int64, count=len(cells) * width).reshape(
-                    len(cells), width))
-        if reduced is None:
-            block_dens, block_nums = _python_rows(path, cells, block.start)
-            reduced = block_dens, np.asarray(block_nums).reshape(len(cells),
-                                                                 width)
-        dens[1][block, 0] = reduced[0]
-        nums = _stored(nums, block, np.asarray(reduced[1], dtype=np.int64))
-    return dens[0], nums[0]
-
-
-def _python_rows(path, rows, start=0) -> tuple:
-    """(dens, nums) of the rows of cell strings as flat 'q' arrays, in
-    Python ints: each row gcd-reduced over the lcm of its denominators
-    (int64_row), each distinct cell parsed once. ValueError names the
-    first row that holds a bad cell or does not fit int64, counting the
-    rows from start."""
 
     from .search import int64_row
 
@@ -266,56 +195,28 @@ def _python_rows(path, rows, start=0) -> tuple:
             return parse_rational(cell)
 
     dens, nums = array("q"), array("q")
-    for index, row in enumerate(rows, start):
-        try:
-            d, u = int64_row(map(value, row))
-        except ValueError as err:
-            raise ValueError(f"{path}: point {index}: {err}") from None
-        dens.append(d)
-        nums.extend(u)
+    found, misshapen, bad = 0, None, None
+    for found, row in enumerate(rows, start=1):
+        if not isinstance(row, list) or len(row) != width:
+            if misshapen is None:
+                misshapen = found - 1
+        elif misshapen is None and bad is None:
+            try:
+                d, u = int64_row(map(value, row))
+            except ValueError as err:
+                bad = f"{path}: point {found - 1}: {err}"
+            else:
+                dens.append(d)
+                nums.extend(u)
+    if count is not None and count != found:
+        raise ValueError(f"{path}: count field says {count} "
+                         f"but {found} points present")
+    if misshapen is not None:
+        raise ValueError(f"{path}: point {misshapen} is not a list of "
+                         f"{width} coordinates")
+    if bad is not None:
+        raise ValueError(bad)
     return dens, nums
-
-
-def _int_rows(count, width, typecode) -> tuple:
-    """A zeroed flat array.array of count rows of width ints ('b' or 'q'),
-    and a writable numpy view of it, [count, width]."""
-
-    from .search import int_view
-
-    flat = array(typecode, [0]) * (count * width)
-    return flat, int_view(flat, (count, width), writable=True)
-
-
-def _stored(nums, rows, block):
-    """nums, a pair from _int_rows, with block written at rows. nums
-    starts in int8 and is widened to int64, once, when a block does not
-    fit int8 (search.array_fits_int8)."""
-
-    from .search import array_fits_int8
-
-    flat, view = nums
-    if flat.typecode == "b" and not array_fits_int8(block):
-        flat, wide = _int_rows(*view.shape, "q")
-        wide[:] = view
-        view = wide
-    view[rows] = block
-    return flat, view
-
-
-def _reduced_rows(values, index):
-    """(dens, nums) of the rows values[index], one row of index per row of
-    Fractions, gcd-reduced over the lcm L of all the denominators in
-    values; None unless L and every numerator over L fit int64."""
-
-    import numpy as np
-
-    lcm = math.lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (lcm // v.denominator) for v in values]
-    if lcm >> 63 or any(abs(x) >> 63 for x in scaled):
-        return None
-    common = np.array(scaled, dtype=np.int64)[index]
-    g = np.gcd(np.gcd.reduce(common, axis=1), lcm)
-    return lcm // g, common // g[:, None]
 
 
 def write_extreme_set(path, extreme_set: ExtremeSet, fmt: str = "json") -> None:
@@ -372,11 +273,11 @@ def read_extreme_set(path, data=None) -> ExtremeSet:
     at path is opened. The count in the file's head is read first. A file
     past one block of rows (search.BLOCK_ROWS) that is JSON exactly as
     write_extreme_set writes it is read by _read_writer_json, through a
-    read-only mmap of the file. Every other file is streamed from its
-    start by _read_general, which decodes a JSON file whole. A mapped file
-    must not be truncated or rewritten while it is read: touching a page
-    past its new end kills the process with SIGBUS. The CLI reads only a
-    private copy.
+    read-only mmap of the file. Every other file, at any size, is streamed
+    from its start by _read_general, one Python pass over its rows, which
+    decodes a JSON file whole. A mapped file must not be truncated or
+    rewritten while it is read: touching a page past its new end kills the
+    process with SIGBUS. The CLI reads only a private copy.
     """
 
     from .search import BLOCK_ROWS, ExtremeSet
@@ -408,14 +309,14 @@ def _read_general(path, text) -> tuple:
     """(m, n, dens, nums, complete) of any extreme-set file, read from a
     text stream at its start, as Path.read_text would decode it.
 
-    A CSV file is read twice, the csv module's rows streamed each time:
-    once for the row count and shapes, once to parse the rows a block at
-    a time (_parse_blocks). Any other file is decoded whole and parsed
-    with json.loads, its rows then a block at a time too. A ValueError
-    names any field of the wrong type or out of range, the count, the
-    first row of the wrong shape, the first bad cell, and the first point
-    that does not strictly follow its predecessor, in that precedence:
-    the ExtremeSet constructor trusts its rows to be sorted and distinct.
+    A CSV file is read once, the csv module's rows streamed into one
+    Python pass (parse_rows) that counts them, checks their shapes and
+    parses their cells. Any other file is decoded whole and parsed with
+    json.loads, its rows then in the same pass. A ValueError names any
+    field of the wrong type or out of range, the count, the first row of
+    the wrong shape, the first bad cell, and the first point that does
+    not strictly follow its predecessor, in that precedence: the
+    ExtremeSet constructor trusts its rows to be sorted and distinct.
     """
 
     head = text.readline()
@@ -443,12 +344,8 @@ def _read_general(path, text) -> tuple:
         raise ValueError(f"{path}: format-version {version} unsupported "
                          f"(expected {FILE_FORMAT_VERSION})")
     width = n ** m
-    _counted(path, width, _csv_rows(text) if is_csv else rows, count)
-    if is_csv:
-        text.seek(0)
-        text.readline()
-        rows = _csv_rows(text)
-    dens, nums = _parse_blocks(path, width, count, rows)
+    dens, nums = parse_rows(path, width,
+                            _csv_rows(text) if is_csv else rows, count)
     del rows
     index = _first_unordered_row(dens, nums, width)
     if index is not None:
@@ -471,17 +368,17 @@ def _read_writer_json(data):
     or, at a row's end, _JSON_ROW_SEP, and the last one must begin the
     tail. A cell and its length pack into one uint64 key; a block's
     distinct keys are parsed once each, and each must read back as itself
-    through format_rational. The rows of a block are then reduced as
-    parse_rows reduces them (_reduced_rows), over the lcm of the block's
-    denominators, and stored as _stored stores them; the rows must then
-    strictly ascend (_first_unordered_row). A file that fails any of these
-    checks, including every file the general path would refuse, gives
-    None.
+    through format_rational. The rows of a block are then written over
+    the lcm of the block's denominators, which with every numerator over
+    it must fit int64, and gcd-reduced, so each row reads as parse_rows
+    reads it; the rows must then strictly ascend (_first_unordered_row).
+    A file that fails any of these checks, including every file the
+    general path would refuse, gives None.
     """
 
     import numpy as np
 
-    from .search import row_blocks
+    from .search import array_fits_int8, int_view, row_blocks
 
     numbers = _HEAD_NUMBERS.match(data[:256])
     if numbers is None:
@@ -513,9 +410,13 @@ def _read_writer_json(data):
                        strides=(1,))
     masks = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.uint64)
     values = {}
-    dens, nums = _int_rows(count, 1, "q"), _int_rows(count, width, "b")
+    # nums starts in int8 and is widened to int64, once, when a block does
+    # not fit int8
+    dens, nums = array("q", [0]) * count, array("b", [0]) * (count * width)
+    dens_view = int_view(dens, count, writable=True)
+    nums_view = int_view(nums, (count, width), writable=True)
     for rows in row_blocks(count):
-        size = len(dens[1][rows])
+        size = len(dens_view[rows])
         window = buf[at:min(at + size * row_span, last + 1)]
         quotes = np.flatnonzero(window == ord('"'))[:2 * size * width]
         if len(quotes) < 2 * size * width:
@@ -553,14 +454,25 @@ def _read_writer_json(data):
             return None
         index = distinct.searchsorted(keys)
         del keys, distinct
-        reduced = _reduced_rows([values[key] for key in distinct_keys], index)
-        del index
-        if reduced is None:
+        # the block's cells as numerators over the lcm L of its
+        # denominators, then each row gcd-reduced
+        cells = [values[key] for key in distinct_keys]
+        lcm = math.lcm(*(v.denominator for v in cells))
+        scaled = [v.numerator * (lcm // v.denominator) for v in cells]
+        if lcm >> 63 or any(abs(x) >> 63 for x in scaled):
             return None
-        dens[1][rows, 0] = reduced[0]
-        nums = _stored(nums, rows, reduced[1])
-        del reduced
-    dens, nums = dens[0], nums[0]
+        common = np.array(scaled, dtype=np.int64)[index]
+        del index
+        g = np.gcd(np.gcd.reduce(common, axis=1), lcm)
+        dens_view[rows] = lcm // g
+        common //= g[:, None]
+        if nums.typecode == "b" and not array_fits_int8(common):
+            nums = array("q", [0]) * (count * width)
+            wide = int_view(nums, (count, width), writable=True)
+            wide[:] = nums_view
+            nums_view = wide
+        nums_view[rows] = common
+        del common
     if at != last + 1 or _first_unordered_row(dens, nums, width) is not None:
         return None
     return m, n, dens, nums, complete
@@ -598,43 +510,44 @@ def _first_unordered_row(dens, nums, width):
     """Index of the first row not above its predecessor, or None.
 
     dens and nums are flat arrays as ExtremeSet stores them, rows of width
-    numerators. Rows are compared as rational vectors: up to one block of
-    rows in Python ints, cross-multiplied; past it a block of rows
-    (row_blocks) and the row before it at a time, widened to int64, as
-    numerators over their common denominator, in int64 when every such
-    numerator stays below 2^62 (so a difference of two fits), else on
-    search.exact_keys.
+    numerators. Rows are compared as rational vectors, a block of rows
+    (row_blocks) and the row before it at a time. Up to one block of rows
+    they are cross-multiplied in Python ints. Past it a block is widened
+    to int64, as numerators over its common denominator, and compared in
+    numpy when every such numerator stays below 2^62 (so a difference of
+    two fits); a block that passes 2^62 is cross-multiplied in Python ints
+    too.
     """
 
-    from .search import BLOCK_ROWS, exact_keys, int_view, pairs_of, row_blocks
+    from .search import BLOCK_ROWS, int_view, pairs_of, row_blocks
 
-    if len(dens) <= BLOCK_ROWS:
-        rows = pairs_of(dens, nums, width)
-        for index in range(1, len(rows)):
-            (d, u), (e, w) = rows[index - 1], rows[index]
-            if not [x * e for x in u] < [x * d for x in w]:
-                return index
-        return None
-    import numpy as np
+    count = len(dens)
+    if count > BLOCK_ROWS:
+        import numpy as np
 
-    dens, nums = int_view(dens, len(dens)), int_view(nums, (len(dens), width))
-    for rows in row_blocks(len(dens)):
+        dens_view = int_view(dens, count)
+        nums_view = int_view(nums, (count, width))
+    for rows in row_blocks(count):
         since = slice(max(rows.start - 1, 0), rows.stop)
-        block, nums_block = dens[since], nums[since].astype(np.int64)
-        lcm = math.lcm(*set(block.tolist()))
-        if lcm < 1 << 62 and int(np.abs(nums_block).max()) * (
-                lcm // int(block.min())) < 1 << 62:
-            common = nums_block * (lcm // block)[:, None]
-            step = common[1:] - common[:-1]
-            lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
-            unordered = np.flatnonzero(lead <= 0).tolist()
-        else:
-            keys = exact_keys(zip(block.tolist(),
-                                  map(tuple, nums_block.tolist())))
-            unordered = [i for i in range(len(keys) - 1)
-                         if keys[i + 1] <= keys[i]]
-        if unordered:
-            return since.start + unordered[0] + 1
+        if count > BLOCK_ROWS:
+            block = dens_view[since]
+            common = nums_view[since].astype(np.int64)
+            lcm = math.lcm(*set(block.tolist()))
+            if lcm < 1 << 62 and int(np.abs(common).max()) * (
+                    lcm // int(block.min())) < 1 << 62:
+                common *= (lcm // block)[:, None]
+                step = common[1:] - common[:-1]
+                lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+                unordered = np.flatnonzero(lead <= 0).tolist()
+                if unordered:
+                    return since.start + unordered[0] + 1
+                continue
+        pairs = pairs_of(dens[since],
+                         nums[since.start * width:since.stop * width], width)
+        for index in range(1, len(pairs)):
+            (d, u), (e, w) = pairs[index - 1], pairs[index]
+            if not [x * e for x in u] < [x * d for x in w]:
+                return since.start + index
     return None
 
 

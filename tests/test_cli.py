@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -291,6 +292,18 @@ def test_enum_oversized_dimension(cachedir, capsys, tmp_path):
     code, _, _ = run(capsys, "enum", "--m", "3", "--n", "3",
                      "--out", str(tmp_path / "y.json"))
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["bh", "mixed"])
+def test_convex_constant_past_the_supported_dimension_exits_3(cachedir,
+                                                              capsys,
+                                                              command):
+    # n = 2 takes the same router as enum: extreme_points refuses n^m = 32
+    code, stdout, stderr = run(capsys, command, "--m", "5", "--n", "2")
+    assert (code, stdout) == (3, "")
+    assert stderr == ("resource budget exceeded: "
+                      "n^m = 32 exceeds supported dimension\n")
+    assert cache_entries(cachedir) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1020,6 +1033,59 @@ def test_planar_hit_with_unwritable_copy_exits_2_before_computing(
     assert_os_error(capsys, "planar", "--m", "2", "--out", str(out))
     assert out.read_bytes() == b"keep me"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "p.json"]
+
+
+def test_out_that_is_a_device_is_not_cached(tmp_path, cachedir, capsys):
+    # /dev/null holds no artifact, so its run stores no (empty) entry that
+    # a later run would refuse
+    argv = ("enum", "--m", "2", "--n", "2")
+    code, stdout, stderr = run(capsys, *argv, "--out", os.devnull)
+    assert (code, stderr) == (0, "") and "cache: hit" not in stdout
+    assert cache_entries(cachedir) == []
+    out = tmp_path / "points.json"
+    fresh = run(capsys, *argv, "--out", str(out), "--no-cache")[1]
+    out.unlink()
+    code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+    assert (code, stderr) == (0, "") and masked(stdout) == masked(fresh)
+
+
+def test_out_that_is_a_named_pipe_is_written_and_not_cached(tmp_path,
+                                                            cachedir, capsys):
+    artifact = tmp_path / "points.json"
+    run(capsys, "enum", "--m", "2", "--n", "2", "--out", str(artifact),
+        "--no-cache")
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(
+        pipe.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        code, stdout, stderr = run(capsys, "enum", "--m", "2", "--n", "2",
+                                   "--out", str(pipe))
+    finally:
+        reader.join(timeout=60)
+        if reader.is_alive():  # the run never opened the pipe
+            with open(pipe, "wb"):
+                pass
+    assert (code, stderr) == (0, "") and f"file: {pipe}\n" in stdout
+    assert received == [artifact.read_bytes()]
+    assert cache_entries(cachedir) == []
+
+
+def test_symlinked_out_stays_a_link_after_a_hit(tmp_path, cachedir, capsys):
+    # a hit writes through out, as a fresh run does
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    link.symlink_to(target)
+    argv = ("enum", "--m", "2", "--n", "2", "--out", str(link))
+    code, fresh, _ = run(capsys, *argv)
+    assert code == 0 and link.is_symlink()
+    artifact = target.read_bytes()
+    target.write_bytes(b"stale")
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0 and stdout.endswith("cache: hit\n")
+    assert masked(stdout)[:-1] == masked(fresh)
+    assert link.is_symlink() and target.read_bytes() == artifact
 
 
 TRACE_CLI = Path(__file__).resolve().parents[1] / "bench" / "trace_cli.py"

@@ -10,7 +10,10 @@ import csv
 import io
 from array import array
 import json
+import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -328,16 +331,22 @@ def test_read_rejects_rows_out_of_order(tmp_path, set22, fmt, fault):
         read_extreme_set(path)
 
 
-def test_read_orders_rows_past_2_62(tmp_path):
-    # numerators this wide are compared on exact keys instead of in int64
+def test_read_orders_rows_past_2_62(tmp_path, monkeypatch):
+    # numerators this wide are cross-multiplied in Python ints instead of
+    # compared in int64, in one block and, with one-row blocks, past it
     path = tmp_path / "wide.json"
     wide = ExtremeSet(1, 2, [1, 1], [[2 ** 62 - 1, 0], [2 ** 62, 0]])
-    write_extreme_set(path, wide)
-    assert read_extreme_set(path) == wide
-    write_extreme_set(path, ExtremeSet(1, 2, [1, 1], wide.nums[::-1]))
-    with pytest.raises(ValueError,
-                       match="point 1 does not strictly follow point 0"):
-        read_extreme_set(path)
+    for rows in (None, 1):
+        with monkeypatch.context() as blocks:
+            if rows:
+                blocks.setattr(search, "BLOCK_ROWS", rows)
+            write_extreme_set(path, wide)
+            assert read_extreme_set(path) == wide
+            write_extreme_set(path, ExtremeSet(1, 2, [1, 1], wide.nums[::-1]))
+            with pytest.raises(ValueError,
+                               match="point 1 does not strictly follow "
+                                     "point 0"):
+                read_extreme_set(path)
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +552,21 @@ def test_only_files_past_one_block_reach_the_fast_reader(tmp_path, set23,
         read()
 
 
+def test_writer_json_whose_block_passes_int64_takes_the_general_path(
+        tmp_path, monkeypatch):
+    # each row fits int64, but the lcm of the first block's denominators,
+    # over which the fast reader writes a block, does not
+    monkeypatch.setattr(search, "BLOCK_ROWS", 4)
+    primes = [99991, 99989, 99971, 99961]
+    assert math.lcm(*primes) >> 63
+    coprime = ExtremeSet(1, 1, [*primes, 1], [[1]] * 5)
+    path = tmp_path / "points.json"
+    write_extreme_set(path, coprime)
+    assert storage._read_writer_json(path.read_bytes()) is None
+    read = read_extreme_set(path)
+    assert read == coprime and read.dens.tolist() == [*primes, 1]
+
+
 # ---------------------------------------------------------------------------
 # numerators in int8 or int64
 # ---------------------------------------------------------------------------
@@ -734,6 +758,26 @@ def boundary_faults(extreme_set, data: bytes, fmt: str):
                                 count_field % (count + 1), 1)
     if count >= 2:
         yield "swap", spell([rows[1], rows[0], *rows[2:]])
+
+
+# the enum resume rows' codec, in an interpreter where numpy is blocked
+ROW_CODEC_WITHOUT_NUMPY = (
+    "import sys\n"
+    "sys.modules['numpy'] = None\n"
+    "from extremeforms.storage import format_rows, parse_rows\n"
+    "cells = format_rows([2, 1], [(1, -1), (0, 3)])\n"
+    "assert cells == [['1/2', '-1/2'], ['0', '3']], cells\n"
+    "dens, nums = parse_rows('rows', 2, cells)\n"
+    "assert (dens.tolist(), nums.tolist()) == ([2, 1], [1, -1, 0, 3])\n")
+
+
+def test_row_codec_loads_no_numpy():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(extremeforms.__file__)))
+    done = subprocess.run([sys.executable, "-c", ROW_CODEC_WITHOUT_NUMPY],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("block", [1, 2, 7])
