@@ -20,12 +20,13 @@ inside the handlers so that --help and argument errors stay fast. numpy
 is loaded only for sets past one block of rows (search.BLOCK_ROWS), by
 the basis walk, and by constants and grothendieck: verify, --help, JSON
 cache hits (bh, mixed, khinchin, two-slot, kg, blei), oracle, and
-complete enum and planar runs of at most one block of points, fresh or
-from the cache, never load it; planar --m 4, budgeted or resumed enum,
-and fresh bh, mixed, kg, khinchin, two-slot and blei do. verify, which
-parses its point with core alone, never loads storage either. A JSON hit is printed only if it
-parses as an object whose identifying fields equal those a fresh run
-writes.
+complete enum and planar runs of at most one block of points (n = 1
+among them, whose two points take no walk), fresh or from the cache,
+never load it; planar --m 4, budgeted or resumed enum, and fresh bh,
+mixed, kg, khinchin, two-slot and blei do. verify, which parses its
+point with core alone, never loads storage either. A JSON hit is
+printed only if it parses as an object whose identifying fields equal
+those a fresh run writes.
 """
 
 from __future__ import annotations
@@ -317,7 +318,7 @@ def _load_resume_file(path: Path, m: int, n: int):
     if not isinstance(search, dict) or not isinstance(partial, list):
         raise ValueError(f"{path}: search must be an object and partial "
                          f"a list")
-    dens, nums = parse_rows(path, n ** m, partial)
+    dens, nums, _ = parse_rows(path, n ** m, partial)
     return pairs_of(dens, nums, n ** m), search
 
 

@@ -11,8 +11,9 @@ extreme_points picks one by the kind of run, with no flag:
   (dd.double_description): 90 points of (2,3) from at most 252 rays;
 * a complete run of the parallelotope n = 2 is planar_extreme_points,
   the closed form below;
-* budgeted and resumed runs, and complete runs of n = 1, take the basis
-  walk below.
+* a complete run of n = 1, whose ball is the interval [-1, 1], is its
+  two points -1 and 1;
+* budgeted and resumed runs take the basis walk below.
 
 The basis walk is a four-step pipeline:
 
@@ -72,7 +73,7 @@ The rule for numpy is "Python ints up to one block of rows (BLOCK_ROWS),
 numpy past it". Only the basis walk's kernels, the m = 4 planar kernel
 and the scans over sets of more than one block import numpy, each inside
 the function, so every complete run of at most BLOCK_ROWS points (the
-double description, planar m <= 3, brute_force_vertices) and the
+double description, planar m <= 3, n = 1, brute_force_vertices) and the
 ExtremeSet it returns never load it. The certificates (in_unit_ball,
 is_extreme), the exact eliminator and InternalInvariantError live in core
 and are re-exported here.
@@ -757,15 +758,16 @@ def extreme_points(m, n, budget=None, resume=None) -> ExtremeSet:
     A complete run (no budget, no resume) builds no walk table. The ball
     is a parallelotope exactly when V has n^m antipodal pairs (n <= 2). A
     ball that is not one (n >= 3) is an exact double description of the
-    rows of V (dd.double_description), and n = 2 is the closed form
-    planar_extreme_points(m); neither loads numpy. Every other run is one
-    depth-first walk over the anchored bases, in this process: budgeted
-    and resumed runs, and complete runs of n = 1. budget bounds the number
-    of (reduced) bases walked in this call, of which the kernel solves one
-    per orbit (_chunk_keys); exceeding it raises BudgetExceeded whose
-    .partial is an honest subset and whose .resume continues the search.
-    The dimension is refused (n^m > MAX_PIPELINE_DIMENSION) before any
-    engine runs.
+    rows of V (dd.double_description), n = 2 is the closed form
+    planar_extreme_points(m), and n = 1 is the two points -1 and 1 of
+    the interval [-1, 1]; none of them loads numpy for a set of at most
+    one block of rows. Every other run, a budgeted or resumed one, is one
+    depth-first walk over the anchored bases, in this process. budget
+    bounds the number of (reduced) bases walked in this call, of which
+    the kernel solves one per orbit (_chunk_keys); exceeding it raises
+    BudgetExceeded whose .partial is an honest subset and whose .resume
+    continues the search. The dimension is refused
+    (n^m > MAX_PIPELINE_DIMENSION) before any engine runs.
     """
     _refuse_past_dimension(n ** m)
     if budget is None and resume is None:
@@ -777,6 +779,7 @@ def extreme_points(m, n, budget=None, resume=None) -> ExtremeSet:
                 enumerate_tensor_vertices(m, n)))
         if n == 2:
             return planar_extreme_points(m)
+        return ExtremeSet(m, 1, [1, 1], [-1, 1])  # n = 1: the ball [-1, 1]
     walk = _anchored_walk(m, n, budget, resume)
     keys, cache, chunk = set(), {}, []
     try:

@@ -29,9 +29,10 @@ unless some entry does not fit. Every other file, at any size (one of at
 most one block, another JSON layout, a long cell for the numpy reader, a
 fault of any kind, and every CSV file), goes through json.loads or the
 csv module (streamed), then one Python pass over its rows (parse_rows),
-which gives every error message. Every reader hands its flat arrays to
-ExtremeSet, which narrows nums to int8 when it can and keeps an array
-without a copy when its type is right.
+which gives every error message. Each reader checks row order in the
+pass that reads the rows and hands its flat arrays to ExtremeSet, which
+narrows nums to int8 when it can and keeps an array without a copy when
+its type is right.
 
 The cache stores opaque byte payloads under deterministic keys, next to a
 SHA-256 sidecar. Writes go through a temporary file plus ``os.replace`` so
@@ -46,10 +47,10 @@ read_extreme_set then reads.
 Only the extreme-set functions (format_rows, parse_rows, write_extreme_set,
 read_extreme_set and their helpers) work on arrays, and they import
 search when called, and numpy only for a set past one block of rows: the
-writer, _read_writer_json and the order check. The cache loads nothing
-heavy, so --help, JSON cache hits, the enum resume rows and every
-extreme set of at most one block, fresh or from the cache, run without
-numpy, and verify loads neither numpy nor this module.
+writer and _read_writer_json. The cache loads nothing heavy, so --help,
+JSON cache hits, the enum resume rows and every extreme set of at most
+one block, fresh or from the cache, run without numpy, and verify loads
+neither numpy nor this module.
 """
 
 from __future__ import annotations
@@ -169,14 +170,14 @@ def _suffixed_cells(dens, nums, sep="", row_sep=""):
 
 
 def parse_rows(path, width, rows, count=None) -> tuple:
-    """(dens, nums) of the rows of width cell strings that the iterable
-    rows yields, in order, as flat 'q' arrays, in one pass in Python ints:
+    """(dens, nums, unordered) of the rows of width cell strings that the
+    iterable rows yields, in one pass in Python ints: flat 'q' arrays,
     each row gcd-reduced over the lcm of its denominators (int64_row),
-    each distinct cell parsed once.
+    each distinct cell parsed once, and the index of the first row not
+    above the one before it (_ascends), or None.
 
-    The pass counts the rows, checks their shapes and parses their cells,
-    and stops parsing at the first fault. A ValueError then names, in this
-    precedence: a count, when given, that differs from the number of
+    The pass stops parsing at the first fault. A ValueError then names, in
+    this precedence: a count, when given, that differs from the number of
     rows; the first row that is not a list of width cells; the first row
     that holds a bad cell or does not fit int64.
     """
@@ -195,7 +196,7 @@ def parse_rows(path, width, rows, count=None) -> tuple:
             return parse_rational(cell)
 
     dens, nums = array("q"), array("q")
-    found, misshapen, bad = 0, None, None
+    found, misshapen, bad, unordered, previous = 0, None, None, None, None
     for found, row in enumerate(rows, start=1):
         if not isinstance(row, list) or len(row) != width:
             if misshapen is None:
@@ -206,6 +207,10 @@ def parse_rows(path, width, rows, count=None) -> tuple:
             except ValueError as err:
                 bad = f"{path}: point {found - 1}: {err}"
             else:
+                if unordered is None and previous is not None \
+                        and not _ascends(previous, (d, u)):
+                    unordered = found - 1
+                previous = d, u
                 dens.append(d)
                 nums.extend(u)
     if count is not None and count != found:
@@ -216,7 +221,13 @@ def parse_rows(path, width, rows, count=None) -> tuple:
                          f"{width} coordinates")
     if bad is not None:
         raise ValueError(bad)
-    return dens, nums
+    return dens, nums, unordered
+
+
+def _ascends(previous, row) -> bool:
+    """Whether row (d, u) is above previous as a rational vector u / d."""
+    (d, u), (e, w) = previous, row
+    return u < w if d == e else [x * e for x in u] < [x * d for x in w]
 
 
 def write_extreme_set(path, extreme_set: ExtremeSet, fmt: str = "json") -> None:
@@ -274,10 +285,11 @@ def read_extreme_set(path, data=None) -> ExtremeSet:
     past one block of rows (search.BLOCK_ROWS) that is JSON exactly as
     write_extreme_set writes it is read by _read_writer_json, through a
     read-only mmap of the file. Every other file, at any size, is streamed
-    from its start by _read_general, one Python pass over its rows, which
-    decodes a JSON file whole. A mapped file must not be truncated or
-    rewritten while it is read: touching a page past its new end kills the
-    process with SIGBUS. The CLI reads only a private copy.
+    from its start by _read_general, which decodes a JSON file whole, in
+    one Python pass over its rows. Each reader refuses rows that do not
+    strictly ascend in the pass that reads them. A mapped file must not be
+    truncated or rewritten while it is read: touching a page past its new
+    end kills the process with SIGBUS. The CLI reads only a private copy.
     """
 
     from .search import BLOCK_ROWS, ExtremeSet
@@ -310,13 +322,14 @@ def _read_general(path, text) -> tuple:
     text stream at its start, as Path.read_text would decode it.
 
     A CSV file is read once, the csv module's rows streamed into one
-    Python pass (parse_rows) that counts them, checks their shapes and
-    parses their cells. Any other file is decoded whole and parsed with
-    json.loads, its rows then in the same pass. A ValueError names any
-    field of the wrong type or out of range, the count, the first row of
-    the wrong shape, the first bad cell, and the first point that does
-    not strictly follow its predecessor, in that precedence: the
-    ExtremeSet constructor trusts its rows to be sorted and distinct.
+    Python pass (parse_rows) that counts them, checks their shapes,
+    parses their cells and checks their order. Any other file is decoded
+    whole and parsed with json.loads, its rows then in the same pass. A
+    ValueError names any field of the wrong type or out of range, the
+    count, the first row of the wrong shape, the first bad cell, and the
+    first point that does not strictly follow its predecessor, in that
+    precedence: the ExtremeSet constructor trusts its rows to be sorted
+    and distinct.
     """
 
     head = text.readline()
@@ -344,10 +357,9 @@ def _read_general(path, text) -> tuple:
         raise ValueError(f"{path}: format-version {version} unsupported "
                          f"(expected {FILE_FORMAT_VERSION})")
     width = n ** m
-    dens, nums = parse_rows(path, width,
-                            _csv_rows(text) if is_csv else rows, count)
+    dens, nums, index = parse_rows(path, width,
+                                   _csv_rows(text) if is_csv else rows, count)
     del rows
-    index = _first_unordered_row(dens, nums, width)
     if index is not None:
         raise ValueError(f"{path}: point {index} does not strictly follow "
                          f"point {index - 1}")
@@ -361,19 +373,21 @@ def _read_writer_json(data):
     data is bytes or an mmap; the pages of an mmap are dropped
     (MADV_DONTNEED) as soon as a block of rows has consumed them. Every
     byte is checked. The head and the tail must equal the _JSON_* pieces
-    for the counts the head holds. The rows go in blocks (row_blocks); a
-    block's quotes are found in a window from the previous block's end
-    that holds them all if no cell is longer than 7 bytes. Neighbouring
-    quotes, across blocks too, must be separated by exactly _JSON_CELL_SEP
-    or, at a row's end, _JSON_ROW_SEP, and the last one must begin the
-    tail. A cell and its length pack into one uint64 key; a block's
-    distinct keys are parsed once each, and each must read back as itself
-    through format_rational. The rows of a block are then written over
-    the lcm of the block's denominators, which with every numerator over
-    it must fit int64, and gcd-reduced, so each row reads as parse_rows
-    reads it; the rows must then strictly ascend (_first_unordered_row).
-    A file that fails any of these checks, including every file the
-    general path would refuse, gives None.
+    for the counts the head holds, and the file must hold two quotes a
+    cell, so a forged count allocates nothing. The rows go in blocks
+    (row_blocks); a block's quotes are found in a window from the previous
+    block's end that holds them all if no cell is longer than 7 bytes.
+    Neighbouring quotes, across blocks too, must be separated by exactly
+    _JSON_CELL_SEP or, at a row's end, _JSON_ROW_SEP, and the last one
+    must begin the tail. A cell and its length pack into one uint64 key; a
+    block's distinct keys are parsed once each, and each must read back as
+    itself through format_rational. The rows of a block are then written
+    over the lcm of the block's denominators, which with every numerator
+    over it must fit int64; there they must strictly ascend, as must the
+    block's first row over the previous block's last (_ascends). Each row
+    is then gcd-reduced, so it reads as parse_rows reads it. A file that
+    fails any of these checks, including every file the general path
+    would refuse, gives None.
     """
 
     import numpy as np
@@ -397,9 +411,10 @@ def _read_writer_json(data):
             break
     else:
         return None
-    if len(data) < len(head) + len(tail) or data[:len(head)] != head:
-        return None
     width = n ** m
+    if len(data) < max(len(head) + len(tail), 2 * count * width) \
+            or data[:len(head)] != head:
+        return None
     cell_sep, row_sep = _JSON_CELL_SEP.encode(), _JSON_ROW_SEP.encode()
     # the most bytes a row of 7-byte cells spans, quote to quote
     row_span = width * (7 + len(cell_sep)) + len(row_sep)
@@ -463,6 +478,14 @@ def _read_writer_json(data):
             return None
         common = np.array(scaled, dtype=np.int64)[index]
         del index
+        # over one denominator rows ascend as their numerators do
+        lead = (common[1:] != common[:-1]).argmax(axis=1)
+        step = np.arange(len(lead))
+        if not (common[1:][step, lead] > common[:-1][step, lead]).all() or (
+                rows.start and not _ascends(last_row,
+                                            (lcm, tuple(common[0].tolist())))):
+            return None
+        last_row = lcm, tuple(common[-1].tolist())
         g = np.gcd(np.gcd.reduce(common, axis=1), lcm)
         dens_view[rows] = lcm // g
         common //= g[:, None]
@@ -473,9 +496,7 @@ def _read_writer_json(data):
             nums_view = wide
         nums_view[rows] = common
         del common
-    if at != last + 1 or _first_unordered_row(dens, nums, width) is not None:
-        return None
-    return m, n, dens, nums, complete
+    return (m, n, dens, nums, complete) if at == last + 1 else None
 
 
 def _separated(words, closes, opens, sep: bytes) -> bool:
@@ -504,51 +525,6 @@ def _canonical_cell(key: int) -> Fraction:
     if format_rational(value) != text:
         raise ValueError(f"not canonical: {text!r}")
     return value
-
-
-def _first_unordered_row(dens, nums, width):
-    """Index of the first row not above its predecessor, or None.
-
-    dens and nums are flat arrays as ExtremeSet stores them, rows of width
-    numerators. Rows are compared as rational vectors, a block of rows
-    (row_blocks) and the row before it at a time. Up to one block of rows
-    they are cross-multiplied in Python ints. Past it a block is widened
-    to int64, as numerators over its common denominator, and compared in
-    numpy when every such numerator stays below 2^62 (so a difference of
-    two fits); a block that passes 2^62 is cross-multiplied in Python ints
-    too.
-    """
-
-    from .search import BLOCK_ROWS, int_view, pairs_of, row_blocks
-
-    count = len(dens)
-    if count > BLOCK_ROWS:
-        import numpy as np
-
-        dens_view = int_view(dens, count)
-        nums_view = int_view(nums, (count, width))
-    for rows in row_blocks(count):
-        since = slice(max(rows.start - 1, 0), rows.stop)
-        if count > BLOCK_ROWS:
-            block = dens_view[since]
-            common = nums_view[since].astype(np.int64)
-            lcm = math.lcm(*set(block.tolist()))
-            if lcm < 1 << 62 and int(np.abs(common).max()) * (
-                    lcm // int(block.min())) < 1 << 62:
-                common *= (lcm // block)[:, None]
-                step = common[1:] - common[:-1]
-                lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
-                unordered = np.flatnonzero(lead <= 0).tolist()
-                if unordered:
-                    return since.start + unordered[0] + 1
-                continue
-        pairs = pairs_of(dens[since],
-                         nums[since.start * width:since.stop * width], width)
-        for index in range(1, len(pairs)):
-            (d, u), (e, w) = pairs[index - 1], pairs[index]
-            if not [x * e for x in u] < [x * d for x in w]:
-                return since.start + index
-    return None
 
 
 def _read_json(text: str, path: Path) -> tuple:

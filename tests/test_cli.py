@@ -788,6 +788,43 @@ def test_small_exact_and_planar_runs_never_import_numpy(tmp_path,
     assert code == 0 and stdout.startswith("usage: extremeforms")
 
 
+# enum --m 1 and --m 2 (miss, then hit) and oracle on n = 1, through
+# cli.main in a fresh interpreter with numpy blocked, in the working
+# directory; prints each command's exit code and stdout as JSON
+N1_WITHOUT_NUMPY = (
+    "import contextlib, io, json, sys\n"
+    "sys.modules['numpy'] = None\n"
+    "from extremeforms.cli import main\n"
+    "runs = []\n"
+    "for argv in (['enum', '--m', '1', '--n', '1'],\n"
+    "             *[['enum', '--m', '2', '--n', '1']] * 2,\n"
+    "             ['oracle', '--m', '2', '--n', '1']):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+    "        code = main([*argv, '--cache-dir', sys.argv[1]])\n"
+    "    runs.append([code, out.getvalue()])\n"
+    "print(json.dumps(runs))")
+
+
+def test_complete_n_1_runs_never_import_numpy(tmp_path):
+    # the ball of n = 1 is [-1, 1]: its two points take no basis walk
+    from extremeforms.search import brute_force_vertices
+
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", N1_WITHOUT_NUMPY, str(tmp_path / "cache")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    runs = json.loads(done.stdout)
+    assert [code for code, _ in runs] == [0] * 4
+    assert [out.endswith("cache: hit\n") for _, out in runs[:3]] \
+        == [False, False, True]
+    assert json.loads(runs[3][1])["equal"] is True
+    for m in (1, 2):
+        path = tmp_path / f"extremeforms-enum-m{m}-n1.json"
+        assert read_extreme_set(path) == brute_force_vertices(m, 1)
+
+
 @pytest.mark.parametrize("argv", [("enum", "--out", "x.json"), ("bh",),
                                   ("mixed",)], ids=["enum", "bh", "mixed"])
 def test_unbudgeted_2_4_stops_at_the_ray_cap(tmp_path, cachedir, capsys,

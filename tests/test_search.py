@@ -482,8 +482,8 @@ def test_complete_linear_balls_are_cross_polytopes(n):
 
 def test_complete_runs_route_by_shape(monkeypatch, set32, planar3):
     # complete runs of non-parallelotopes go to double description, those
-    # of n = 2 to planar_extreme_points, and n = 1, budgeted and resumed
-    # runs to the walk
+    # of n = 2 to planar_extreme_points, and budgeted and resumed runs to
+    # the walk
     dd_calls = []
     engine = dd.double_description
 
@@ -513,12 +513,23 @@ def test_complete_runs_route_by_shape(monkeypatch, set32, planar3):
     monkeypatch.undo()
     monkeypatch.setattr(dd, "double_description", refuse_dd)
     monkeypatch.setattr(search, "planar_extreme_points", None)
-    # n = 1, budgeted and resumed runs walk
+    # budgeted and resumed runs walk; n = 1 gives its two points either way
     assert extreme_points(3, 1).coefficient_tuples() == {(1,), (-1,)}
     assert len(extreme_points(2, 3, budget=walk_bound(2, 3))) == 90
     with pytest.raises(BudgetExceeded) as info:
         extreme_points(2, 3, budget=0)
     assert len(extreme_points(2, 3, resume=info.value.resume)) == 90
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_complete_runs_of_n_1_take_no_walk(m, monkeypatch):
+    # the ball of n = 1 is [-1, 1]; the walk gives the same two points
+    walked = extreme_points(m, 1, budget=walk_bound(m, 1))
+    monkeypatch.setattr(search, "_tables", None)
+    monkeypatch.setattr(search, "_anchored_walk", None)
+    got = extreme_points(m, 1)
+    assert got == walked == brute_force_vertices(m, 1)
+    assert got.pairs() == [(1, (-1,)), (1, (1,))] and got.complete
 
 
 @pytest.mark.parametrize("m, n", [(2, 5), (1, 17), (3, 3)])

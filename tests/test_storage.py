@@ -567,6 +567,46 @@ def test_writer_json_whose_block_passes_int64_takes_the_general_path(
     assert read == coprime and read.dens.tolist() == [*primes, 1]
 
 
+@pytest.mark.parametrize("fault, row", [("swap", 3), ("swap", 5),
+                                        ("repeat", 3)],
+                         ids=["swap-across", "swap-inside", "repeat-across"])
+def test_fast_reader_orders_rows_across_blocks(tmp_path, set23, monkeypatch,
+                                               fault, row):
+    # in blocks of 4 rows, rows 3 and 4 straddle a boundary and rows 5 and
+    # 6 share a block: the fast reader refuses each fault, and
+    # read_extreme_set names the point the general reader names
+    monkeypatch.setattr(search, "BLOCK_ROWS", 4)
+    pairs = set23.pairs()
+    pairs[row + 1] = pairs[row]
+    if fault == "swap":
+        pairs[row] = set23.pairs()[row + 1]
+    path = tmp_path / "points.json"
+    write_extreme_set(path, ExtremeSet(2, 3, [d for d, _ in pairs],
+                                       [u for _, u in pairs]))
+    assert storage._read_writer_json(path.read_bytes()) is None
+    message = f"point {row + 1} does not strictly follow point {row}"
+    with monkeypatch.context() as general_only:
+        general_only.setattr(storage, "_read_writer_json", lambda data: None)
+        with pytest.raises(ValueError, match=message):
+            read_extreme_set(path)
+    with pytest.raises(ValueError, match=message):
+        read_extreme_set(path)
+
+
+def test_forged_count_is_refused_before_any_allocation(tmp_path, planar2):
+    # a count the file cannot hold: the fast reader gives None before it
+    # allocates count rows, and the general reader names the count
+    path = tmp_path / "points.json"
+    write_extreme_set(path, planar2)
+    forged = 10 ** 15
+    path.write_bytes(path.read_bytes().replace(b'"count": 16',
+                                               b'"count": %d' % forged))
+    assert storage._read_writer_json(path.read_bytes()) is None
+    with pytest.raises(ValueError, match=f"count field says {forged} but "
+                                         f"16 points present"):
+        read_extreme_set(path)
+
+
 # ---------------------------------------------------------------------------
 # numerators in int8 or int64
 # ---------------------------------------------------------------------------
@@ -767,7 +807,7 @@ ROW_CODEC_WITHOUT_NUMPY = (
     "from extremeforms.storage import format_rows, parse_rows\n"
     "cells = format_rows([2, 1], [(1, -1), (0, 3)])\n"
     "assert cells == [['1/2', '-1/2'], ['0', '3']], cells\n"
-    "dens, nums = parse_rows('rows', 2, cells)\n"
+    "dens, nums, _ = parse_rows('rows', 2, cells)\n"
     "assert (dens.tolist(), nums.tolist()) == ([2, 1], [1, -1, 0, 3])\n")
 
 
