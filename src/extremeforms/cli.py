@@ -15,8 +15,9 @@ formatted or parsed on its own. blei has no parameters.
 Exit codes: 0 success, 2 invalid input or an OSError, 3 resource budget
 exceeded (for budgeted enumerations the resume state path is printed), 4
 internal invariant violation. A cache that cannot be written costs a
-warning on stderr after the answer, not the answer. Heavy imports happen
-inside the handlers so that --help and argument errors stay fast. numpy
+warning on stderr after the answer, not the answer. Heavy imports, json
+among them, happen inside the handlers, so that --help, argument errors
+and verify stay fast and never load json. numpy
 is loaded only for sets past one block of rows (search.BLOCK_ROWS), by
 the basis walk, and by constants and grothendieck: verify, --help, JSON
 cache hits (bh, mixed, khinchin, two-slot, kg, blei), oracle, and
@@ -32,7 +33,6 @@ those a fresh run writes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -166,6 +166,8 @@ def _emit_cached_json(args: argparse.Namespace, extra: dict, identity: dict,
     fields equal identity, types included; anything else raises ValueError.
     """
 
+    import json
+
     from . import storage
 
     key = storage.cache_key(args.command, getattr(args, "m", 0),
@@ -279,6 +281,8 @@ def _write_resume_file(path: Path, m: int, n: int, search_resume: dict,
                        pairs) -> None:
     """Write the resume file; pairs are (d, u) rows, duplicates kept."""
 
+    import json
+
     from .search import exact_order
     from .storage import format_rows
 
@@ -299,6 +303,8 @@ def _load_resume_file(path: Path, m: int, n: int):
 
     The rows are trusted, as --point is: they are parsed, not certified.
     """
+
+    import json
 
     from .search import pairs_of
     from .storage import parse_rows
@@ -475,6 +481,8 @@ def _handle_blei(args: argparse.Namespace) -> int:
 
 
 def _handle_oracle(args: argparse.Namespace) -> int:
+    import json
+
     from .search import brute_force_vertices, extreme_points
 
     brute = brute_force_vertices(args.m, args.n)

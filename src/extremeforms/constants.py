@@ -20,12 +20,11 @@ same kernel that f_lambda applies to one FormVector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .core import FormVector, InternalInvariantError
+from .core import FormVector, InternalInvariantError, Record
 from .search import ExtremeSet, exact_keys, reduced_row, row_blocks
 
 TIE_WINDOW = 1e-12
@@ -46,8 +45,7 @@ __all__ = [
 # report type
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstantReport:
+class ConstantReport(Record):
     """Result of maximizing a functional over an extreme-point set.
 
     value is the binary64 maximum, argmax an attaining extreme point, and
@@ -55,13 +53,14 @@ class ConstantReport:
     general values are algebraic numbers without a recognized pattern).
     """
 
-    name: str
-    m: int
-    n: int
-    exponent: Fraction | None
-    value: float
-    argmax: FormVector
-    exact_note: str | None = None
+    _fields = ("name", "m", "n", "exponent", "value", "argmax",
+               "exact_note")
+
+    def __init__(self, name: str, m: int, n: int,
+                 exponent: Fraction | None, value: float,
+                 argmax: FormVector, exact_note: str | None = None):
+        vars(self).update(name=name, m=m, n=n, exponent=exponent,
+                          value=value, argmax=argmax, exact_note=exact_note)
 
     def to_json_dict(self) -> dict:
         return {
@@ -220,7 +219,9 @@ def bh_constant(m: int, n: int, extreme_set: ExtremeSet) -> ConstantReport:
     exponent = Fraction(2 * m, m + 1)
     report = _maximum(extreme_set, _f_lambda_rows(extreme_set, exponent),
                       name="bohnenblust-hille", exponent=exponent)
-    return replace(report, exact_note=_recognize_closed_form(report.value))
+    return ConstantReport(report.name, report.m, report.n, report.exponent,
+                          report.value, report.argmax,
+                          _recognize_closed_form(report.value))
 
 
 def mixed_littlewood_constant(m: int, n: int,
@@ -229,8 +230,8 @@ def mixed_littlewood_constant(m: int, n: int,
 
     bh = bh_constant(m, n, extreme_set)
     value = 2 ** (1 / (2 * m)) * bh.value
-    return replace(bh, name="mixed-littlewood", value=value,
-                   exact_note=_recognize_closed_form(value))
+    return ConstantReport("mixed-littlewood", bh.m, bh.n, bh.exponent, value,
+                          bh.argmax, _recognize_closed_form(value))
 
 
 # ---------------------------------------------------------------------------

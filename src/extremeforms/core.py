@@ -18,7 +18,9 @@ this module is exact: integers for sign data, Fractions for
 coefficients, no floating point anywhere, and it imports no numpy. The
 CLI commands that need nothing else (verify, --help, and JSON cache
 hits) therefore never load numpy, and verify needs nothing but this
-module. All values are immutable and all functions pure.
+module. All values are immutable and all functions pure. The value
+types derive from Record, a few lines here in place of dataclasses,
+which no command imports.
 
 Two normalization rules are fixed here and relied on everywhere else:
 
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
@@ -55,6 +56,38 @@ class ResourceBudgetError(RuntimeError):
 
 class InternalInvariantError(RuntimeError):
     """An invariant the pipeline guarantees by construction failed."""
+
+
+class Record:
+    """Immutable value: ==, hash and repr over the names in _fields.
+
+    A subclass's __init__ stores its fields with vars(self).update; any
+    later assignment raises AttributeError, as on a frozen dataclass.
+    """
+
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +220,7 @@ def is_tensor_vertex(v: Sequence[int], m: int, n: int) -> bool:
 # the sign group
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, init=False)
-class GroupElement:
+class GroupElement(Record):
     """Diagonal +-1 matrix diag(v), held by its sign vector v in V.
 
     G is V under coordinatewise product. Construction takes any factor
@@ -197,15 +229,12 @@ class GroupElement:
     canonical ones back.
     """
 
-    signs: TensorVector
-    m: int
-    n: int
+    _fields = ("signs", "m", "n")
 
     def __init__(self, factors):
         factors = tuple(factors)
-        object.__setattr__(self, "signs", omega(factors))
-        object.__setattr__(self, "m", len(factors))
-        object.__setattr__(self, "n", len(factors[0]))
+        vars(self).update(signs=omega(factors), m=len(factors),
+                          n=len(factors[0]))
 
     @property
     def factors(self) -> tuple[Vertex, ...]:
@@ -253,8 +282,7 @@ def transporter(u: Sequence[int], w: Sequence[int], m: int, n: int
 # coefficient vectors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FormVector:
+class FormVector(Record):
     """Exact rational coefficient vector of an m-linear form on R^n.
 
     T(y_1, ..., y_m) = <coeffs, w(y_1, ..., y_m)> under the fixed
@@ -262,11 +290,14 @@ class FormVector:
     keep the exactness guarantee visible at the boundary.
     """
 
-    coeffs: tuple
-    m: int
-    n: int
+    _fields = ("coeffs", "m", "n")
+
+    def __init__(self, coeffs: tuple, m: int, n: int):
+        vars(self).update(coeffs=coeffs, m=m, n=n)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Validation, once per construction; it stores exact coeffs."""
         if len(self.coeffs) != self.n ** self.m:
             raise ValueError(
                 f"{len(self.coeffs)} coefficients for shape "
@@ -276,7 +307,7 @@ class FormVector:
             if isinstance(c, float):
                 raise ValueError("coefficients must be exact rationals")
             exact.append(c if isinstance(c, Fraction) else Fraction(c))
-        object.__setattr__(self, "coeffs", tuple(exact))
+        vars(self)["coeffs"] = tuple(exact)
 
     def evaluate(self, *vertices: Vertex) -> Fraction:
         if len(vertices) != self.m:
@@ -390,20 +421,20 @@ def _exact_solve(rows, rhs_rows):
 # certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InBallResult:
+class InBallResult(Record):
     """Outcome of the exact sup-norm test, with a violating witness if any."""
 
-    inside: bool
-    value: Fraction
-    witness: tuple | None = None
+    _fields = ("inside", "value", "witness")
+
+    def __init__(self, inside: bool, value: Fraction,
+                 witness: tuple | None = None):
+        vars(self).update(inside=inside, value=value, witness=witness)
 
     def __bool__(self) -> bool:
         return self.inside
 
 
-@dataclass(frozen=True)
-class ExtremalityCertificate:
+class ExtremalityCertificate(Record):
     """Exact evidence for or against extremality of a coefficient vector.
 
     When the point is inside the ball but not extreme, midpoint_offset is a
@@ -411,15 +442,19 @@ class ExtremalityCertificate:
     exhibits a as a proper midpoint.
     """
 
-    extreme: bool
-    in_ball: bool
-    norm_value: Fraction
-    norm_witness: tuple | None
-    dimension: int
-    tight_count: int
-    tight_rank: int
-    tight_basis: tuple
-    midpoint_offset: FormVector | None
+    _fields = ("extreme", "in_ball", "norm_value", "norm_witness",
+               "dimension", "tight_count", "tight_rank", "tight_basis",
+               "midpoint_offset")
+
+    def __init__(self, extreme: bool, in_ball: bool, norm_value: Fraction,
+                 norm_witness: tuple | None, dimension: int,
+                 tight_count: int, tight_rank: int, tight_basis: tuple,
+                 midpoint_offset: FormVector | None):
+        vars(self).update(
+            extreme=extreme, in_ball=in_ball, norm_value=norm_value,
+            norm_witness=norm_witness, dimension=dimension,
+            tight_count=tight_count, tight_rank=tight_rank,
+            tight_basis=tight_basis, midpoint_offset=midpoint_offset)
 
     def __bool__(self) -> bool:
         return self.extreme

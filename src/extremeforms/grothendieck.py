@@ -22,7 +22,6 @@ The maximum is proved by two polynomial identities checked exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, product
@@ -30,7 +29,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .constants import ConstantReport
-from .core import FormVector
+from .core import FormVector, Record
 from .search import ExtremeSet, InternalInvariantError
 
 SIGN_ENUM_LIMIT = 20
@@ -52,19 +51,15 @@ __all__ = [
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SphereConfig:
+class SphereConfig(Record):
     """A pair of unit-vector families on S^(d-1) and the attained value."""
 
-    x_vectors: tuple
-    y_vectors: tuple
-    value: float
+    _fields = ("x_vectors", "y_vectors", "value")
 
-    def __post_init__(self):
-        xs = tuple(tuple(float(c) for c in v) for v in self.x_vectors)
-        ys = tuple(tuple(float(c) for c in v) for v in self.y_vectors)
-        object.__setattr__(self, "x_vectors", xs)
-        object.__setattr__(self, "y_vectors", ys)
+    def __init__(self, x_vectors: tuple, y_vectors: tuple, value: float):
+        xs = tuple(tuple(float(c) for c in v) for v in x_vectors)
+        ys = tuple(tuple(float(c) for c in v) for v in y_vectors)
+        vars(self).update(x_vectors=xs, y_vectors=ys, value=value)
         for vector in xs + ys:
             norm = math.sqrt(math.fsum(c * c for c in vector))
             if abs(norm - 1.0) > 1e-12:
@@ -72,25 +67,18 @@ class SphereConfig:
                                  "expected 1 within 1e-12")
 
 
-@dataclass(frozen=True)
-class BleiPoint:
+class BleiPoint(Record):
     """A feasible point of the constrained KKT problem.
 
     Constraint violations beyond the stated tolerances raise immediately;
     points are never clamped into feasibility.
     """
 
-    a: float
-    b: float
-    c: float
-    d: float
-    h: float
+    _fields = ("a", "b", "c", "d", "h")
 
-    def __post_init__(self):
-        a, b, c, d, h = (float(self.a), float(self.b), float(self.c),
-                         float(self.d), float(self.h))
-        for name, value in zip("abcdh", (a, b, c, d, h)):
-            object.__setattr__(self, name, value)
+    def __init__(self, a: float, b: float, c: float, d: float, h: float):
+        a, b, c, d, h = float(a), float(b), float(c), float(d), float(h)
+        vars(self).update(a=a, b=b, c=c, d=d, h=h)
         if abs(a + b + c + d - 1.0) > 1e-10:
             raise ValueError(f"coordinates sum to {a + b + c + d}, not 1")
         pairs = {"a+b": a + b, "c+d": c + d, "a+c": a + c,

@@ -65,9 +65,9 @@ Every search ends in an ExtremeSet of gcd-reduced integer rows (d, u),
 held in two flat stdlib arrays, sorted on exact integer keys. Fractions
 appear only where a caller asks for FormVectors (ExtremeSet.points,
 iteration, point(i)), in _det_adjugate's exact fallback, in the exact
-inverse that starts a double description, and in the brute_force_vertices
-oracle, which keeps its own exact Fraction solve and only uses the
-container.
+inverse that starts a double description, and in the exact solve of the
+brute_force_vertices oracle, which then filters each solution as a
+reduced row (d, u) in ints and only uses the container.
 
 The rule for numpy is "Python ints up to one block of rows (BLOCK_ROWS),
 numpy past it". Only the basis walk's kernels, the m = 4 planar kernel
@@ -83,7 +83,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, permutations, product, repeat
@@ -97,12 +96,12 @@ from extremeforms.core import (  # noqa: F401
     FormVector,
     InBallResult,
     InternalInvariantError,
+    Record,
     ResourceBudgetError,
     _exact_solve,
     _IntEliminator,
     enumerate_tensor_vertices,
     in_unit_ball,
-    inner,
     is_extreme,
     tensor_vertex_count,
 )
@@ -233,28 +232,30 @@ def _stored_nums(nums, rows):
 
     nums is a flat array.array, kept as it is when its typecode is right;
     a numpy array, copied once through its buffer; or a sequence of rows
-    or of ints. Past one block of rows the int8 test reads a numpy view.
+    or of ints. Past one block of rows the int8 test reads a numpy view,
+    and a 'q' array that fits is narrowed by one numpy copy.
     """
-    if hasattr(nums, "dtype"):
-        source = nums.reshape(-1)
-        flat = (array("b" if array_fits_int8(source) else "q", [0])
-                * source.size)
-        int_view(flat, -1, writable=True)[:] = source
-        return flat
-    if not isinstance(nums, array) or nums.typecode not in "bq":
-        nums = list(nums)
-        if nums and hasattr(nums[0], "__iter__"):
-            nums = list(chain.from_iterable(nums))
-        nums = array("q", nums)
-    narrow = (array_fits_int8(int_view(nums, -1)) if rows > BLOCK_ROWS
-              else fits_int8(nums))
-    if narrow != (nums.typecode == "b"):
-        nums = array("b" if narrow else "q", nums)
-    return nums
+    if not hasattr(nums, "dtype"):
+        if not isinstance(nums, array) or nums.typecode not in "bq":
+            nums = list(nums)
+            if nums and hasattr(nums[0], "__iter__"):
+                nums = list(chain.from_iterable(nums))
+            nums = array("q", nums)
+        if nums.typecode == "b":
+            return nums
+        if rows <= BLOCK_ROWS:
+            return array("b", nums) if fits_int8(nums) else nums
+    source = (int_view(nums, -1) if isinstance(nums, array)
+              else nums.reshape(-1))
+    narrow = array_fits_int8(source)
+    if isinstance(nums, array) and not narrow:
+        return nums
+    flat = array("b" if narrow else "q", [0]) * source.size
+    int_view(flat, -1, writable=True)[:] = source
+    return flat
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class ExtremeSet:
+class ExtremeSet(Record):
     """Canonically sorted, deduplicated set of extreme coefficient vectors.
 
     Row i is the point u / d with d = dens[i] and u the n^m numerators
@@ -272,12 +273,10 @@ class ExtremeSet:
     and sort. FormVectors are built only on demand and cached.
     complete=False marks a budget-truncated run; the points present are
     still genuine extreme points. Equality compares m, n and the rows'
-    values.
+    values; a set is not hashable.
     """
 
-    m: int
-    n: int
-    complete: bool
+    _fields = ("m", "n", "complete")
 
     def __init__(self, m, n, dens, nums, complete=True):
         if not isinstance(dens, array) or dens.typecode != "q":
@@ -287,11 +286,8 @@ class ExtremeSet:
         if len(nums) != len(dens) * n ** m:
             raise ValueError(f"{len(nums)} numerators for {len(dens)} rows "
                              f"of {n ** m}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "complete", complete)
-        object.__setattr__(self, "_dens", dens)
-        object.__setattr__(self, "_nums", nums)
+        vars(self).update(m=m, n=n, complete=complete, _dens=dens,
+                          _nums=nums)
 
     @property
     def dens(self):
@@ -866,10 +862,11 @@ def brute_force_vertices(m, n) -> ExtremeSet:
     """Vertex enumeration of {a : |<a, v>| <= 1 for all v in V}.
 
     Independent route: every full-rank n^m-subset of the constraint
-    vectors, every sign pattern, exact solve, exact feasibility filter.
-    Intentionally shares no search structure with extreme_points beyond
-    the vertex list of core and its antipodal representatives
-    (antipodal_representatives),
+    vectors, every sign pattern, exact solve, then a feasibility filter
+    in integers: each solution is reduced to (d, u) once and kept when
+    |<u, c>| <= d for every constraint c. Intentionally shares no search
+    structure with extreme_points beyond the vertex list of core and its
+    antipodal representatives (antipodal_representatives),
     so agreement between the two is meaningful.
     """
     size = n ** m
@@ -886,6 +883,7 @@ def brute_force_vertices(m, n) -> ExtremeSet:
             continue
         # one elimination of [subset | all sign vectors as columns]
         for candidate in zip(*_exact_solve(subset, sign_rows)):
-            if all(abs(inner(candidate, c)) <= 1 for c in constraints):
-                found.add(candidate)
-    return ExtremeSet.from_points(m, n, found)
+            d, u = reduced_row(candidate)
+            if all(abs(sum(map(mul, u, c))) <= d for c in constraints):
+                found.add((d, u))
+    return ExtremeSet.from_pairs(m, n, found)

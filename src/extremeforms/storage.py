@@ -56,8 +56,6 @@ neither numpy nor this module.
 from __future__ import annotations
 
 import contextlib
-import csv
-import hashlib
 import io
 import json
 import math
@@ -562,6 +560,8 @@ def _read_csv_head(line: str, path: Path) -> tuple:
 
 def _csv_rows(text):
     """The non-empty rows of a CSV text stream, from where it stands."""
+    import csv
+
     return (row for row in csv.reader(text) if row)
 
 
@@ -603,6 +603,8 @@ def _scratch(target: Path) -> Path:
 
 def _sha256(path) -> bytes:
     """Hex SHA-256 of a file as ASCII bytes, read in a streamed pass."""
+    import hashlib
+
     with open(path, "rb") as handle:
         return hashlib.file_digest(handle, "sha256").hexdigest().encode()
 
@@ -675,6 +677,8 @@ def cache_load(cache_dir, key: str, target=None):
     except OSError:
         return None
     if target is None:
+        import hashlib
+
         digest = hashlib.sha256(data).hexdigest().encode()
         return data if digest == expected else None
     with source, open(target, "wb") as copy:

@@ -845,17 +845,19 @@ def test_unbudgeted_2_4_stops_at_the_ray_cap(tmp_path, cachedir, capsys,
 
 
 # Runs main on its arguments in a fresh interpreter that imports nothing
-# else first, then fails naming numpy or storage if either was loaded.
+# else first, then fails naming numpy, storage or json if one was loaded.
 CORE_ONLY_CHECK = (
     "import sys\n"
     "from extremeforms.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "heavy = sorted({'numpy', 'extremeforms.storage'} & set(sys.modules))\n"
+    "heavy = sorted({'numpy', 'extremeforms.storage', 'json'}\n"
+    "               & set(sys.modules))\n"
     "sys.exit(f'exit {code}, loaded {heavy}' if code or heavy else 0)")
 
 
 def test_verify_loads_neither_numpy_nor_storage(cachedir):
-    # verify parses its point with core's parse_point_list
+    # verify parses its point with core's parse_point_list and prints no
+    # JSON
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run([sys.executable, "-c", CORE_ONLY_CHECK, "verify",
@@ -865,6 +867,47 @@ def test_verify_loads_neither_numpy_nor_storage(cachedir):
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "extreme; rank 9 of 9\n"
+
+
+# In a fresh interpreter with dataclasses blocked, runs each small-exact
+# command through cli.main in the working directory (enum --m 2 --n 3 a
+# miss, then a hit), then imports the modules bench/run.py times as setup
+# (SETUP_MODULES); prints each command's exit code and stdout as JSON.
+DATACLASSES_BLOCKED_RUN = (
+    "import contextlib, io, json, sys\n"
+    "sys.modules['dataclasses'] = None\n"
+    "from extremeforms.cli import main\n"
+    "runs = []\n"
+    "for argv in (['verify', '--m', '2', '--n', '3',\n"
+    "              '--point=0,0,0,0,0,0,0,0,1'],\n"
+    "             *[['enum', '--m', '2', '--n', '3']] * 2,\n"
+    "             ['enum', '--m', '3', '--n', '2', '--format', 'csv'],\n"
+    "             ['oracle', '--m', '2', '--n', '2'],\n"
+    "             ['oracle', '--m', '3', '--n', '2']):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+    "        code = main([*argv, '--cache-dir', sys.argv[1]])\n"
+    "    runs.append([code, out.getvalue()])\n"
+    "import extremeforms.cli, extremeforms.search, extremeforms.storage\n"
+    "import extremeforms.constants, extremeforms.grothendieck\n"
+    "print(json.dumps(runs))")
+
+
+def test_no_command_imports_dataclasses(tmp_path):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", DATACLASSES_BLOCKED_RUN,
+         str(tmp_path / "cache")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    runs = json.loads(done.stdout)
+    assert [code for code, _ in runs] == [0] * 6
+    verify, miss, hit, csv_run, *oracles = [out for _, out in runs]
+    assert verify == "extreme; rank 9 of 9\n"
+    assert "count: 90\n" in miss and not miss.endswith("cache: hit\n")
+    assert "count: 90\n" in hit and hit.endswith("cache: hit\n")
+    assert "count: 256\n" in csv_run
+    assert [json.loads(out)["equal"] for out in oracles] == [True, True]
 
 
 NUMPY_MA_CHECK = (

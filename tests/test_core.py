@@ -5,16 +5,20 @@ products and from brute-force enumeration (see support.py); the module under
 test has to reproduce them, not the other way around.
 """
 
+import dataclasses
 from fractions import Fraction
+import inspect
 from itertools import product
 import math
 import random
 
 import pytest
 
+from extremeforms.constants import ConstantReport
 from extremeforms.core import (
     FormVector,
     GroupElement,
+    InBallResult,
     act,
     enumerate_group,
     enumerate_tensor_vertices,
@@ -23,6 +27,7 @@ from extremeforms.core import (
     group_compose,
     group_identity,
     inner,
+    is_extreme,
     is_tensor_vertex,
     omega,
     tensor_vertex_count,
@@ -30,6 +35,8 @@ from extremeforms.core import (
     unflatten,
 )
 from extremeforms.core import _IntEliminator
+from extremeforms.grothendieck import BleiPoint, SphereConfig
+from extremeforms.search import ExtremeSet
 from support import brute_force_tensor_vertices, gram_factorization_holds
 
 SMALL_SHAPES = [(1, 1), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (4, 2),
@@ -303,6 +310,116 @@ def test_form_vector_evaluates_forms():
     # the form x_2 * y_2
     assert a.evaluate((1, -1), (1, -1)) == 1
     assert a.evaluate((1, -1), (1, 1)) == -1
+
+
+def test_form_vector_rejects_floats():
+    with pytest.raises(ValueError, match="coefficients must be exact"):
+        FormVector((0.5, 0, 0, 0), 2, 2)
+    with pytest.raises(ValueError, match="coefficients must be exact"):
+        FormVector(coeffs=(0, 0, 0, 1.0), m=2, n=2)
+
+
+# ---------------------------------------------------------------------------
+# value types
+# ---------------------------------------------------------------------------
+
+# Each value type twice, built from scratch: first a value, then one that
+# differs from it in one field.
+VALUE_PAIRS = {
+    "GroupElement": lambda: (GroupElement(((1, -1), (1, 1))),
+                             GroupElement(((1, 1), (1, -1)))),
+    "FormVector": lambda: (FormVector((0, 0, 0, 1), 2, 2),
+                           FormVector((0, 0, 1, 0), 2, 2)),
+    "InBallResult": lambda: (InBallResult(True, Fraction(1)),
+                             InBallResult(True, Fraction(1), (1, 1))),
+    "ExtremalityCertificate": lambda: (
+        is_extreme(FormVector((0, 0, 0, 1), 2, 2)),
+        is_extreme(FormVector((Fraction(1, 2), Fraction(1, 2), 0, 0),
+                              2, 2))),
+    "ConstantReport": lambda: (
+        ConstantReport("two-slot", 2, 2, Fraction(4, 3), 1.0,
+                       FormVector((0, 0, 0, 1), 2, 2)),
+        ConstantReport("two-slot", 2, 2, Fraction(4, 3), 1.0,
+                       FormVector((0, 0, 0, 1), 2, 2), exact_note="1")),
+    "SphereConfig": lambda: (SphereConfig(((1, 0),), ((0, 1),), 1.0),
+                             SphereConfig(((1, 0),), ((0, 1),), 0.5)),
+    "BleiPoint": lambda: (BleiPoint(1, 0, 0, 0, 0),
+                          BleiPoint(0, 1, 0, 0, 0)),
+}
+
+
+def frozen_twin(value):
+    """A frozen dataclass with the name, fields and field values of value:
+    the reference for its ==, hash and repr."""
+    fields = type(value)._fields
+    twin = dataclasses.make_dataclass(type(value).__qualname__,
+                                      [(name, object) for name in fields],
+                                      frozen=True)
+    return twin(*(getattr(value, name) for name in fields))
+
+
+@pytest.mark.parametrize("name", VALUE_PAIRS)
+def test_value_types_compare_hash_and_print_as_frozen_dataclasses(name):
+    value, other = VALUE_PAIRS[name]()
+    copy, _ = VALUE_PAIRS[name]()
+    twin = frozen_twin(value)
+    assert value is not copy and value == copy and hash(value) == hash(copy)
+    assert value != other
+    assert hash(value) == hash(twin)
+    assert repr(value) == repr(twin)
+    assert repr(value).startswith(f"{name}({type(value)._fields[0]}=")
+    assert len({value, copy, other}) == 2
+    # equal fields of another type are not equal, as with dataclasses
+    assert value != twin and (value == twin) == (twin == value)
+
+
+@pytest.mark.parametrize("name", VALUE_PAIRS)
+def test_value_types_refuse_assignment(name):
+    value, _ = VALUE_PAIRS[name]()
+    for field in (*type(value)._fields, "extra"):
+        with pytest.raises(AttributeError,
+                           match=f"cannot assign to field '{field}'"):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError,
+                           match=f"cannot delete field '{field}'"):
+            delattr(value, field)
+    assert value == VALUE_PAIRS[name]()[0]
+
+
+@pytest.mark.parametrize("cls, defaults", [
+    (FormVector, {}), (InBallResult, {"witness": None}),
+    (ConstantReport, {"exact_note": None}), (SphereConfig, {}),
+    (BleiPoint, {})], ids=lambda c: getattr(c, "__name__", ""))
+def test_value_type_constructors_take_their_fields(cls, defaults):
+    parameters = inspect.signature(cls).parameters
+    assert tuple(parameters) == cls._fields
+    assert {name: p.default for name, p in parameters.items()
+            if p.default is not p.empty} == defaults
+
+
+def test_value_type_constructors_keep_their_signatures():
+    signature = inspect.signature
+    assert str(signature(GroupElement)) == "(factors)"
+    assert tuple(signature(ExtremeSet).parameters) \
+        == ("m", "n", "dens", "nums", "complete")
+    assert tuple(signature(is_extreme(FormVector((0, 0, 0, 1), 2, 2))
+                           .__class__).parameters) == (
+        "extreme", "in_ball", "norm_value", "norm_witness", "dimension",
+        "tight_count", "tight_rank", "tight_basis", "midpoint_offset")
+
+
+def test_extreme_set_compares_rows_and_is_unhashable():
+    rows = [(1, (0, 0, 0, 1)), (2, (1, 1, 0, 0))]
+    value = ExtremeSet.from_pairs(2, 2, rows)
+    assert value == ExtremeSet.from_pairs(2, 2, rows[::-1], complete=False)
+    assert value != ExtremeSet.from_pairs(2, 2, rows[:1])
+    assert repr(value) == "ExtremeSet(m=2, n=2, complete=True)"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(value)
+    with pytest.raises(AttributeError, match="cannot assign to field 'm'"):
+        value.m = 3
+    # cached properties still fill in on a frozen set
+    assert value.points[0] == FormVector((0, 0, 0, 1), 2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ fast path and the general pipeline are checked against each other, which is
 the strongest internal consistency statement available for m = 3.
 """
 
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 import hashlib
@@ -267,16 +268,45 @@ def test_extreme_points_2_2_matches_reference_list(set22):
     assert len(set22) == 16
 
 
-@pytest.mark.parametrize("m,n", [(1, 2), (1, 3), (2, 2)])
+@pytest.mark.parametrize("m,n", [(1, 2), (1, 3), (2, 2), (3, 2), (1, 4)])
 def test_oracle_equivalence(m, n):
     direct = brute_force_vertices(m, n)
     pipeline = extreme_points(m, n)
+    assert direct == pipeline
     assert direct.coefficient_tuples() == pipeline.coefficient_tuples()
 
 
+def fraction_ball_vertices(m, n):
+    """Vertices of the unit ball by a filter in Fractions: every
+    invertible n^m-subset of V, every sign vector, fraction_solve, kept
+    when |<a, v>| <= 1 over all of V."""
+    vertices = sorted(enumerate_tensor_vertices(m, n))
+    size = n ** m
+    found = set()
+    for subset in combinations(vertices, size):
+        if fraction_rank(subset) < size:
+            continue
+        for signs in product((1, -1), repeat=size):
+            a = fraction_solve(subset, signs)
+            if all(abs(sum(x * y for x, y in zip(a, v))) <= 1
+                   for v in vertices):
+                found.add(a)
+    return found
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (1, 3)])
+def test_oracle_matches_a_fraction_ball_filter(m, n):
+    expected = fraction_ball_vertices(m, n)
+    assert brute_force_vertices(m, n).coefficient_tuples() == expected
+    assert brute_force_vertices(m, n) \
+        == ExtremeSet.from_points(m, n, expected)
+
+
 def test_brute_force_guard():
-    with pytest.raises(ResourceBudgetError):
+    with pytest.raises(ResourceBudgetError) as caught:
         brute_force_vertices(2, 3)
+    assert str(caught.value) \
+        == "brute force would need 5857280 solves; guard is 2000000"
 
 
 def test_extreme_points_sorted_and_deduplicated(set22, set32):
@@ -1168,3 +1198,25 @@ def test_from_points_sorts_and_rejects_rows_past_int64(set22):
     wide = (F(2 ** 63 - 1), F(0))
     assert ExtremeSet.from_points(1, 2, [wide]).nums.tolist() == [
         [2 ** 63 - 1, 0]]
+
+
+@pytest.mark.parametrize("rows", [search.BLOCK_ROWS, search.BLOCK_ROWS + 1],
+                         ids=["one-block", "past-one-block"])
+def test_int64_numerators_that_fit_are_stored_as_int8(monkeypatch, rows):
+    # past one block the narrowing is one numpy copy into a writable view
+    writable_views, int_view = [], search.int_view
+
+    def recording_view(flat, shape, writable=False):
+        writable_views.append(writable)
+        return int_view(flat, shape, writable)
+
+    monkeypatch.setattr(search, "int_view", recording_view)
+    nums = array("q", [i % 255 - 127 for i in range(rows * 4)])
+    dens = array("q", [1] * rows)
+    narrow = ExtremeSet(2, 2, dens, nums)
+    assert narrow._nums.typecode == "b"
+    assert narrow._nums.tolist() == nums.tolist()
+    assert writable_views.count(True) == (rows > search.BLOCK_ROWS)
+    # one entry past int8 keeps the int64 array itself, with no copy
+    nums[-1] = 128
+    assert ExtremeSet(2, 2, dens, nums)._nums is nums
