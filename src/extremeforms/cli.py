@@ -228,9 +228,9 @@ def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path,
     builds the set, which is written to out, and after the summary the
     written file is copied into the cache if out is a regular file (or a
     link to one): a device or a pipe holds no artifact to copy. Neither
-    side holds a whole entry in memory. An out in a missing directory, or
-    a sibling of out that cannot be written on a hit, raises OSError
-    before any computation.
+    side holds a whole entry in memory. An out in a missing directory, an
+    out that is a directory, or a sibling of out that cannot be written on
+    a hit, raises OSError before any computation.
     """
 
     import shutil
@@ -239,6 +239,8 @@ def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path,
 
     if not out.parent.is_dir():
         raise OSError(f"cannot write {out}: no directory {out.parent}")
+    if out.is_dir():
+        raise OSError(f"cannot write {out}: is a directory")
     started = time.perf_counter()
     key = storage.cache_key(args.command, args.m, n,
                             extra={"fmt": args.format})
@@ -279,12 +281,14 @@ def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path,
 
 def _write_resume_file(path: Path, m: int, n: int, search_resume: dict,
                        pairs) -> None:
-    """Write the resume file; pairs are (d, u) rows, duplicates kept."""
+    """Write the resume file; pairs are (d, u) rows, duplicates kept. A
+    failed write leaves the file at path as it was (storage.atomic_write).
+    """
 
     import json
 
     from .search import exact_order
-    from .storage import format_rows
+    from .storage import atomic_write, format_rows
 
     rows = exact_order(pairs)
     payload = {
@@ -295,7 +299,7 @@ def _write_resume_file(path: Path, m: int, n: int, search_resume: dict,
         "search": search_resume,
         "partial": format_rows([d for d, _ in rows], [u for _, u in rows]),
     }
-    path.write_text(json.dumps(payload, indent=1) + "\n")
+    atomic_write(path, (json.dumps(payload, indent=1) + "\n").encode())
 
 
 def _load_resume_file(path: Path, m: int, n: int):
@@ -311,7 +315,7 @@ def _load_resume_file(path: Path, m: int, n: int):
 
     try:
         payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:  # JSON or UTF-8 decoding
         raise ValueError(f"cannot read resume file {path}: {err}") from None
     if not isinstance(payload, dict) \
             or payload.get("format-version") != RESUME_FILE_VERSION \

@@ -609,10 +609,15 @@ def _sha256(path) -> bytes:
         return hashlib.file_digest(handle, "sha256").hexdigest().encode()
 
 
-def _atomic_write(target: Path, data: bytes) -> None:
+def atomic_write(target: Path, data: bytes) -> None:
+    """Write data to a scratch file beside target and move it into place;
+    a failed write removes the scratch file and leaves target as it was."""
     scratch = _scratch(target)
-    scratch.write_bytes(data)
-    os.replace(scratch, target)
+    try:
+        scratch.write_bytes(data)
+        os.replace(scratch, target)
+    finally:
+        scratch.unlink(missing_ok=True)
 
 
 class FilePayload(os.PathLike):
@@ -650,7 +655,7 @@ def cache_store(cache_dir, key: str, data) -> Path:
         os.replace(scratch, entry)
     finally:
         scratch.unlink(missing_ok=True)
-    _atomic_write(_sidecar(entry), digest)
+    atomic_write(_sidecar(entry), digest)
     return entry
 
 

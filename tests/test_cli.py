@@ -20,6 +20,7 @@ import time
 import pytest
 
 from extremeforms.cli import main
+from extremeforms.core import InternalInvariantError
 from extremeforms.storage import cache_key, cache_store, read_extreme_set
 
 F = Fraction
@@ -119,27 +120,30 @@ def test_enum_workers_identical(tmp_path, cachedir, capsys):
 
 
 def test_enum_budget_resume_round_trip(tmp_path, cachedir, capsys):
-    fresh = tmp_path / "fresh.json"
-    code, _, _ = run(capsys, "enum", "--m", "3", "--n", "2",
-                     "--out", str(fresh), "--no-cache")
-    assert code == 0
+    # (3,2) is the planar set; (2,3) walks 2304 bases in 5 runs, with the
+    # basis kernel at n^m = 9, and must give the double description's bytes
+    for m, n, budget in [("3", "2", "2"), ("2", "3", "500")]:
+        fresh = tmp_path / "fresh.json"
+        code, _, _ = run(capsys, "enum", "--m", m, "--n", n,
+                         "--out", str(fresh), "--no-cache")
+        assert code == 0
 
-    out = tmp_path / "budgeted.json"
-    resume = None
-    for _ in range(60):
-        argv = ["enum", "--m", "3", "--n", "2", "--out", str(out),
-                "--budget", "2", "--no-cache"]
-        if resume is not None:
-            argv += ["--resume", str(resume)]
-        code, stdout, stderr = run(capsys, *argv)
-        if code == 0:
-            break
-        assert code == 3
-        assert "resume" in stderr
-        resume = tmp_path / "budgeted.json.resume.json"
-        assert resume.exists()
-    assert code == 0
-    assert out.read_bytes() == fresh.read_bytes()
+        out = tmp_path / "budgeted.json"
+        resume = None
+        for _ in range(60):
+            argv = ["enum", "--m", m, "--n", n, "--out", str(out),
+                    "--budget", budget, "--no-cache"]
+            if resume is not None:
+                argv += ["--resume", str(resume)]
+            code, stdout, stderr = run(capsys, *argv)
+            if code == 0:
+                break
+            assert code == 3
+            assert "resume" in stderr
+            resume = tmp_path / "budgeted.json.resume.json"
+            assert resume.exists()
+        assert code == 0
+        assert out.read_bytes() == fresh.read_bytes(), (m, n)
 
 
 def test_enum_resume_rejects_non_string_cell(tmp_path, cachedir, capsys):
@@ -198,6 +202,65 @@ def test_enum_resume_file_bytes_are_pinned(tmp_path, cachedir, capsys):
     second = hashlib.sha256(resume.read_bytes()).hexdigest()
     assert (first, second) == RESUME_23_DIGESTS
     assert cache_entries(cachedir) == []
+
+
+# enum --resume argv[1] with the default --out, whose resume file is
+# argv[1] itself, in a child that may write no file past argv[2] bytes
+RESUMED_UNDER_FSIZE = (
+    "import resource, sys\n"
+    "limit = int(sys.argv[2])\n"
+    "resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))\n"
+    "from extremeforms.cli import main\n"
+    "sys.exit(main(['enum', '--m', '2', '--n', '4', '--budget', '25',\n"
+    "               '--resume', sys.argv[1]]))")
+
+
+def test_failed_resume_write_leaves_the_resume_file(tmp_path, cachedir,
+                                                    capsys, monkeypatch):
+    # Python ignores SIGXFSZ, so a write past RLIMIT_FSIZE is an OSError;
+    # the resume file that the run read must survive it byte for byte
+    monkeypatch.chdir(tmp_path)
+    argv = ("enum", "--m", "2", "--n", "4", "--budget", "25")
+    assert run(capsys, *argv)[0] == 3
+    resume = tmp_path / "extremeforms-enum-m2-n4.json.resume.json"
+    before = resume.read_bytes()
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", RESUMED_UNDER_FSIZE, resume.name,
+         str(len(before) + 1024)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and "File too large" \
+        in done.stderr
+    assert resume.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [resume.name]
+
+
+def test_enum_resume_rejects_unreadable_file(tmp_path, cachedir, capsys):
+    argv = ("enum", "--m", "2", "--n", "3", "--out", str(tmp_path / "x.json"))
+    missing = tmp_path / "missing.json"
+    code, _, stderr = run(capsys, *argv, "--resume", str(missing))
+    assert code == 2
+    assert stderr.startswith(f"error: cannot read resume file {missing}: ")
+    garbled = tmp_path / "garbled.json"
+    for content in (b"{not json", b"\xff\xfe"):
+        garbled.write_bytes(content)
+        code, _, stderr = run(capsys, *argv, "--resume", str(garbled))
+        assert code == 2
+        assert stderr.startswith(
+            f"error: cannot read resume file {garbled}: ")
+    assert cache_entries(cachedir) == []
+
+
+def test_enum_resume_rejects_another_shape(tmp_path, cachedir, capsys):
+    resume, _ = budgeted_resume_file(capsys, tmp_path, 2, 3)
+    code, _, stderr = run(capsys, "enum", "--m", "3", "--n", "2",
+                          "--out", str(tmp_path / "x.json"),
+                          "--resume", str(resume))
+    assert code == 2
+    assert stderr == ("error: resume file is for (m=2, n=3), "
+                      "not (m=3, n=2)\n")
 
 
 def test_enum_resumed_run_is_not_cached(tmp_path, cachedir, capsys):
@@ -966,6 +1029,18 @@ def test_oracle_guard(cachedir, capsys):
 # plumbing
 # ---------------------------------------------------------------------------
 
+def test_internal_invariant_violation_exits_4(tmp_path, cachedir, capsys,
+                                              monkeypatch):
+    def broken(m):
+        raise InternalInvariantError("planted")
+
+    monkeypatch.setattr("extremeforms.search.planar_extreme_points", broken)
+    code, stdout, stderr = run(capsys, "planar", "--m", "2", "--no-cache",
+                               "--out", str(tmp_path / "p.json"))
+    assert (code, stdout) == (4, "")
+    assert stderr == "internal invariant violation: planted\n"
+
+
 def test_unknown_subcommand(cachedir, capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
@@ -1005,6 +1080,31 @@ def test_out_in_missing_directory_computes_nothing(cachedir, capsys, tmp_path,
     assert stderr == f"error: cannot write {missing / 'x.json'}: " \
                      f"no directory {missing}\n"
     assert not missing.exists() and not cachedir.exists()
+
+
+@pytest.mark.parametrize("argv, compute", [
+    (("enum", "--m", "2", "--n", "3"), "extremeforms.search.extreme_points"),
+    (("planar", "--m", "2"), "extremeforms.search.planar_extreme_points"),
+], ids=["enum", "planar"])
+def test_out_that_is_a_directory_computes_nothing(cachedir, capsys, tmp_path,
+                                                  monkeypatch, argv, compute):
+    # refused before the search runs or a cache hit is copied out
+    assert run(capsys, *argv, "--out", str(tmp_path / "x.json"))[0] == 0
+    entries = {p: p.read_bytes() for p in cache_entries(cachedir)}
+
+    def fail(*args, **kwargs):
+        raise AssertionError("nothing may be computed for this --out")
+
+    monkeypatch.setattr(compute, fail)
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    code, stdout, stderr = run(capsys, *argv, "--out", str(outdir))
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: cannot write {outdir}: is a directory\n"
+    assert list(outdir.iterdir()) == []
+    assert {p: p.read_bytes() for p in cache_entries(cachedir)} == entries
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == ["cache", "outdir", "x.json"]
 
 
 def test_planar_hit_out_in_missing_directory_exits_2(cachedir, capsys,

@@ -156,6 +156,19 @@ def test_anchored_bases_reject_cursor_outside_walk(bad):
         extreme_points(2, 3, resume=cursor)
 
 
+def test_resume_cursor_of_another_search_or_depth_is_refused():
+    with pytest.raises(BudgetExceeded) as info:
+        extreme_points(2, 2, budget=0)
+    with pytest.raises(ValueError, match="belongs to a different search"):
+        extreme_points(2, 3, resume=info.value.resume)
+    with pytest.raises(BudgetExceeded) as info:
+        extreme_points(2, 3, budget=1)
+    cursor = {**info.value.resume,
+              "last_basis": info.value.resume["last_basis"][:-1]}
+    with pytest.raises(ValueError, match="wrong depth"):
+        extreme_points(2, 3, resume=cursor)
+
+
 def test_pipeline_rejects_cursor_off_the_representatives():
     # the pipeline walks one row per antipodal pair; the negation of a
     # representative is a vertex of V but not a candidate of this walk

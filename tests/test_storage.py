@@ -31,6 +31,7 @@ from extremeforms.search import (
 from extremeforms.storage import (
     FILE_FORMAT_VERSION,
     FilePayload,
+    atomic_write,
     cache_key,
     cache_load,
     cache_store,
@@ -206,6 +207,22 @@ def test_read_rejects_corruption(tmp_path, set12):
     payload["points"][0] = payload["points"][0][:-1]
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
+        read_extreme_set(path)
+
+
+@pytest.mark.parametrize("text", ["", "[]"], ids=["empty", "list"])
+def test_read_rejects_file_without_metadata(tmp_path, text):
+    path = tmp_path / "points.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="missing metadata comment line"):
+        read_extreme_set(path)
+
+
+def test_read_rejects_csv_head_without_count(tmp_path, set12):
+    path = tmp_path / "points.csv"
+    write_extreme_set(path, set12, fmt="csv")
+    path.write_bytes(path.read_bytes().replace(b" count=", b" size="))
+    with pytest.raises(ValueError, match="metadata missing 'count'"):
         read_extreme_set(path)
 
 
@@ -974,3 +991,14 @@ def test_cache_overwrite_is_atomic_replacement(tmp_path):
     assert cache_load(tmp_path, key) == b"second"
     leftovers = [p for p in tmp_path.iterdir() if "tmp" in p.name.lower()]
     assert leftovers == []
+
+
+def test_failed_atomic_write_leaves_target_and_no_scratch(tmp_path):
+    # os.replace cannot put a file over a non-empty directory
+    target = tmp_path / "target"
+    target.mkdir()
+    (target / "kept").write_bytes(b"kept")
+    with pytest.raises(OSError):
+        atomic_write(target, b"new bytes")
+    assert [p.name for p in tmp_path.iterdir()] == ["target"]
+    assert (target / "kept").read_bytes() == b"kept"
