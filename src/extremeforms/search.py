@@ -50,12 +50,13 @@ in integers, or, only when that check fails, the least common denominator
 of the exact inverse. Since H (D H^-1) = D I exactly, every basis row gives
 |<u, v>| = D, so only the ball rows outside the basis are tested. Their
 products with the adjugate are formed once per basis, and the sign vectors
-are tested against them prefix by prefix in float64: a prefix whose partial
+grow one coordinate at a time in float64, each live prefix one row of its
+sums on those rows and of its partial numerator: a prefix whose partial
 sum already exceeds D by more than the remaining coordinates can reach is
-dropped with all its completions. A Hadamard bound proves every value
+dropped with all its completions, and after the last coordinate the
+partial numerators are the numerators. A Hadamard bound proves every value
 involved an integer below 2^53, so the float64 results are exact for any
-summation order; _anchored_walk refuses any size where the bound fails.
-Numerators are formed only for the surviving sign vectors. For
+summation order; _anchored_walk refuses any size where the bound fails. For
 n = 2 the representative rows are mutually orthogonal, the anchored basis
 is unique (a Walsh-Hadamard matrix), and every solution is automatically
 extreme; planar_extreme_points exploits that shortcut to reach 2^(2^m)
@@ -112,11 +113,6 @@ RESUME_FORMAT_VERSION = 1
 # walk's _kernel_exact. The bound is 2^37.3 at 16 and reaches 2^53 from 22 on;
 # the next n^m with m >= 2, 25, would give 2^64.3, past int64 as well.
 MAX_PIPELINE_DIMENSION = 16
-# Branch-and-bound widths of the basis kernel, chosen by measurement: the
-# first KERNEL_HEAD_WIDTH coordinates of the sign vectors are enumerated
-# whole (2^8 rows), the rest in blocks of KERNEL_BLOCK_WIDTH.
-KERNEL_HEAD_WIDTH = 9
-KERNEL_BLOCK_WIDTH = 4
 # Largest point count planar_extreme_points lists: 2^(2^m) for m <= 4.
 MAX_PLANAR_POINTS = 1 << 17
 # Rows per block (row_blocks) of the scans over a whole ExtremeSet, which
@@ -416,9 +412,10 @@ def _kernel_exact(size) -> bool:
     |values| <= size^2 (size-1)^((size-1)/2). A prefix partial sum and a
     slack (a sum of |reach| over a tail of coordinates) each sum at most
     size reach entries and obey the same bound, and |partial| - slack,
-    a difference of two values in [0, bound], does too. Every
-    intermediate sum is of the same kind, so float64 is exact in any
-    summation order. Compared squared, in integers.
+    a difference of two values in [0, bound], does too. A numerator, or a
+    prefix of one, sums at most size adjugate entries, so it lies far
+    inside the bound. Every intermediate sum is of the same kind, so
+    float64 is exact in any summation order. Compared squared, in integers.
     """
     return size ** 4 * (size - 1) ** (size - 1) < 1 << 106
 
@@ -447,26 +444,6 @@ def _tables(m, n):
         "ball": vmat[ball_rows],
         "ball_position": np.searchsorted(ball_rows, pair),
     }
-
-
-@lru_cache(maxsize=8)
-def _sign_block(size):
-    """All sign vectors of the given length whose first entry is +1.
-
-    float64, the dtype of the basis kernel's products. The kernel takes
-    its head from here and, dropping the first column, every sign vector
-    of a block's width, so it never asks for more than
-    2^(KERNEL_HEAD_WIDTH - 1) rows.
-    """
-    import numpy as np
-
-    count = 1 << (size - 1)
-    bits = (np.arange(count, dtype=np.int64)[:, None]
-            >> np.arange(size - 2, -1, -1, dtype=np.int64)[None, :]) & 1
-    block = np.empty((count, size), dtype=np.float64)
-    block[:, 0] = 1
-    block[:, 1:] = 1 - 2 * bits
-    return block
 
 
 def _independent_subsets(rows, candidates, need, seek):
@@ -604,17 +581,6 @@ def _stabilizer(m, n):
     return perms, position[(1 << perms.astype(np.uint16)) @ bits.T]
 
 
-# the bit of a 64-bit mask that stands for each ball position: lower
-# positions take higher bits, so of two bases the one with the greater mask
-# comes first in the walk's order. Built from Python ints on first use,
-# since only the walk loads numpy.
-@lru_cache(maxsize=1)
-def _position_bit():
-    import numpy as np
-
-    return np.array([1 << bit for bit in range(63, -1, -1)], dtype=np.uint64)
-
-
 # bases extreme_points takes from its walk per call of _chunk_keys
 ORBIT_CHUNK = 16
 
@@ -643,7 +609,11 @@ def _chunk_keys(m, n, chunk, keys, cache):
         return
     rows = np.array(chunk)
     masks = np.zeros((len(table), len(rows)), dtype=np.uint64)
-    position_bit = _position_bit()
+    # the bit that stands for each ball position: lower positions take
+    # higher bits, so of two bases the one with the greater mask comes
+    # first in the walk's order
+    position_bit = np.array([1 << bit for bit in range(63, -1, -1)],
+                            dtype=np.uint64)
     for column in rows.T:
         masks |= position_bit[table[:, column]]
     best = masks.argmax(axis=0)
@@ -682,17 +652,18 @@ def _process_basis(m, n, row_indices, keys):
     The solution of H a = f is u / D with u = adj f. A basis row gives
     <u, v> = D f_i exactly, so only the ball rows outside the basis are
     tested: reach = outside @ adj once, then |f . reach| <= D for every
-    sign vector f, and u only for the survivors. The sign vectors grow
-    prefix by prefix: the head of KERNEL_HEAD_WIDTH coordinates (f_0 = +1)
-    is enumerated whole, then each surviving prefix is extended by every
-    block of KERNEL_BLOCK_WIDTH signs. slack[:, i] is the sum of |reach|
-    over the coordinates from i on, the most any completion can add, so a
-    prefix with |partial| - slack > D on some row has no feasible
-    completion and is dropped. After the last coordinate the slack is 0
-    and the test is exactly |f . reach| <= D, so the survivors are the
-    feasible sign vectors; all values are exact (_kernel_exact). Keys are
-    gcd-reduced (denominator, numerator tuple) pairs with the denominator
-    positive, a unique representation of the rational vector.
+    sign vector f. Row i of steps is coordinate i's reach on those rows,
+    then column i of adj, so a prefix of f is one row of state, the sum of
+    f_i steps[i] over its coordinates. The prefix f_0 = +1 is steps[0];
+    each later coordinate stacks state + steps[i] over state - steps[i].
+    slack[i] is the sum of |reach| over the coordinates from i on, the
+    most any completion can add, so a prefix with |partial| - slack > D on
+    some row has no feasible completion and is dropped before it grows.
+    After the last coordinate the slack is 0 and the test is exactly
+    |f . reach| <= D, so the rows left are the feasible sign vectors and
+    their trailing columns are adj f; all values are exact (_kernel_exact).
+    Keys are gcd-reduced (denominator, numerator tuple) pairs with the
+    denominator positive, a unique representation of the rational vector.
     """
     import numpy as np
 
@@ -701,31 +672,21 @@ def _process_basis(m, n, row_indices, keys):
     det, adj = _det_adjugate(tables["vmat"][row_indices])
     inside = np.zeros(len(tables["ball"]), dtype=bool)
     inside[tables["ball_position"][row_indices]] = True
-    reach = (tables["ball"][~inside] @ adj).astype(np.float64)
+    reach = tables["ball"][~inside] @ adj
     rows = len(reach)
-    slack = np.zeros((rows, size + 1))
-    slack[:, :size] = np.abs(reach[:, ::-1]).cumsum(axis=1)[:, ::-1]
-    width = min(KERNEL_HEAD_WIDTH, size)
-    signs = _sign_block(width)
-    partial = signs @ reach[:, :width].T
-    while True:
-        live = (np.abs(partial) - slack[:, width]).max(axis=1, initial=0) \
+    steps = np.hstack([reach.T, adj.T]).astype(np.float64)
+    slack = np.zeros((size + 1, rows))
+    slack[:size] = np.abs(steps[::-1, :rows]).cumsum(axis=0)[::-1]
+    state = steps[:1]
+    for i in range(1, size + 1):
+        live = (np.abs(state[:, :rows]) - slack[i]).max(axis=1, initial=0) \
             <= det
-        signs, partial = signs[live], partial[live]
-        if not len(signs):
+        state = state[live]
+        if not len(state):
             return
-        if width == size:
-            break
-        step = min(KERNEL_BLOCK_WIDTH, size - width)
-        block = _sign_block(step + 1)[:, 1:]
-        grown = len(signs) * len(block)
-        partial = (partial[:, None, :]
-                   + (block @ reach[:, width:width + step].T)[None]
-                   ).reshape(grown, rows)
-        signs = np.hstack([np.repeat(signs, len(block), axis=0),
-                           np.tile(block, (len(signs), 1))])
-        width += step
-    feasible = (signs @ adj.T).astype(np.int64)
+        if i < size:
+            state = np.vstack([state + steps[i], state - steps[i]])
+    feasible = state[:, rows:].astype(np.int64)
     g = np.gcd(np.gcd.reduce(feasible, axis=1), det)
     reduced = feasible // g[:, None]
     keys.update(zip((det // g).tolist(), map(tuple, reduced.tolist())))

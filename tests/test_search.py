@@ -21,6 +21,7 @@ from pathlib import Path
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -742,11 +743,12 @@ def reference_basis_keys(m, n, row_indices):
 
 @pytest.mark.parametrize("m, n, count", [(2, 2, None), (3, 2, None),
                                          (2, 3, None), (4, 2, None),
-                                         (2, 4, 20)])
+                                         (2, 4, 20), (1, 5, None),
+                                         (1, 10, 40)])
 def test_process_basis_matches_reference_kernel(m, n, count):
-    # (4, 2): no ball row lies outside its one basis, and the sign vectors
-    # are longer than the kernel's head, so the prefix loop runs on empty
-    # partial sums
+    # (4, 2): no ball row lies outside its one basis, so every prefix passes
+    # the slack test on empty partial sums and all 2^15 sign vectors are
+    # solved; (1, 10): ten coordinates, each tested on its own
     bases = list(islice(_anchored_walk(m, n, None, None), count))
     assert len(bases) == count if count else bases
     for chosen in bases:
@@ -766,20 +768,21 @@ def test_process_basis_matches_reference_on_the_kg_scan():
         assert keys == reference_basis_keys(2, 4, rows), rows
 
 
-def test_kernel_never_materializes_all_sign_vectors(monkeypatch):
-    # the (2,4) kernel prunes prefixes instead of testing 2^15 sign vectors
-    sizes = []
-    block = search._sign_block
-
-    def recording(size):
-        out = block(size)
-        sizes.append(len(out))
-        return out
-
-    monkeypatch.setattr(search, "_sign_block", recording)
-    with pytest.raises(BudgetExceeded):
-        extreme_points(2, 4, budget=5)
-    assert sizes and max(sizes) <= 2 ** 8
+def test_kernel_never_materializes_all_sign_vectors():
+    # the (2,4) kernel prunes prefixes instead of testing 2^15 sign vectors:
+    # on every 10th basis of the kg scan one call traces at most 1 MB of
+    # heap (0.47 MB), where 2^15 sign vectors and their 48 outside products
+    # alone take 16.8 MB in float64
+    bases = list(islice(_anchored_walk(2, 4, None, None), 300))
+    peaks = []
+    for chosen in bases[::10]:
+        tracemalloc.start()
+        try:
+            _process_basis(2, 4, [0, *chosen], set())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 1 << 20, max(peaks)
 
 
 def test_ball_position_pairs_antipodes():
