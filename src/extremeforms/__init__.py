@@ -1,10 +1,11 @@
 """Exact extreme points of unit balls of multilinear forms on R^n.
 
 The unit ball of m-linear forms under the sup norm is a polytope whose
-extreme points this package enumerates exactly. A complete run is a
-double description of the ball's rows (n >= 3), the closed form of the
-parallelotope (n = 2) or the two ends of the interval (n = 1); a
-budgeted or resumed run walks anchored vertex-tensor bases, solves their
+extreme points this package enumerates exactly. The shape picks the
+engine: the ball is the cross-polytope for m = 1 or n = 1 and the
+parallelotope of a closed form for n = 2, at any budget; otherwise a
+complete run is a double description of the ball's rows, and a budgeted
+or resumed run walks anchored vertex-tensor bases, solves their
 sign-vector systems and expands the results by a finite sign-group
 orbit. On top of the enumerated sets it computes sharp
 constants of classical multilinear inequalities (Bohnenblust-Hille, mixed

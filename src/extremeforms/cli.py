@@ -20,14 +20,15 @@ among them, happen inside the handlers, so that --help, argument errors
 and verify stay fast and never load json. numpy
 is loaded only for sets past one block of rows (search.BLOCK_ROWS), by
 the basis walk, and by constants and grothendieck: verify, --help, JSON
-cache hits (bh, mixed, khinchin, two-slot, kg, blei), oracle, and
-complete enum and planar runs of at most one block of points (n = 1
-among them, whose two points take no walk), fresh or from the cache,
-never load it; planar --m 4, budgeted or resumed enum, and fresh bh,
-mixed, kg, khinchin, two-slot and blei do. verify, which parses its
-point with core alone, never loads storage either. A JSON hit is
-printed only if it parses as an object whose identifying fields equal
-those a fresh run writes.
+cache hits (bh, mixed, khinchin, two-slot, kg, blei), oracle, and enum
+and planar runs of at most one block of points that take no walk, fresh
+or from the cache, never load it. Those are the complete runs and the
+budgeted ones of the closed forms (m = 1 or n = 1, the cross-polytope,
+and n = 2); planar --m 4, budgeted or resumed enum of (2,3) and (2,4),
+and fresh bh, mixed, kg, khinchin, two-slot and blei do. verify, which
+parses its point with core alone, never loads storage either. A JSON
+hit is printed only if it parses as an object whose identifying fields
+equal those a fresh run writes.
 """
 
 from __future__ import annotations
@@ -443,14 +444,17 @@ def _handle_two_slot(args: argparse.Namespace) -> int:
 
 
 def _handle_kg(args: argparse.Namespace) -> int:
+    # the budget the scan uses keys the cache, so kg --m 4 and
+    # kg --m 4 --budget 300 share one entry
+    budget = args.budget
+    if budget is None and args.m >= 4:
+        budget = KG_DEFAULT_BUDGET_LARGE
+
     def compute():
         # search before grothendieck: the other order raises the peak RSS
         from .search import BudgetExceeded, extreme_points
         from .grothendieck import kg_lower_bound
 
-        budget = args.budget
-        if budget is None and args.m >= 4:
-            budget = KG_DEFAULT_BUDGET_LARGE
         try:
             scan_set = extreme_points(2, args.m, budget=budget)
         except BudgetExceeded as stop:
@@ -465,7 +469,7 @@ def _handle_kg(args: argparse.Namespace) -> int:
         return payload
 
     extra = {"d": args.d, "restarts": args.restarts,
-             "seed": args.seed, "budget": args.budget}
+             "seed": args.seed, "budget": budget}
     # kg_lower_bound reports the bilinear forms on R^m as (m, n) = (2, m)
     identity = {"name": f"kg-lower-bound-d{args.d}", "m": 2, "n": args.m,
                 "lambda": None, "d": args.d, "restarts": args.restarts,

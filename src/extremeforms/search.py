@@ -2,18 +2,22 @@
 
 A coefficient vector a (an m-linear form on R^n) of sup norm at most one is
 extreme in the unit ball exactly when the tensor vertices v with
-|<a, v>| = 1 span R^(n^m). Two exact engines list them, and
-extreme_points picks one by the kind of run, with no flag:
+|<a, v>| = 1 span R^(n^m). extreme_points picks its engine from the shape
+(m, n) first and from the kind of run second, with no flag. Two families
+of shapes have closed forms, complete at any budget, that refuse a
+resume cursor:
 
-* a complete run (no budget, no resume) of a ball that is not a
-  parallelotope, meaning V has more than n^m antipodal pairs (n >= 3),
-  is a double description of the rows of V in Python ints
-  (dd.double_description): 90 points of (2,3) from at most 252 rays;
-* a complete run of the parallelotope n = 2 is planar_extreme_points,
-  the closed form below;
-* a complete run of n = 1, whose ball is the interval [-1, 1], is its
-  two points -1 and 1;
-* budgeted and resumed runs take the basis walk below.
+* m = 1 or n = 1: every sign vector is a tensor vertex, so the ball is
+  the cross-polytope, whose 2 n^m points are the signed unit vectors;
+* n = 2: the parallelotope, planar_extreme_points, the closed form below.
+
+Every other shape within MAX_PIPELINE_DIMENSION, which leaves (2,3) and
+(2,4), takes
+
+* in a complete run (no budget, no resume), a double description of the
+  rows of V in Python ints (dd.double_description): 90 points of (2,3)
+  from at most 252 rays;
+* in a budgeted or resumed run, the basis walk below.
 
 The basis walk is a four-step pipeline:
 
@@ -73,11 +77,11 @@ reduced row (d, u) in ints and only uses the container.
 The rule for numpy is "Python ints up to one block of rows (BLOCK_ROWS),
 numpy past it". Only the basis walk's kernels, the m = 4 planar kernel
 and the scans over sets of more than one block import numpy, each inside
-the function, so every complete run of at most BLOCK_ROWS points (the
-double description, planar m <= 3, n = 1, brute_force_vertices) and the
-ExtremeSet it returns never load it. The certificates (in_unit_ball,
-is_extreme), the exact eliminator and InternalInvariantError live in core
-and are re-exported here.
+the function, so every run of at most BLOCK_ROWS points that takes no
+walk (the double description, planar m <= 3, the cross-polytope,
+brute_force_vertices) and the ExtremeSet it returns never load it. The
+certificates (in_unit_ball, is_extreme), the exact eliminator and
+InternalInvariantError live in core and are re-exported here.
 """
 
 from __future__ import annotations
@@ -104,17 +108,14 @@ from extremeforms.core import (  # noqa: F401
     enumerate_tensor_vertices,
     in_unit_ball,
     is_extreme,
-    tensor_vertex_count,
 )
 
 RESUME_FORMAT_VERSION = 1
-# Largest n^m either general engine attempts: a resource limit (2^15 sign
-# systems per basis at 16) inside the float64 exactness bound of the
-# walk's _kernel_exact. The bound is 2^37.3 at 16 and reaches 2^53 from 22 on;
+# Largest n^m any engine attempts: a resource limit (2^15 sign systems
+# per basis at 16) inside the float64 exactness bound of the walk's
+# _kernel_exact. The bound is 2^37.3 at 16 and reaches 2^53 from 22 on;
 # the next n^m with m >= 2, 25, would give 2^64.3, past int64 as well.
 MAX_PIPELINE_DIMENSION = 16
-# Largest point count planar_extreme_points lists: 2^(2^m) for m <= 4.
-MAX_PLANAR_POINTS = 1 << 17
 # Rows per block (row_blocks) of the scans over a whole ExtremeSet, which
 # bounds their temporaries by the block, not by the set. A set of at most
 # one block is built, scanned, written and read in Python ints alone.
@@ -549,17 +550,14 @@ def _stabilizer(m, n):
     anchor w(e, ..., e), and <g v, g a> = <v, a>, so it maps the unit ball
     onto itself and g B is an anchored basis with g a its solution for
     each solution a of B: keys(g B) = g keys(B). table[g, j] is the ball
-    position (the antipodal pair) of g v_j, as uint8; with at most 64
-    pairs a basis is a 64-bit mask. For m = 1 (S_n has up to 16!
-    elements), n = 1, and any size past 64 pairs, the group is the
-    identity alone and table is None.
+    position (the antipodal pair) of g v_j, as uint8, and _chunk_keys
+    holds a basis as a 64-bit mask of them. The walk takes only (2,3),
+    with 16 pairs, and (2,4), with 64.
     """
     import numpy as np
 
     size = n ** m
     tables = _tables(m, n)
-    if m == 1 or n == 1 or len(tables["ball"]) > 64:
-        return np.arange(size)[None, :], None
     axes = np.indices((n,) * m).reshape(m, size)
     sym = np.array(list(permutations(range(n))))
     blocks = []
@@ -597,16 +595,13 @@ def _chunk_keys(m, n, chunk, keys, cache):
     itself: keys(g B) = g keys(B). So keys(B) = g^-1 keys(g B), and
     _process_basis runs once per canonical basis; cache maps its mask to
     the keys as int64 arrays (dens, nums). A permutation keeps a key
-    gcd-reduced, so the images are keys again. For the identity group
-    every basis is its own orbit and goes to the kernel directly.
+    gcd-reduced, so the images are keys again.
     """
     import numpy as np
 
-    perms, table = _stabilizer(m, n)
-    if table is None or not chunk:
-        for basis in chunk:
-            _process_basis(m, n, [0, *basis], keys)
+    if not chunk:
         return
+    perms, table = _stabilizer(m, n)
     rows = np.array(chunk)
     masks = np.zeros((len(table), len(rows)), dtype=np.uint64)
     # the bit that stands for each ball position: lower positions take
@@ -712,31 +707,37 @@ def _finalize(m, n, keys, complete):
 def extreme_points(m, n, budget=None, resume=None) -> ExtremeSet:
     """All extreme points of the unit ball of m-linear forms on R^n.
 
-    A complete run (no budget, no resume) builds no walk table. The ball
-    is a parallelotope exactly when V has n^m antipodal pairs (n <= 2). A
-    ball that is not one (n >= 3) is an exact double description of the
-    rows of V (dd.double_description), n = 2 is the closed form
-    planar_extreme_points(m), and n = 1 is the two points -1 and 1 of
-    the interval [-1, 1]; none of them loads numpy for a set of at most
-    one block of rows. Every other run, a budgeted or resumed one, is one
-    depth-first walk over the anchored bases, in this process. budget
-    bounds the number of (reduced) bases walked in this call, of which
-    the kernel solves one per orbit (_chunk_keys); exceeding it raises
-    BudgetExceeded whose .partial is an honest subset and whose .resume
-    continues the search. The dimension is refused
-    (n^m > MAX_PIPELINE_DIMENSION) before any engine runs.
+    The dimension is refused (n^m > MAX_PIPELINE_DIMENSION) before any
+    engine runs. Then the shape picks the engine: for m = 1 or n = 1 the
+    ball is the cross-polytope, whose points are the 2 n^m signed unit
+    vectors, and for n = 2 it is planar_extreme_points(m). Both closed
+    forms are complete whatever budget says, and a resume cursor for one
+    is refused: no run writes one. Every other shape, (2,3) or (2,4), is
+    an exact double description of the rows of V (dd.double_description)
+    in a complete run (no budget, no resume). None of these three engines
+    loads numpy for a set of at most one block of rows. A budgeted or resumed run of
+    those shapes is one depth-first walk over the anchored bases, in this
+    process. budget bounds the number of (reduced) bases walked in this
+    call, of which the kernel solves one per orbit (_chunk_keys);
+    exceeding it raises BudgetExceeded whose .partial is an honest subset
+    and whose .resume continues the search.
     """
-    _refuse_past_dimension(n ** m)
-    if budget is None and resume is None:
-        if tensor_vertex_count(m, n) // 2 > n ** m:
-            # imported here, so that only the runs that use it compile it
-            from extremeforms import dd
-
-            return ExtremeSet.from_pairs(m, n, dd.double_description(
-                enumerate_tensor_vertices(m, n)))
-        if n == 2:
+    size = n ** m
+    _refuse_past_dimension(size)
+    if m == 1 or n <= 2:
+        if resume is not None:
+            raise ValueError("resume state belongs to a different search")
+        if m > 1 and n == 2:
             return planar_extreme_points(m)
-        return ExtremeSet(m, 1, [1, 1], [-1, 1])  # n = 1: the ball [-1, 1]
+        return ExtremeSet.from_pairs(m, n, [
+            (1, tuple(s if j == i else 0 for j in range(size)))
+            for i in range(size) for s in (1, -1)])
+    if budget is None and resume is None:
+        # imported here, so that only the runs that use it compile it
+        from extremeforms import dd
+
+        return ExtremeSet.from_pairs(m, n, dd.double_description(
+            enumerate_tensor_vertices(m, n)))
     walk = _anchored_walk(m, n, budget, resume)
     keys, cache, chunk = set(), {}, []
     try:
@@ -766,25 +767,22 @@ def planar_extreme_points(m) -> ExtremeSet:
     from the last row h_j to the first: the row order of f = 1 - 2 bits,
     bit 0 most significant. Up to BLOCK_ROWS points (m <= 3) this runs in
     Python ints, and past it (m = 4) in numpy int8 (_planar_kernel), in the
-    same rows and order. |u_i| <= 2^m <= 16 under MAX_PLANAR_POINTS; int8
-    holds it up to m = 6, and m >= 7 is refused before any row is formed.
-    The ExtremeSet keeps the numerators in int8.
+    same rows and order. 2^m past MAX_PIPELINE_DIMENSION is refused, as in
+    every engine, so |u_i| <= 2^m <= 16; int8 holds it up to m = 6, and
+    m >= 7 is refused before any row is formed. The ExtremeSet keeps the
+    numerators in int8.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    count = 2 ** (2 ** m)
-    if count > MAX_PLANAR_POINTS:
-        raise ResourceBudgetError(
-            f"planar set for m={m} has {count} points, "
-            f"cap {MAX_PLANAR_POINTS}")
     size = 2 ** m
+    _refuse_past_dimension(size)
     if size > 127:  # |u_i| <= size must fit int8
         raise ResourceBudgetError(f"m={m}: planar numerators pass int8")
     h = antipodal_representatives(enumerate_tensor_vertices(m, 2))
     if any(sum(map(mul, a, b)) != (size if i == j else 0)
            for i, a in enumerate(h) for j, b in enumerate(h)):
         raise InternalInvariantError("planar basis rows are not orthogonal")
-    if count > BLOCK_ROWS:
+    if 2 ** size > BLOCK_ROWS:
         return _planar_kernel(m, h)
     nums = [(0,) * size]
     for row in reversed(h):

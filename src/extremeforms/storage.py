@@ -282,8 +282,9 @@ def read_extreme_set(path, data=None) -> ExtremeSet:
     at path is opened. The count in the file's head is read first. A file
     past one block of rows (search.BLOCK_ROWS) that is JSON exactly as
     write_extreme_set writes it is read by _read_writer_json, through a
-    read-only mmap of the file. Every other file, at any size, is streamed
-    from its start by _read_general, which decodes a JSON file whole, in
+    read-only mmap of the file, or from its bytes read whole when data is
+    a handle with no file descriptor to map (an io.BytesIO). Every other
+    file, at any size, is streamed from its start by _read_general, which decodes a JSON file whole, in
     one Python pass over its rows. Each reader refuses rows that do not
     strictly ascend in the pass that reads them. A mapped file must not be
     truncated or rewritten while it is read: touching a page past its new
@@ -300,9 +301,16 @@ def read_extreme_set(path, data=None) -> ExtremeSet:
         numbers = _HEAD_NUMBERS.match(binary.read(256))
         fields = None
         if numbers is not None and int(numbers[4]) > BLOCK_ROWS:
-            # the head matched, so the file is not empty and can be mapped
-            view = data if isinstance(data, bytes) else stack.enter_context(
-                mmap.mmap(data.fileno(), 0, access=mmap.ACCESS_READ))
+            # the head matched, so the file is not empty and can be mapped;
+            # a handle with no file descriptor to map is read whole
+            view = data
+            if not isinstance(data, bytes):
+                try:
+                    view = stack.enter_context(mmap.mmap(
+                        data.fileno(), 0, access=mmap.ACCESS_READ))
+                except OSError:  # io.UnsupportedOperation is one
+                    binary.seek(0)
+                    view = binary.read()
             fields = _read_writer_json(view)
         if fields is None:
             binary.seek(0)

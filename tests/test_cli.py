@@ -120,8 +120,9 @@ def test_enum_workers_identical(tmp_path, cachedir, capsys):
 
 
 def test_enum_budget_resume_round_trip(tmp_path, cachedir, capsys):
-    # (3,2) is the planar set; (2,3) walks 2304 bases in 5 runs, with the
-    # basis kernel at n^m = 9, and must give the double description's bytes
+    # (3,2) is the planar closed form, which completes at any budget;
+    # (2,3) walks 2304 bases in 5 runs, with the basis kernel at n^m = 9,
+    # and must give the double description's bytes
     for m, n, budget in [("3", "2", "2"), ("2", "3", "500")]:
         fresh = tmp_path / "fresh.json"
         code, _, _ = run(capsys, "enum", "--m", m, "--n", n,
@@ -660,6 +661,20 @@ def test_json_cache_hit_prints_the_stored_bytes(cachedir, capsys, argv):
     assert len(cache_entries(cachedir)) == 2
 
 
+def test_kg_default_budget_and_the_same_budget_share_one_entry(
+        cachedir, capsys, monkeypatch):
+    # kg --m 4 scans the default 300 bases, so --budget 300 is the same
+    # run: a hit on the one entry (and its sidecar), with no scan
+    from extremeforms import search
+
+    argv = ("kg", "--m", "4", "--d", "2", "--restarts", "2")
+    fresh = run(capsys, *argv)
+    assert fresh[0] == 0
+    monkeypatch.setattr(search, "extreme_points", None)
+    assert run(capsys, *argv, "--budget", "300") == fresh
+    assert len(cache_entries(cachedir)) == 2
+
+
 @pytest.mark.parametrize("m, planted, field", [
     (3, b'{"name": "bogus"}', "name"),
     (3, b'{"name": "two-slot", "value": 1.5}', "m"),
@@ -831,11 +846,14 @@ def test_small_exact_and_planar_runs_never_import_numpy(tmp_path,
     assert all(errors == [] for errors in result["errors"].values()), \
         result["errors"]
     # written past a one-row block, by the numpy writer, from the numpy
-    # planar kernel and the walk
+    # planar kernel and the walk's own functions
     monkeypatch.setattr(search, "BLOCK_ROWS", 1)
     expected = tmp_path / "expected.json"
     sets = [search.planar_extreme_points(m) for m in (1, 2, 3)]
-    sets.append(search.extreme_points(2, 2, budget=16))
+    keys = set()
+    for chosen in search._anchored_walk(2, 2, None, None):
+        search._process_basis(2, 2, [0, *chosen], keys)
+    sets.append(search._finalize(2, 2, keys, complete=True))
     # enum (3,2) lists the planar m = 3 set
     runs = [(s, "json") for s in sets for _ in "ab"] + [(sets[2], "csv")]
     hits = []

@@ -14,6 +14,7 @@ import hashlib
 import importlib
 import importlib.util
 import inspect
+import json
 from itertools import combinations, islice, product
 import math
 import os
@@ -159,11 +160,10 @@ def test_anchored_bases_reject_cursor_outside_walk(bad):
 
 def test_resume_cursor_of_another_search_or_depth_is_refused():
     with pytest.raises(BudgetExceeded) as info:
-        extreme_points(2, 2, budget=0)
-    with pytest.raises(ValueError, match="belongs to a different search"):
-        extreme_points(2, 3, resume=info.value.resume)
-    with pytest.raises(BudgetExceeded) as info:
         extreme_points(2, 3, budget=1)
+    foreign = {**info.value.resume, "n": 4}  # a cursor of (2,4)
+    with pytest.raises(ValueError, match="belongs to a different search"):
+        extreme_points(2, 3, resume=foreign)
     cursor = {**info.value.resume,
               "last_basis": info.value.resume["last_basis"][:-1]}
     with pytest.raises(ValueError, match="wrong depth"):
@@ -282,7 +282,9 @@ def test_extreme_points_2_2_matches_reference_list(set22):
     assert len(set22) == 16
 
 
-@pytest.mark.parametrize("m,n", [(1, 2), (1, 3), (2, 2), (3, 2), (1, 4)])
+# (1,2), (1,3), (1,4), (2,1) and (3,1) are the cross-polytope
+@pytest.mark.parametrize("m,n", [(1, 2), (1, 3), (2, 2), (3, 2), (1, 4),
+                                 (2, 1), (3, 1)])
 def test_oracle_equivalence(m, n):
     direct = brute_force_vertices(m, n)
     pipeline = extreme_points(m, n)
@@ -355,27 +357,24 @@ def test_midpoints_are_never_extreme(set32):
 # the planar fast path
 # ---------------------------------------------------------------------------
 
-# complete n = 2 runs take planar_extreme_points, so the walk, which has
-# one anchored basis here, is given a budget it cannot exhaust
+# every n = 2 run takes planar_extreme_points, so the walk's own
+# functions, which find one anchored basis here, are checked against it
 
 def test_planar_matches_general_bilinear(planar2):
-    walked, cursor = orbit_points(2, 2)
+    walked, cursor = per_basis_points(2, 2)
     assert cursor is None and walked == planar2
     assert planar2.coefficient_tuples() == walked.coefficient_tuples()
 
 
 def test_planar_matches_general_trilinear(planar3):
-    walked, cursor = orbit_points(3, 2)
+    walked, cursor = per_basis_points(3, 2)
     assert cursor is None and walked == planar3
     assert planar3.coefficient_tuples() == walked.coefficient_tuples()
 
 
-def test_planar_matches_general_quadrilinear(planar4, monkeypatch):
-    # the largest set _finalize is handed: 65536 points from 32768 keys;
-    # a budgeted run never takes double description, which would take
-    # minutes on this parallelotope
-    monkeypatch.setattr(dd, "double_description", refuse_dd)
-    walked, cursor = orbit_points(4, 2)
+def test_planar_matches_general_quadrilinear(planar4):
+    # the largest set _finalize is handed: 65536 points from 32768 keys
+    walked, cursor = per_basis_points(4, 2)
     assert cursor is None and walked.complete
     assert walked == planar4
 
@@ -422,7 +421,9 @@ def test_planar_denominators_divide_power_of_two(planar2, planar3, planar4, m):
 
 
 def test_planar_budget_guard():
-    with pytest.raises(ResourceBudgetError):
+    # the one size limit of every engine: 2^5 = 32 coefficients
+    with pytest.raises(ResourceBudgetError,
+                       match="n\\^m = 32 exceeds supported dimension"):
         planar_extreme_points(5)
 
 
@@ -471,12 +472,13 @@ def test_planar_paths_match_int64_reference_at_the_block_boundary(
 
 
 def test_planar_int8_bound_refuses_before_any_array(monkeypatch):
-    # with the point cap lifted, m = 7 would give numerators up to 128,
-    # past int8: the bound refuses before the tables or any array exist
+    # with the dimension limit lifted, m = 7 would give numerators up to
+    # 128, past int8: the bound refuses before the tables or any array
+    # exist
     def no_tables(m, n):
         raise AssertionError("an array was formed before the int8 bound")
 
-    monkeypatch.setattr(search, "MAX_PLANAR_POINTS", 2 ** (2 ** 7))
+    monkeypatch.setattr(search, "MAX_PIPELINE_DIMENSION", 2 ** 7)
     monkeypatch.setattr(search, "_tables", no_tables)
     with pytest.raises(ResourceBudgetError, match="int8"):
         planar_extreme_points(7)
@@ -517,17 +519,55 @@ def test_double_description_matches_planar(m):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_complete_linear_balls_are_cross_polytopes(n):
-    # the walk took 10 s on (1,6); the unit ball of linear forms is the
-    # l1 ball, whose vertices are the signed unit vectors
-    cross = {tuple(s * (i == j) for j in range(n))
-             for i in range(n) for s in (1, -1)}
-    assert extreme_points(1, n).coefficient_tuples() == cross
+    # the unit ball of linear forms is the l1 ball, whose vertices are the
+    # signed unit vectors: the closed form is what double description
+    # finds (the walk took 10 s on (1,6))
+    got = extreme_points(1, n)
+    assert got == dd_points(1, n) and got.complete
+    assert len(got) == 2 * n
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 1), (2, 2), (3, 2), (1, 16)])
+def test_closed_forms_ignore_a_budget_and_refuse_a_cursor(m, n, monkeypatch):
+    # a closed-form shape is complete at any budget, and no run of it
+    # writes a cursor, so any cursor is refused
+    with pytest.raises(BudgetExceeded) as info:
+        extreme_points(2, 3, budget=1)
+    cursor = {**info.value.resume, "m": m, "n": n}
+    monkeypatch.setattr(search, "_anchored_walk", None)
+    complete = extreme_points(m, n)
+    for budget in (0, 1, 5):
+        got = extreme_points(m, n, budget=budget)
+        assert got == complete and got.complete
+    for resume in (cursor, {}, [1]):
+        with pytest.raises(ValueError,
+                           match="resume state belongs to a different search"):
+            extreme_points(m, n, budget=1, resume=resume)
+
+
+# budgeted runs of the closed-form shapes (3,2) and (1,6), in a fresh
+# interpreter with numpy blocked; prints each set's size and completeness
+CLOSED_FORMS_WITHOUT_NUMPY = (
+    "import json, sys\n"
+    "sys.modules['numpy'] = None\n"
+    "from extremeforms.search import extreme_points\n"
+    "sets = [extreme_points(3, 2, budget=1), extreme_points(1, 6, budget=5)]\n"
+    "print(json.dumps([[len(s), s.complete] for s in sets]))")
+
+
+def test_budgeted_closed_forms_load_no_numpy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", CLOSED_FORMS_WITHOUT_NUMPY],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[256, True], [12, True]]
 
 
 def test_complete_runs_route_by_shape(monkeypatch, set32, planar3):
-    # complete runs of non-parallelotopes go to double description, those
-    # of n = 2 to planar_extreme_points, and budgeted and resumed runs to
-    # the walk
+    # complete runs of (2,3) and (2,4) go to double description, those of
+    # n = 2 (m > 1) to planar_extreme_points, those of m = 1 or n = 1 to
+    # the cross-polytope, and budgeted and resumed runs of (2,3) and (2,4)
+    # to the walk
     dd_calls = []
     engine = dd.double_description
 
@@ -548,12 +588,13 @@ def test_complete_runs_route_by_shape(monkeypatch, set32, planar3):
     monkeypatch.setattr(search, "_tables", None)
     monkeypatch.setattr(search, "_anchored_walk", None)
     extreme_points(2, 3)
-    extreme_points(1, 5)
-    assert dd_calls == [32, 32]
-    # the parallelotopes on R^2 take the planar closed form
+    assert dd_calls == [32]
+    # the parallelotopes on R^2 take the planar closed form, and the
+    # linear forms the cross-polytope
     assert extreme_points(3, 2) == set32 == planar3
+    assert len(extreme_points(1, 5)) == 10
     assert len(extreme_points(1, 2)) == 4
-    assert planar_calls == [3, 1] and dd_calls == [32, 32]
+    assert planar_calls == [3] and dd_calls == [32]
     monkeypatch.undo()
     monkeypatch.setattr(dd, "double_description", refuse_dd)
     monkeypatch.setattr(search, "planar_extreme_points", None)
@@ -567,8 +608,10 @@ def test_complete_runs_route_by_shape(monkeypatch, set32, planar3):
 
 @pytest.mark.parametrize("m", range(1, 5))
 def test_complete_runs_of_n_1_take_no_walk(m, monkeypatch):
-    # the ball of n = 1 is [-1, 1]; the walk gives the same two points
-    walked = extreme_points(m, 1, budget=walk_bound(m, 1))
+    # the ball of n = 1 is [-1, 1]; the walk's own functions give the same
+    # two points
+    walked, cursor = per_basis_points(m, 1)
+    assert cursor is None
     monkeypatch.setattr(search, "_tables", None)
     monkeypatch.setattr(search, "_anchored_walk", None)
     got = extreme_points(m, 1)
@@ -640,16 +683,15 @@ def test_double_description_refuses_rows_that_cut_no_polytope():
 # budget and resume
 # ---------------------------------------------------------------------------
 
-def test_extreme_points_budget_and_resume():
-    full = extreme_points(1, 3)
-    assert len(full) == 6  # cross-polytope in R^3
-
+def test_extreme_points_budget_and_resume(set23):
+    # five budgets of 500 bases cover the 2304 bases of (2,3), and their
+    # points are the complete run's, which double description lists
     gathered = set()
     resume = None
     rounds = 0
     while True:
         try:
-            part = extreme_points(1, 3, budget=1, resume=resume)
+            part = extreme_points(2, 3, budget=500, resume=resume)
         except BudgetExceeded as stop:
             part = stop.partial
             resume = stop.resume
@@ -662,12 +704,13 @@ def test_extreme_points_budget_and_resume():
         else:
             gathered |= part.coefficient_tuples()
             break
-    assert gathered == full.coefficient_tuples()
+    assert rounds == 4
+    assert gathered == set23.coefficient_tuples()
 
 
 def test_extreme_points_budget_zero():
     with pytest.raises(BudgetExceeded) as info:
-        extreme_points(1, 3, budget=0)
+        extreme_points(2, 3, budget=0)
     assert len(info.value.partial) == 0
     assert info.value.resume is not None
 
@@ -684,11 +727,10 @@ def test_resume_at_final_basis_is_empty():
 
 
 def _first_bases_points(m, n, count):
-    """The extreme points that the first count bases of the walk reach."""
-    try:
-        return extreme_points(m, n, budget=count)
-    except BudgetExceeded as stop:
-        return stop.partial
+    """The extreme points that the first count bases of the walk reach,
+    through the walk's own functions: extreme_points takes the closed
+    forms for (1,2), (2,2), (1,3) and (3,2)."""
+    return per_basis_points(m, n, budget=count)[0]
 
 
 @pytest.mark.parametrize("m, n", [(1, 2), (2, 2), (1, 3), (3, 2), (2, 3)])
@@ -890,13 +932,6 @@ def test_stabilizer_is_the_coordinate_group(m, n, order):
         assert positions.tolist() == tables["ball_position"][targets].tolist()
 
 
-def test_stabilizer_is_trivial_for_linear_forms():
-    perms, table = search._stabilizer(1, 3)
-    assert perms.tolist() == [[0, 1, 2]]
-    assert table is None
-    assert search._stabilizer(1, 10)[1] is None  # 512 pairs, past 64 bits
-
-
 def _orbit_path_keys(m, n, chosen, monkeypatch):
     """The keys _chunk_keys adds for one basis, and the rows it solved."""
     solved = []
@@ -996,11 +1031,9 @@ def orbit_points(m, n, budget=None, resume=None):
 
 
 @pytest.mark.parametrize("m, n, budget", [
-    (2, 4, 1), (2, 4, 15), (2, 4, 16), (2, 4, 17), (2, 4, 25), (2, 4, 300),
-    (1, 10, 5)])
+    (2, 4, 1), (2, 4, 15), (2, 4, 16), (2, 4, 17), (2, 4, 25), (2, 4, 300)])
 def test_orbit_walk_matches_the_per_basis_walk(m, n, budget):
-    # budgets on both sides of the chunk edges, and a resume; (1,10) has
-    # 512 antipodal pairs, past a 64-bit mask, and takes the identity group
+    # budgets on both sides of the chunk edges, and a resume
     expected, cursor = per_basis_points(m, n, budget)
     points, resume = orbit_points(m, n, budget)
     assert cursor is not None

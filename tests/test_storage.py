@@ -11,6 +11,7 @@ import io
 from array import array
 import json
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -567,6 +568,20 @@ def test_only_files_past_one_block_reach_the_fast_reader(tmp_path, set23,
     monkeypatch.setattr(search, "BLOCK_ROWS", len(set23) - 1)
     with pytest.raises(Reached):
         read()
+
+
+def test_a_handle_with_no_file_descriptor_reads_like_the_path(
+        tmp_path, planar4, monkeypatch):
+    # an io.BytesIO has no file descriptor to map: past one block the fast
+    # reader takes the handle's bytes, and the set is the path form's
+    path = tmp_path / "points.json"
+    write_extreme_set(path, planar4)
+    reader, sources = storage._read_writer_json, []
+    monkeypatch.setattr(storage, "_read_writer_json",
+                        lambda data: sources.append(type(data)) or reader(data))
+    got = read_extreme_set(path, io.BytesIO(path.read_bytes()))
+    assert got == read_extreme_set(path) == planar4
+    assert sources == [bytes, mmap.mmap]
 
 
 def test_writer_json_whose_block_passes_int64_takes_the_general_path(
