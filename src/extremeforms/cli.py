@@ -19,13 +19,15 @@ warning on stderr after the answer, not the answer. Heavy imports, json
 among them, happen inside the handlers, so that --help, argument errors
 and verify stay fast and never load json. numpy
 is loaded only for sets past one block of rows (search.BLOCK_ROWS), by
-the basis walk, and by constants and grothendieck: verify, --help, JSON
-cache hits (bh, mixed, khinchin, two-slot, kg, blei), oracle, and enum
-and planar runs of at most one block of points that take no walk, fresh
-or from the cache, never load it. Those are the complete runs and the
-budgeted ones of the closed forms (m = 1 or n = 1, the cross-polytope,
-and n = 2); planar --m 4, budgeted or resumed enum of (2,3) and (2,4),
-and fresh bh, mixed, kg, khinchin, two-slot and blei do. verify, which
+the basis walk, and by kg's float sphere solver (d >= 2): verify,
+--help, JSON cache hits (bh, mixed, khinchin, two-slot, kg, blei),
+oracle, khinchin, two-slot, blei, and enum, planar, bh and mixed runs
+of at most one block of points that take no walk, fresh or from the
+cache, never load it, nor does kg --d 1 on such a set. Those are the
+complete runs and the budgeted ones of the closed forms (m = 1 or n = 1,
+the cross-polytope, and n = 2); planar --m 4 and bh or mixed on it,
+budgeted or resumed enum of (2,3) and (2,4), kg --m 4 and kg at d >= 2
+do. verify, which
 parses its point with core alone, never loads storage either. A JSON
 hit is printed only if it parses as an object whose identifying fields
 equal those a fresh run writes.
@@ -401,9 +403,8 @@ def _handle_convex_constant(args: argparse.Namespace) -> int:
     from fractions import Fraction
 
     def compute():
-        # search before constants: the other order raises the peak RSS
-        from .search import extreme_points
         from . import constants
+        from .search import extreme_points
 
         constant = (constants.bh_constant if args.command == "bh"
                     else constants.mixed_littlewood_constant)
@@ -444,15 +445,18 @@ def _handle_two_slot(args: argparse.Namespace) -> int:
 
 
 def _handle_kg(args: argparse.Namespace) -> int:
-    # the budget the scan uses keys the cache, so kg --m 4 and
-    # kg --m 4 --budget 300 share one entry
+    from .search import BudgetExceeded, extreme_points, has_closed_form
+
+    # the budget the scan uses keys the cache: none for a closed form,
+    # which ignores it, so kg --m 2 with and without --budget share one
+    # entry, as kg --m 4 and kg --m 4 --budget 300 do
     budget = args.budget
-    if budget is None and args.m >= 4:
+    if has_closed_form(2, args.m):
+        budget = None
+    elif budget is None and args.m >= 4:
         budget = KG_DEFAULT_BUDGET_LARGE
 
     def compute():
-        # search before grothendieck: the other order raises the peak RSS
-        from .search import BudgetExceeded, extreme_points
         from .grothendieck import kg_lower_bound
 
         try:

@@ -14,15 +14,17 @@ then picks the lexicographically largest coefficient tuple, which makes
 reports reproducible across platforms. The
 Bohnenblust-Hille and mixed constants score the integer rows of the
 ExtremeSet directly, once per class of equal (d, sorted |u|), with the
-same kernel that f_lambda applies to one FormVector.
+same kernel that f_lambda applies to one FormVector. The module follows
+the package's rule for numpy, "Python ints up to one block of rows
+(search.BLOCK_ROWS), numpy past it": only the class keys of a set past
+one block are built in numpy, imported there, and the maximum is taken
+over a list of floats at any size.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from .core import FormVector, InternalInvariantError, Record
 from .search import ExtremeSet, exact_keys, reduced_row, row_blocks
@@ -138,18 +140,27 @@ def f_lambda(a: FormVector, exponent) -> float:
     return _f_lambda_row([d, *map(abs, u)], lam)
 
 
-def _f_lambda_rows(extreme_set: ExtremeSet, exponent) -> np.ndarray:
-    """f_lambda of every row as float64, once per (d, sorted |u|) class.
+def _f_lambda_rows(extreme_set: ExtremeSet, exponent) -> list:
+    """f_lambda of every row as a list of floats, once per class of equal
+    (d, sorted |u|).
 
-    A class key is the bytes of the contiguous int64 row [d, sorted |u|],
-    read through a void view; no tuple is formed per row. The keys are
-    built a block of rows at a time, widened to int64 whatever the dtype
-    of nums, with one dict of classes.
+    Up to one block of rows (search.BLOCK_ROWS) the class key is the tuple
+    (d, *sorted |u|) of the row's Python ints. Past it the keys are built
+    in numpy a block of rows at a time, widened to int64 whatever the
+    dtype of nums: a key is the bytes of the contiguous int64 row
+    [d, sorted |u|], read through a void view, so no tuple is formed per
+    row. One dict of classes serves every block.
     """
+    from .search import BLOCK_ROWS
 
     lam = _exponent(exponent)
-    classes = {}
-    values = np.empty(len(extreme_set), dtype=np.float64)
+    if len(extreme_set) <= BLOCK_ROWS:
+        keys = [(d, *sorted(map(abs, u))) for d, u in extreme_set.pairs()]
+        classes = {key: _f_lambda_row(key, lam) for key in set(keys)}
+        return list(map(classes.__getitem__, keys))
+    import numpy as np
+
+    classes, values = {}, []
     for rows in row_blocks(len(extreme_set)):
         magnitudes = np.abs(extreme_set.nums[rows].astype(np.int64))
         magnitudes.sort(axis=1)
@@ -159,8 +170,7 @@ def _f_lambda_rows(extreme_set: ExtremeSet, exponent) -> np.ndarray:
         for key in set(keys).difference(classes):
             classes[key] = _f_lambda_row(np.frombuffer(key, np.int64).tolist(),
                                          lam)
-        values[rows] = np.fromiter(map(classes.__getitem__, keys),
-                                   np.float64, len(keys))
+        values.extend(map(classes.__getitem__, keys))
     return values
 
 
@@ -172,19 +182,18 @@ def _maximum(extreme_set: ExtremeSet, values, name: str,
              exponent: Fraction | None) -> ConstantReport:
     """Report the best of per-row values with the deterministic tie-break.
 
-    values holds one number per row, in a list or a float64 array. Rows
-    within TIE_WINDOW of the best value are tied; the winner is the
+    values holds one float per row, in a Python sequence. Rows within
+    TIE_WINDOW of the best value are tied; the winner is the
     lexicographically largest coefficient vector among them, compared on
     exact integer keys.
     """
 
     if len(extreme_set) == 0:
         raise ValueError("cannot maximize over an empty extreme-point set")
-    values = np.asarray(values, dtype=np.float64)
-    best_value = float(values.max())
-    tied = np.flatnonzero(values >= best_value - TIE_WINDOW).tolist()
-    keys = exact_keys(zip(extreme_set.dens[tied].tolist(),
-                          extreme_set.nums[tied].tolist()))
+    best_value = max(values)
+    low = best_value - TIE_WINDOW
+    tied = [row for row, value in enumerate(values) if value >= low]
+    keys = exact_keys(map(extreme_set.row, tied))
     winner = max(range(len(tied)), key=keys.__getitem__)
     return ConstantReport(name=name, m=extreme_set.m, n=extreme_set.n,
                           exponent=exponent, value=best_value,
@@ -202,7 +211,7 @@ def maximize_convex(extreme_set: ExtremeSet, functional, name: str,
     The functional is evaluated once per point.
     """
 
-    values = [functional(point) for point in extreme_set.points]
+    values = [float(functional(point)) for point in extreme_set.points]
     return _maximum(extreme_set, values, name, exponent)
 
 

@@ -11,7 +11,8 @@ claimed maxima, and not certified (one can land a few ulps above the true
 maximum; ROADMAP item 4 plans rational bounds). The restarts run as one
 batch: their starting vectors are drawn once per (k, d, restarts, seed)
 and shared by every form of that size, and each restart leaves the batch
-when its value settles.
+when its value settles. Only that float solver imports numpy, inside its
+functions, so the zero form, d = 1 and blei_kkt_max never load it.
 
 The KKT objective f = sqrt(X) + sqrt(Y), X = a^2+b^2+2h^2, Y = c^2+d^2+2h^2,
 has maximum 1 over a+b+c+d = 1, all pairwise sums of {a,b,c,d} nonnegative,
@@ -25,8 +26,6 @@ import math
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, product
-
-import numpy as np
 
 from .constants import ConstantReport
 from .core import FormVector, Record
@@ -125,13 +124,15 @@ def _sign_enumeration(coeffs, k: int):
 
 
 @lru_cache(maxsize=16)
-def _sphere_starts(k: int, d: int, restarts: int, seed: int) -> np.ndarray:
-    """Seeded unit starting rows for every restart, read-only (R, k, d).
+def _sphere_starts(k: int, d: int, restarts: int, seed: int):
+    """Seeded unit starting rows for every restart, a read-only float64
+    array (R, k, d).
 
     Restart r draws from the r-th child of SeedSequence(seed) and redraws
     any row too short to normalize, so the starts depend only on the
     arguments and are shared by every form of the same size.
     """
+    import numpy as np
 
     starts = np.empty((restarts, k, d))
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
@@ -154,6 +155,7 @@ def _half_step(matrix, sources, previous):
     keeps its previous vector. Returns the new vectors and the objective
     sum_ij <new_i, image_i> of each restart.
     """
+    import numpy as np
 
     image = matrix @ sources
     norms = np.sqrt(np.add.reduce(image * image, axis=2))[:, :, None]
@@ -164,6 +166,7 @@ def _half_step(matrix, sources, previous):
 
 def _check_monotone(side, before, after):
     """Raise if any restart's half-step lowered its objective."""
+    import numpy as np
 
     drops = np.flatnonzero(after + _MONOTONE_SLACK < before)
     if len(drops):
@@ -201,6 +204,8 @@ def inner_sphere_max(T: FormVector, d: int, restarts: int = 64,
         return SphereConfig(tuple((float(s),) for s in x_signs),
                             tuple((float(s),) for s in y_signs),
                             float(value))
+
+    import numpy as np
 
     matrix = np.array([[float(T.coeffs[i * k + j]) for j in range(k)]
                        for i in range(k)])

@@ -79,8 +79,11 @@ numpy past it". Only the basis walk's kernels, the m = 4 planar kernel
 and the scans over sets of more than one block import numpy, each inside
 the function, so every run of at most BLOCK_ROWS points that takes no
 walk (the double description, planar m <= 3, the cross-polytope,
-brute_force_vertices) and the ExtremeSet it returns never load it. The
-certificates (in_unit_ball, is_extreme), the exact eliminator and
+brute_force_vertices) and the ExtremeSet it returns never load it.
+storage and constants keep the same rule for the sets they write, read
+and score, and grothendieck imports numpy only in its float sphere
+solver, so no module of the package loads numpy when it is imported.
+The certificates (in_unit_ball, is_extreme), the exact eliminator and
 InternalInvariantError live in core and are re-exported here.
 """
 
@@ -344,11 +347,15 @@ class ExtremeSet(Record):
     def _form(self, d, u) -> FormVector:
         return FormVector(tuple(_fraction(x, d) for x in u), self.m, self.n)
 
+    def row(self, index) -> tuple:
+        """Row index as a (d, u) pair of Python ints."""
+        row, width = range(len(self))[index], self.n ** self.m
+        return (self._dens[row],
+                tuple(self._nums[row * width:(row + 1) * width]))
+
     def point(self, index) -> FormVector:
         """Row index as a FormVector, without building the others."""
-        row, width = range(len(self))[index], self.n ** self.m
-        return self._form(self._dens[row],
-                          self._nums[row * width:(row + 1) * width])
+        return self._form(*self.row(index))
 
     @cached_property
     def points(self) -> tuple:
@@ -704,6 +711,13 @@ def _finalize(m, n, keys, complete):
     return ExtremeSet.from_pairs(m, n, images, complete=complete)
 
 
+def has_closed_form(m, n) -> bool:
+    """Whether extreme_points takes a closed form for (m, n), complete at
+    any budget: the cross-polytope for m = 1 or n = 1, the planar set for
+    n = 2."""
+    return m == 1 or n <= 2
+
+
 def extreme_points(m, n, budget=None, resume=None) -> ExtremeSet:
     """All extreme points of the unit ball of m-linear forms on R^n.
 
@@ -724,7 +738,7 @@ def extreme_points(m, n, budget=None, resume=None) -> ExtremeSet:
     """
     size = n ** m
     _refuse_past_dimension(size)
-    if m == 1 or n <= 2:
+    if has_closed_form(m, n):
         if resume is not None:
             raise ValueError("resume state belongs to a different search")
         if m > 1 and n == 2:

@@ -675,6 +675,24 @@ def test_kg_default_budget_and_the_same_budget_share_one_entry(
     assert len(cache_entries(cachedir)) == 2
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_kg_budget_on_a_closed_form_shares_the_unbudgeted_entry(
+        cachedir, capsys, monkeypatch, m):
+    # (2,1) and (2,2) are closed forms that ignore a budget, so --budget 5
+    # is a hit on the entry keyed without one, with no scan
+    from extremeforms import search
+
+    argv = ("kg", "--m", str(m), "--d", "2", "--restarts", "2")
+    fresh = run(capsys, *argv)
+    assert fresh[0] == 0
+    monkeypatch.setattr(search, "extreme_points", None)
+    assert run(capsys, *argv, "--budget", "5") == fresh
+    key = cache_key("kg", m, 0, extra={"d": 2, "restarts": 2, "seed": 0,
+                                       "budget": None})
+    assert sorted(path.name for path in cache_entries(cachedir)) \
+        == [key, key + ".sha256"]
+
+
 @pytest.mark.parametrize("m, planted, field", [
     (3, b'{"name": "bogus"}', "name"),
     (3, b'{"name": "two-slot", "value": 1.5}', "m"),
@@ -904,6 +922,49 @@ def test_complete_n_1_runs_never_import_numpy(tmp_path):
     for m in (1, 2):
         path = tmp_path / f"extremeforms-enum-m{m}-n1.json"
         assert read_extreme_set(path) == brute_force_vertices(m, 1)
+
+
+# Imports every module of the package, then runs the constant commands
+# of at most one block of points through cli.main (bh a miss, then a hit)
+# with the cache in the directory given, and numpy blocked if asked;
+# prints each command's exit code and stdout as JSON.
+CONSTANTS_RUN = (
+    "import contextlib, importlib, io, json, pkgutil, sys\n"
+    "if sys.argv[2] == 'blocked':\n"
+    "    sys.modules['numpy'] = None\n"
+    "import extremeforms\n"
+    "for module in pkgutil.iter_modules(extremeforms.__path__):\n"
+    "    importlib.import_module(f'extremeforms.{module.name}')\n"
+    "from extremeforms.cli import main\n"
+    "runs = []\n"
+    "for argv in (*[['bh', '--m', '3', '--n', '2']] * 2,\n"
+    "             ['mixed', '--m', '2', '--n', '3'],\n"
+    "             ['khinchin', '--lambda', '4/3'], ['two-slot', '--m', '3'],\n"
+    "             ['blei'], ['kg', '--m', '3', '--d', '1']):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+    "        code = main([*argv, '--cache-dir', sys.argv[1]])\n"
+    "    runs.append([code, out.getvalue()])\n"
+    "print(json.dumps(runs))")
+
+
+def test_small_constants_never_import_numpy(tmp_path):
+    # constants and grothendieck load numpy only past one block of rows
+    # and in the float sphere solver, so these print what they print with
+    # numpy available
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    outputs = []
+    for numpy in ("blocked", "available"):
+        done = subprocess.run(
+            [sys.executable, "-c", CONSTANTS_RUN, str(tmp_path / numpy),
+             numpy], env=env, cwd=tmp_path, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(json.loads(done.stdout))
+    blocked, available = outputs
+    assert [code for code, _ in blocked] == [0] * 7
+    assert blocked[0] == blocked[1]
+    assert blocked == available
 
 
 @pytest.mark.parametrize("argv", [("enum", "--out", "x.json"), ("bh",),
