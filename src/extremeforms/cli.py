@@ -36,7 +36,6 @@ equal those a fresh run writes.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -220,20 +219,21 @@ def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path,
 
     Only a plain run, one with neither --budget nor --resume, reads or
     writes the cache: it always completes or raises, and its result
-    depends on its key alone. A hit copies the entry to a sibling of out
-    (storage.cache_load with a target), which must match the entry's
-    sidecar, and parses the copy (storage.read_extreme_set, naming the
-    cache entry in its errors); only a valid set of the requested shape
-    is then written through out, as a fresh run writes it (a symlink
-    stays a link), so the bytes in out are the bytes that were checked. A
-    copy that fails the sidecar is a miss; a copy that does not parse
-    raises ValueError. Either way out is untouched. On a miss compute()
-    builds the set, which is written to out, and after the summary the
-    written file is copied into the cache if out is a regular file (or a
-    link to one): a device or a pipe holds no artifact to copy. Neither
-    side holds a whole entry in memory. An out in a missing directory, an
-    out that is a directory, or a sibling of out that cannot be written on
-    a hit, raises OSError before any computation.
+    depends on its key alone. A hit copies the entry to a private sibling
+    of out, named by storage.scratch_path (storage.cache_load with a
+    target), which must match the entry's sidecar, and reads the copy by
+    its path (storage.read_extreme_set, with the cache entry as the name
+    its errors give); only a valid set of the requested shape is then
+    written through out, as a fresh run writes it (a symlink stays a
+    link), so the bytes in out are the bytes that were checked. A copy
+    that fails the sidecar is a miss; a copy that does not parse raises
+    ValueError. Either way out is untouched and the copy removed. On a
+    miss compute() builds the set, which is written to out, and after the
+    summary the written file is copied into the cache if out is a regular
+    file (or a link to one): a device or a pipe holds no artifact to copy.
+    Neither side holds a whole entry in memory. An out in a missing
+    directory, an out that is a directory, or a sibling of out that cannot
+    be written on a hit, raises OSError before any computation.
     """
 
     import shutil
@@ -249,16 +249,15 @@ def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path,
                             extra={"fmt": args.format})
     cached = not args.no_cache and getattr(args, "budget", None) is None \
         and getattr(args, "resume", None) is None
-    part = out.with_name(f".{out.name}.{os.getpid()}.part")
+    part = storage.scratch_path(out)
     try:
         copy = storage.cache_load(_cache_dir(args), key, part) \
             if cached else None
         hit = copy is not None
         if hit:
             try:
-                with open(copy, "rb") as handle:
-                    result = storage.read_extreme_set(
-                        _cache_dir(args) / key, handle)
+                result = storage.read_extreme_set(
+                    copy, name=_cache_dir(args) / key)
                 if (result.m, result.n) != (args.m, n):
                     raise ValueError(f"holds (m={result.m}, n={result.n}), "
                                      f"not (m={args.m}, n={n})")
@@ -293,14 +292,13 @@ def _write_resume_file(path: Path, m: int, n: int, search_resume: dict,
     from .search import exact_order
     from .storage import atomic_write, format_rows
 
-    rows = exact_order(pairs)
     payload = {
         "format-version": RESUME_FILE_VERSION,
         "kind": "enum-cli",
         "m": m,
         "n": n,
         "search": search_resume,
-        "partial": format_rows([d for d, _ in rows], [u for _, u in rows]),
+        "partial": format_rows(exact_order(pairs)),
     }
     atomic_write(path, (json.dumps(payload, indent=1) + "\n").encode())
 

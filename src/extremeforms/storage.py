@@ -21,11 +21,12 @@ The JSON layout is byte for byte json.dumps(payload, indent=1), built from
 the _JSON_* pieces below. write_extreme_set joins the cells of a set of at
 most one block of rows (search.BLOCK_ROWS) in Python, and writes a larger
 set's suffixed cells one block of rows at a time, in numpy.
-read_extreme_set reads the count in the head first. A file past one
-block is first tried by _read_writer_json, a numpy reader that accepts
-only a file those pieces spell out exactly, checked one block of rows at
-a time (search.row_blocks), and never raises; it fills nums in int8
-unless some entry does not fit. Every other file, at any size (one of at
+read_extreme_set opens the file at its path and reads the count in the
+head first. A file past one block is first tried, through a read-only
+mmap, by _read_writer_json, a numpy reader that accepts only a file those
+pieces spell out exactly, checked one block of rows at a time
+(search.row_blocks), and never raises; it fills nums in int8 unless some
+entry does not fit. Every other file, at any size (one of at
 most one block, another JSON layout, a long cell for the numpy reader, a
 fault of any kind, and every CSV file), goes through json.loads or the
 csv module (streamed), then one Python pass over its rows (parse_rows),
@@ -42,7 +43,9 @@ extreme set a FilePayload, which is never held in memory whole:
 cache_store copies the written artifact into the scratch file and hashes
 the copy in a streamed pass, and cache_load with a target copies the
 entry out to a file of the caller's and checks the copy, which
-read_extreme_set then reads.
+read_extreme_set then reads by its path. Every scratch file, the CLI's
+private copy of an entry too, is named by scratch_path, beside its
+target, with 128 random bits that no one can guess to plant a link.
 
 Only the extreme-set functions (format_rows, parse_rows, write_extreme_set,
 read_extreme_set and their helpers) work on arrays, and they import
@@ -55,7 +58,6 @@ neither numpy nor this module.
 
 from __future__ import annotations
 
-import contextlib
 import io
 import json
 import math
@@ -113,18 +115,9 @@ def format_rational(value: Fraction) -> str:
 # extreme-set files
 # ---------------------------------------------------------------------------
 
-def format_rows(dens, nums) -> list:
-    """Cell strings of the rows nums[i] / dens[i], in order, duplicates kept.
-
-    Each distinct (u_i, d) is formatted once (_cell_rows).
-    """
-
-    return _cell_rows(zip(dens, nums))
-
-
-def _cell_rows(pairs) -> list:
-    """The cells of the (d, u) rows pairs as lists of strings, each
-    distinct (u_i, d) formatted once."""
+def format_rows(pairs) -> list:
+    """Cell strings of the (d, u) rows pairs, each row u / d in order,
+    duplicates kept; each distinct (u_i, d) is formatted once."""
 
     table = {}
     rows = []
@@ -235,7 +228,7 @@ def write_extreme_set(path, extreme_set: ExtremeSet, fmt: str = "json") -> None:
     output of ``json.dumps(payload, indent=1)``, and the CSV text as
     ``csv.writer`` writes it; cells hold only digits, "-" and "/", which
     JSON and CSV both leave unescaped and unquoted. A set of at most one
-    block of rows is formatted in Python (_cell_rows) and joined whole;
+    block of rows is formatted in Python (format_rows) and joined whole;
     a larger one goes through one handle a block of rows at a time, as
     suffixed cells (_suffixed_cells).
     """
@@ -261,7 +254,7 @@ def write_extreme_set(path, extreme_set: ExtremeSet, fmt: str = "json") -> None:
         handle.write(head)
         if count <= BLOCK_ROWS:
             lines = [seps[0].join(row)
-                     for row in _cell_rows(extreme_set.pairs())]
+                     for row in format_rows(extreme_set.pairs())]
             handle.write(seps[1].join(lines)
                          + (seps[1] if fmt == "csv" and count else ""))
         else:
@@ -274,51 +267,37 @@ def write_extreme_set(path, extreme_set: ExtremeSet, fmt: str = "json") -> None:
         handle.write(tail)
 
 
-def read_extreme_set(path, data=None) -> ExtremeSet:
-    """Read an ExtremeSet file, validating metadata types and contents.
+def read_extreme_set(path, name=None) -> ExtremeSet:
+    """Read the ExtremeSet file at path, validating metadata types and
+    contents; errors name the file as name, when given, else as path.
 
-    data, when given, holds the file's content, as bytes or as a binary
-    file open on it, and path only names it in errors; otherwise the file
-    at path is opened. The count in the file's head is read first. A file
-    past one block of rows (search.BLOCK_ROWS) that is JSON exactly as
-    write_extreme_set writes it is read by _read_writer_json, through a
-    read-only mmap of the file, or from its bytes read whole when data is
-    a handle with no file descriptor to map (an io.BytesIO). Every other
-    file, at any size, is streamed from its start by _read_general, which decodes a JSON file whole, in
-    one Python pass over its rows. Each reader refuses rows that do not
-    strictly ascend in the pass that reads them. A mapped file must not be
-    truncated or rewritten while it is read: touching a page past its new
-    end kills the process with SIGBUS. The CLI reads only a private copy.
+    The count in the file's head is read first. A file past one block of
+    rows (search.BLOCK_ROWS) that is JSON exactly as write_extreme_set
+    writes it is read by _read_writer_json, through a read-only mmap of
+    the file. Every other file, at any size, is streamed from its start
+    by _read_general, which decodes a JSON file whole, in one Python pass
+    over its rows. Each reader refuses rows that do not strictly ascend in
+    the pass that reads them. A mapped file must not be truncated or
+    rewritten while it is read: touching a page past its new end kills the
+    process with SIGBUS. The CLI reads only a private copy of a cache
+    entry, and names the entry.
     """
 
     from .search import BLOCK_ROWS, ExtremeSet
 
     path = Path(path)
-    with contextlib.ExitStack() as stack:
-        if data is None:
-            data = stack.enter_context(path.open("rb"))
-        binary = io.BytesIO(data) if isinstance(data, bytes) else data
+    with path.open("rb") as binary:
         numbers = _HEAD_NUMBERS.match(binary.read(256))
         fields = None
         if numbers is not None and int(numbers[4]) > BLOCK_ROWS:
-            # the head matched, so the file is not empty and can be mapped;
-            # a handle with no file descriptor to map is read whole
-            view = data
-            if not isinstance(data, bytes):
-                try:
-                    view = stack.enter_context(mmap.mmap(
-                        data.fileno(), 0, access=mmap.ACCESS_READ))
-                except OSError:  # io.UnsupportedOperation is one
-                    binary.seek(0)
-                    view = binary.read()
-            fields = _read_writer_json(view)
+            # the head matched, so the file is not empty and can be mapped
+            with mmap.mmap(binary.fileno(), 0,
+                           access=mmap.ACCESS_READ) as view:
+                fields = _read_writer_json(view)
         if fields is None:
             binary.seek(0)
-            text = io.TextIOWrapper(binary)
-            try:
-                fields = _read_general(path, text)
-            finally:
-                text.detach()  # closing binary is its owner's business
+            with io.TextIOWrapper(binary) as text:
+                fields = _read_general(path if name is None else name, text)
     m, n, dens, nums, complete = fields
     return ExtremeSet(m, n, dens, nums, complete=complete)
 
@@ -605,7 +584,9 @@ def _sidecar(entry: Path) -> Path:
     return entry.with_name(entry.name + ".sha256")
 
 
-def _scratch(target: Path) -> Path:
+def scratch_path(target: Path) -> Path:
+    """A scratch name beside target, 128 random bits in it, so that no
+    file or link can be planted there ahead of its use."""
     return target.with_name(f".{target.name}.{os.urandom(16).hex()}.part")
 
 
@@ -620,7 +601,7 @@ def _sha256(path) -> bytes:
 def atomic_write(target: Path, data: bytes) -> None:
     """Write data to a scratch file beside target and move it into place;
     a failed write removes the scratch file and leaves target as it was."""
-    scratch = _scratch(target)
+    scratch = scratch_path(target)
     try:
         scratch.write_bytes(data)
         os.replace(scratch, target)
@@ -653,7 +634,7 @@ def cache_store(cache_dir, key: str, data) -> Path:
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     entry = cache_dir / key
-    scratch = _scratch(entry)
+    scratch = scratch_path(entry)
     try:
         if isinstance(data, FilePayload):
             shutil.copyfile(data, scratch)

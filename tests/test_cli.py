@@ -476,6 +476,35 @@ def test_enum_rejects_cache_hit_with_unordered_rows(tmp_path, cachedir,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
 
 
+@pytest.mark.parametrize("rows", [None, 1], ids=["one-block", "past-one"])
+def test_refused_hit_names_the_cache_entry(tmp_path, cachedir, capsys,
+                                           monkeypatch, set22, rows):
+    # the writer's own JSON with rows 1 and 2 swapped: read in one block by
+    # the general reader, or past one block, where the fast reader refuses
+    # it first; either way the error names the entry, not the private copy
+    from extremeforms import search
+    from extremeforms.search import ExtremeSet
+    from extremeforms.storage import write_extreme_set
+
+    if rows:
+        monkeypatch.setattr(search, "BLOCK_ROWS", rows)
+    pairs = set22.pairs()
+    pairs[1], pairs[2] = pairs[2], pairs[1]
+    planted = tmp_path / "planted.json"
+    write_extreme_set(planted, ExtremeSet(2, 2, [d for d, _ in pairs],
+                                          [u for _, u in pairs]))
+    key = cache_key("enum", 2, 2, extra={"fmt": "json"})
+    cache_store(cachedir, key, planted.read_bytes())
+    planted.unlink()
+    out = tmp_path / "e22.json"
+    code, stdout, stderr = run(capsys, "enum", "--m", "2", "--n", "2",
+                               "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr == (f"error: cache entry {key}: {cachedir / key}: point 2 "
+                      f"does not strictly follow point 1\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
+
+
 @pytest.mark.parametrize("argv", [("planar", "--m", "3"),
                                   ("enum", "--m", "2", "--n", "2"),
                                   ("planar", "--m", "4")])
@@ -1277,12 +1306,15 @@ def test_planar_hit_with_unwritable_copy_exits_2_before_computing(
         tmp_path, cachedir, capsys, monkeypatch):
     # the hit's copy of the entry goes next to --out; a failure to write
     # it is an error, not a miss that recomputes
+    from extremeforms import storage
+
     out = tmp_path / "p.json"
     assert run(capsys, "planar", "--m", "2", "--out", str(out))[0] == 0
     out.write_bytes(b"keep me")
     # the copy's path leads into a missing directory
-    (tmp_path / f".p.json.{os.getpid()}.part").symlink_to(
-        tmp_path / "nope" / "part")
+    planted = tmp_path / ".p.json.planted.part"
+    planted.symlink_to(tmp_path / "nope" / "part")
+    monkeypatch.setattr(storage, "scratch_path", lambda target: planted)
 
     def recompute(m):
         raise AssertionError("a failed copy must not recompute")
@@ -1292,6 +1324,25 @@ def test_planar_hit_with_unwritable_copy_exits_2_before_computing(
     assert_os_error(capsys, "planar", "--m", "2", "--out", str(out))
     assert out.read_bytes() == b"keep me"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "p.json"]
+
+
+def test_link_planted_at_a_predictable_copy_name_is_not_followed(
+        tmp_path, cachedir, capsys):
+    # the hit's private copy of the entry has a random name: a link
+    # planted where a name built from the process id would put it leads
+    # nowhere the hit writes
+    out = tmp_path / "p.json"
+    assert run(capsys, "planar", "--m", "2", "--out", str(out))[0] == 0
+    artifact = out.read_bytes()
+    victim = tmp_path / "victim.txt"
+    victim.write_bytes(b"keep me")
+    (tmp_path / f".p.json.{os.getpid()}.part").symlink_to(victim)
+    code, stdout, stderr = run(capsys, "planar", "--m", "2", "--out", str(out))
+    assert (code, stderr) == (0, "") and stdout.endswith("cache: hit\n")
+    assert out.read_bytes() == artifact
+    assert victim.read_bytes() == b"keep me"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f".p.json.{os.getpid()}.part", "cache", "p.json", "victim.txt"]
 
 
 def test_out_that_is_a_device_is_not_cached(tmp_path, cachedir, capsys):

@@ -11,7 +11,6 @@ import io
 from array import array
 import json
 import math
-import mmap
 import os
 import subprocess
 import sys
@@ -372,10 +371,13 @@ def test_read_orders_rows_past_2_62(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def read_outcome(path, data=None):
-    """What read_extreme_set gives: the set's fields, or the error text."""
+    """What read_extreme_set gives on the file at path, data written there
+    first when given: the set's fields, or the error text."""
 
+    if data is not None:
+        path.write_bytes(data)
     try:
-        read = read_extreme_set(path, data)
+        read = read_extreme_set(path)
     except ValueError as err:
         return "error", str(err)
     return "set", (read.m, read.n, read.dens.dtype, read.dens.tolist(),
@@ -395,14 +397,14 @@ def fast_outcome(fields):
 
 def check_fast_reader(path, data, monkeypatch):
     """The fast reader's answer on data, in a 1-tuple, checked against
-    the general path; read_extreme_set must give what the general path
-    alone gives."""
+    the general path; read_extreme_set, on data written to path, must give
+    what the general path alone gives."""
 
     fast = (storage._read_writer_json(data),)
     with monkeypatch.context() as general_only:
         general_only.setattr(storage, "_read_writer_json", lambda data: None)
         expected = read_outcome(path, data)
-    assert read_outcome(path, data) == expected
+    assert read_outcome(path) == expected
     assert fast_outcome(fast[0]) in (None, expected)
     return fast, expected
 
@@ -541,9 +543,8 @@ def test_fast_reader_at_block_boundaries(tmp_path, set23, monkeypatch, rows):
     assert kinds == ["swap", "row-sep", "quote", "tail"]
 
 
-@pytest.mark.parametrize("source", ["path", "bytes", "handle"])
 def test_only_files_past_one_block_reach_the_fast_reader(tmp_path, set23,
-                                                         monkeypatch, source):
+                                                         monkeypatch):
     # a file of at most one block goes straight to the general path
     path = tmp_path / "points.json"
     write_extreme_set(path, set23)
@@ -554,34 +555,12 @@ def test_only_files_past_one_block_reach_the_fast_reader(tmp_path, set23,
     def reached(data):
         raise Reached
 
-    def read():
-        if source == "path":
-            return read_extreme_set(path)
-        if source == "bytes":
-            return read_extreme_set(path, path.read_bytes())
-        with path.open("rb") as handle:
-            return read_extreme_set(path, handle)
-
     monkeypatch.setattr(storage, "_read_writer_json", reached)
     monkeypatch.setattr(search, "BLOCK_ROWS", len(set23))
-    assert read() == set23
+    assert read_extreme_set(path) == set23
     monkeypatch.setattr(search, "BLOCK_ROWS", len(set23) - 1)
     with pytest.raises(Reached):
-        read()
-
-
-def test_a_handle_with_no_file_descriptor_reads_like_the_path(
-        tmp_path, planar4, monkeypatch):
-    # an io.BytesIO has no file descriptor to map: past one block the fast
-    # reader takes the handle's bytes, and the set is the path form's
-    path = tmp_path / "points.json"
-    write_extreme_set(path, planar4)
-    reader, sources = storage._read_writer_json, []
-    monkeypatch.setattr(storage, "_read_writer_json",
-                        lambda data: sources.append(type(data)) or reader(data))
-    got = read_extreme_set(path, io.BytesIO(path.read_bytes()))
-    assert got == read_extreme_set(path) == planar4
-    assert sources == [bytes, mmap.mmap]
+        read_extreme_set(path)
 
 
 def test_writer_json_whose_block_passes_int64_takes_the_general_path(
@@ -723,13 +702,10 @@ def test_readers_widen_when_a_later_block_does_not_fit(tmp_path, monkeypatch,
     write_extreme_set(path, WIDENING, fmt="csv" if fmt == "csv" else "json")
     if fmt == "compact-json":
         path.write_text(json.dumps(json.loads(path.read_text())))
-    data = path.read_bytes()
-    assert (storage._read_writer_json(data) is None) == (fmt != "json")
+    assert (storage._read_writer_json(path.read_bytes()) is None) \
+        == (fmt != "json")
     read = read_extreme_set(path)
     assert read == WIDENING and read.nums.dtype == np.int64
-    assert read_extreme_set(path, data) == read
-    with path.open("rb") as handle:
-        assert read_extreme_set(path, handle) == read
 
 
 def csv_mutations(data: bytes):
@@ -837,7 +813,7 @@ ROW_CODEC_WITHOUT_NUMPY = (
     "import sys\n"
     "sys.modules['numpy'] = None\n"
     "from extremeforms.storage import format_rows, parse_rows\n"
-    "cells = format_rows([2, 1], [(1, -1), (0, 3)])\n"
+    "cells = format_rows([(2, (1, -1)), (1, (0, 3))])\n"
     "assert cells == [['1/2', '-1/2'], ['0', '3']], cells\n"
     "dens, nums, _ = parse_rows('rows', 2, cells)\n"
     "assert (dens.tolist(), nums.tolist()) == ([2, 1], [1, -1, 0, 3])\n")
@@ -860,10 +836,9 @@ def test_writer_bytes_agree_at_the_block_boundary(tmp_path, monkeypatch,
     for extreme_set in boundary_sets(set23.pairs(), block):
         assert written(tmp_path, extreme_set, fmt) \
             == reference_bytes(extreme_set, fmt)
-        pairs = extreme_set.pairs()
-        dens, nums = [d for d, _ in pairs], [u for _, u in pairs]
-        assert storage.format_rows(dens, nums) == storage._cell_rows(pairs) \
-            == storage._suffixed_cells(dens, nums).tolist()
+        assert storage.format_rows(extreme_set.pairs()) \
+            == storage._suffixed_cells(extreme_set.dens,
+                                       extreme_set.nums).tolist()
 
 
 @pytest.mark.parametrize("block", [1, 2, 7])
@@ -879,11 +854,8 @@ def test_readers_agree_at_the_block_boundary(tmp_path, monkeypatch, set23,
         for name, faulted in [("none", data),
                               *boundary_faults(extreme_set, data, fmt)]:
             python = read_outcome(path, faulted)
-            path.write_bytes(faulted)
-            assert read_outcome(path) == python, name
             with monkeypatch.context() as blocks:
                 blocks.setattr(search, "BLOCK_ROWS", block)
-                assert read_outcome(path, faulted) == python, name
                 assert read_outcome(path) == python, name
             if name == "none":
                 read = read_extreme_set(path)
