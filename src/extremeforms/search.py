@@ -45,7 +45,7 @@ and fix the anchor, so a permutation g turns the solutions of a basis B
 into those of g B: keys(g B) = g keys(B). The walk still yields every
 basis, but the kernel runs only on the first basis of each orbit in the
 walk's order, and every other basis of the orbit takes the permuted keys
-(_stabilizer, _chunk_keys). The 2304 bases of (2,3) fall into 42 orbits,
+(_stabilizer, _basis_keys). The 2304 bases of (2,3) fall into 42 orbits,
 the 300 bases of the kg --m 4 scan into 58.
 
 The hot loop works on integer numerators u = D H^-1 f with a common
@@ -93,7 +93,8 @@ import math
 from array import array
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, permutations, product, repeat
+from itertools import (chain, combinations, islice, permutations, product,
+                       repeat)
 from operator import add, mul, sub
 from typing import Iterator
 
@@ -491,15 +492,15 @@ def _refuse_past_dimension(size):
         raise ResourceBudgetError(f"n^m = {size} exceeds supported dimension")
 
 
-def _anchored_walk(m, n, budget, resume) -> Iterator[tuple]:
-    """Budgeted depth-first walk over anchored bases, anchor index omitted.
+def _anchored_walk(m, n, resume) -> tuple:
+    """Depth-first walk over anchored bases, anchor index omitted.
 
     Rows are drawn from one representative per antipodal pair. The
-    dimension and the resume cursor are checked at the call; the returned
-    iterator raises BudgetExceeded, carrying a cursor that a later call
-    accepts as resume, once budget bases have been yielded. The cursor
-    names its search "kind": "pipeline", and enum resume files store it
-    byte for byte.
+    dimension and the resume cursor are checked at the call, which returns
+    (seek, bases): the cursor's last basis as a tuple (None without one)
+    and the generator of the bases after it in depth-first order. The
+    cursor names its search "kind": "pipeline", and enum resume files
+    store it byte for byte.
     """
     size = n ** m
     _refuse_past_dimension(size)
@@ -525,22 +526,8 @@ def _anchored_walk(m, n, budget, resume) -> Iterator[tuple]:
                 raise ValueError("resume cursor is not an ascending tuple "
                                  "of this walk's candidate rows")
             seek = tuple(seek)
-    subsets = _independent_subsets(tables["vertices"], candidates, size - 1,
-                                   seek)
-
-    def walk():
-        last = seek
-        for count, chosen in enumerate(subsets):
-            if budget is not None and count >= budget:
-                cursor = {"format-version": RESUME_FORMAT_VERSION,
-                          "kind": "pipeline", "m": m, "n": n,
-                          "last_basis": None if last is None else list(last)}
-                raise BudgetExceeded(f"pipeline budget {budget} exhausted",
-                                     resume=cursor)
-            yield chosen
-            last = chosen
-
-    return walk()
+    return seek, _independent_subsets(tables["vertices"], candidates,
+                                      size - 1, seek)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +544,7 @@ def _stabilizer(m, n):
     anchor w(e, ..., e), and <g v, g a> = <v, a>, so it maps the unit ball
     onto itself and g B is an anchored basis with g a its solution for
     each solution a of B: keys(g B) = g keys(B). table[g, j] is the ball
-    position (the antipodal pair) of g v_j, as uint8, and _chunk_keys
+    position (the antipodal pair) of g v_j, as uint8, and _basis_keys
     holds a basis as a 64-bit mask of them. The walk takes only (2,3),
     with 16 pairs, and (2,4), with 64.
     """
@@ -586,12 +573,8 @@ def _stabilizer(m, n):
     return perms, position[(1 << perms.astype(np.uint16)) @ bits.T]
 
 
-# bases extreme_points takes from its walk per call of _chunk_keys
-ORBIT_CHUNK = 16
-
-
-def _chunk_keys(m, n, chunk, keys, cache):
-    """Add the keys of the bases in chunk, from cache where it can.
+def _basis_keys(m, n, basis, keys, cache):
+    """Add the keys of one basis, from cache where it can.
 
     A basis B is the mask of its ball positions; its canonical image is
     g B with the greatest mask over the group, the orbit's first basis in
@@ -601,37 +584,24 @@ def _chunk_keys(m, n, chunk, keys, cache):
     representative only negates an entry of f), and the ball filter onto
     itself: keys(g B) = g keys(B). So keys(B) = g^-1 keys(g B), and
     _process_basis runs once per canonical basis; cache maps its mask to
-    the keys as int64 arrays (dens, nums). A permutation keeps a key
-    gcd-reduced, so the images are keys again.
+    the keys as the int64 arrays (dens, nums) it returns. A permutation
+    keeps a key gcd-reduced, so the images are keys again.
     """
     import numpy as np
 
-    if not chunk:
-        return
     perms, table = _stabilizer(m, n)
-    rows = np.array(chunk)
-    masks = np.zeros((len(table), len(rows)), dtype=np.uint64)
     # the bit that stands for each ball position: lower positions take
     # higher bits, so of two bases the one with the greater mask comes
     # first in the walk's order
-    position_bit = np.array([1 << bit for bit in range(63, -1, -1)],
-                            dtype=np.uint64)
-    for column in rows.T:
-        masks |= position_bit[table[:, column]]
-    best = masks.argmax(axis=0)
-    ball_rows = _tables(m, n)["ball_rows"]
-    for basis, g, mask in zip(rows, best.tolist(),
-                              masks[best, np.arange(len(rows))].tolist()):
-        if mask not in cache:
-            canonical = ball_rows[np.sort(table[g, basis])].tolist()
-            found = set()
-            _process_basis(m, n, [0, *canonical], found)
-            cache[mask] = (np.array([d for d, _ in found], dtype=np.int64),
-                           np.array([u for _, u in found], dtype=np.int64
-                                    ).reshape(len(found), n ** m))
-        dens, nums = cache[mask]
-        keys.update(zip(dens.tolist(),
-                        map(tuple, nums[:, perms[g]].tolist())))
+    masks = np.bitwise_or.reduce(np.uint64(1) << (63 - table[:, basis]),
+                                 axis=1)
+    g = int(masks.argmax())
+    mask = int(masks[g])
+    if mask not in cache:
+        canonical = _tables(m, n)["ball_rows"][np.sort(table[g, basis])]
+        cache[mask] = _process_basis(m, n, [0, *canonical.tolist()])
+    dens, nums = cache[mask]
+    keys.update(zip(dens.tolist(), map(tuple, nums[:, perms[g]].tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +618,8 @@ def orbit(a: FormVector) -> set:
 # the assembled pipeline
 # ---------------------------------------------------------------------------
 
-def _process_basis(m, n, row_indices, keys):
-    """Solve all anchored sign systems for one basis; record feasible keys.
+def _process_basis(m, n, row_indices):
+    """Solve all anchored sign systems for one basis: its feasible keys.
 
     The solution of H a = f is u / D with u = adj f. A basis row gives
     <u, v> = D f_i exactly, so only the ball rows outside the basis are
@@ -664,8 +634,10 @@ def _process_basis(m, n, row_indices, keys):
     After the last coordinate the slack is 0 and the test is exactly
     |f . reach| <= D, so the rows left are the feasible sign vectors and
     their trailing columns are adj f; all values are exact (_kernel_exact).
-    Keys are gcd-reduced (denominator, numerator tuple) pairs with the
-    denominator positive, a unique representation of the rational vector.
+    The keys are returned as int64 arrays (dens, nums), [k] and [k, n^m],
+    k = 0 when no prefix survives: row i is the gcd-reduced key
+    nums[i] / dens[i] with dens[i] positive, a unique representation of
+    the rational vector, and distinct sign vectors give distinct keys.
     """
     import numpy as np
 
@@ -685,13 +657,13 @@ def _process_basis(m, n, row_indices, keys):
             <= det
         state = state[live]
         if not len(state):
-            return
+            return (np.zeros(0, dtype=np.int64),
+                    np.zeros((0, size), dtype=np.int64))
         if i < size:
             state = np.vstack([state + steps[i], state - steps[i]])
     feasible = state[:, rows:].astype(np.int64)
     g = np.gcd(np.gcd.reduce(feasible, axis=1), det)
-    reduced = feasible // g[:, None]
-    keys.update(zip((det // g).tolist(), map(tuple, reduced.tolist())))
+    return det // g, feasible // g[:, None]
 
 
 def _finalize(m, n, keys, complete):
@@ -731,10 +703,11 @@ def extreme_points(m, n, budget=None, resume=None) -> ExtremeSet:
     in a complete run (no budget, no resume). None of these three engines
     loads numpy for a set of at most one block of rows. A budgeted or resumed run of
     those shapes is one depth-first walk over the anchored bases, in this
-    process. budget bounds the number of (reduced) bases walked in this
-    call, of which the kernel solves one per orbit (_chunk_keys);
-    exceeding it raises BudgetExceeded whose .partial is an honest subset
-    and whose .resume continues the search.
+    process, one basis at a time. budget bounds the number of (reduced)
+    bases walked in this call, of which the kernel solves one per orbit
+    (_basis_keys); a basis left over after budget of them raises
+    BudgetExceeded whose .partial is an honest subset and whose .resume,
+    the last basis walked, continues the search.
     """
     size = n ** m
     _refuse_past_dimension(size)
@@ -752,20 +725,18 @@ def extreme_points(m, n, budget=None, resume=None) -> ExtremeSet:
 
         return ExtremeSet.from_pairs(m, n, dd.double_description(
             enumerate_tensor_vertices(m, n)))
-    walk = _anchored_walk(m, n, budget, resume)
-    keys, cache, chunk = set(), {}, []
-    try:
-        for basis in walk:
-            chunk.append(basis)
-            if len(chunk) == ORBIT_CHUNK:
-                _chunk_keys(m, n, chunk, keys, cache)
-                chunk = []
-        _chunk_keys(m, n, chunk, keys, cache)
-    except BudgetExceeded as stop:
-        # the bases drawn before the budget ran out still count
-        _chunk_keys(m, n, chunk, keys, cache)
-        stop.partial = _finalize(m, n, keys, complete=False)
-        raise
+    last, bases = _anchored_walk(m, n, resume)
+    keys, cache = set(), {}
+    for basis in islice(bases, budget):
+        _basis_keys(m, n, basis, keys, cache)
+        last = basis
+    if budget is not None and next(bases, None) is not None:
+        cursor = {"format-version": RESUME_FORMAT_VERSION,
+                  "kind": "pipeline", "m": m, "n": n,
+                  "last_basis": None if last is None else list(last)}
+        raise BudgetExceeded(f"pipeline budget {budget} exhausted",
+                             resume=cursor,
+                             partial=_finalize(m, n, keys, complete=False))
     return _finalize(m, n, keys, complete=True)
 
 

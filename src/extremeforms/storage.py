@@ -271,11 +271,12 @@ def read_extreme_set(path, name=None) -> ExtremeSet:
     """Read the ExtremeSet file at path, validating metadata types and
     contents; errors name the file as name, when given, else as path.
 
-    The count in the file's head is read first. A file past one block of
-    rows (search.BLOCK_ROWS) that is JSON exactly as write_extreme_set
-    writes it is read by _read_writer_json, through a read-only mmap of
-    the file. Every other file, at any size, is streamed from its start
-    by _read_general, which decodes a JSON file whole, in one Python pass
+    The count in the file's head is read first. A JSON file (its head
+    starts with "{") past one block of rows (search.BLOCK_ROWS) that is
+    exactly as write_extreme_set writes it is read by _read_writer_json,
+    through a read-only mmap of the file; a CSV file is never mapped.
+    Every other file, at any size, is streamed from its start by
+    _read_general, which decodes a JSON file whole, in one Python pass
     over its rows. Each reader refuses rows that do not strictly ascend in
     the pass that reads them. A mapped file must not be truncated or
     rewritten while it is read: touching a page past its new end kills the
@@ -287,9 +288,11 @@ def read_extreme_set(path, name=None) -> ExtremeSet:
 
     path = Path(path)
     with path.open("rb") as binary:
-        numbers = _HEAD_NUMBERS.match(binary.read(256))
+        head = binary.read(256)
+        numbers = _HEAD_NUMBERS.match(head)
         fields = None
-        if numbers is not None and int(numbers[4]) > BLOCK_ROWS:
+        if head[:1] == b"{" and numbers is not None \
+                and int(numbers[4]) > BLOCK_ROWS:
             # the head matched, so the file is not empty and can be mapped
             with mmap.mmap(binary.fileno(), 0,
                            access=mmap.ACCESS_READ) as view:

@@ -898,8 +898,9 @@ def test_small_exact_and_planar_runs_never_import_numpy(tmp_path,
     expected = tmp_path / "expected.json"
     sets = [search.planar_extreme_points(m) for m in (1, 2, 3)]
     keys = set()
-    for chosen in search._anchored_walk(2, 2, None, None):
-        search._process_basis(2, 2, [0, *chosen], keys)
+    for chosen in search._anchored_walk(2, 2, None)[1]:
+        dens, nums = search._process_basis(2, 2, [0, *chosen])
+        keys.update(zip(dens.tolist(), map(tuple, nums.tolist())))
     sets.append(search._finalize(2, 2, keys, complete=True))
     # enum (3,2) lists the planar m = 3 set
     runs = [(s, "json") for s in sets for _ in "ab"] + [(sets[2], "csv")]

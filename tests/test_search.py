@@ -90,7 +90,7 @@ def test_anchored_bases_are_valid(m, n):
     tables = _tables(m, n)
     vmat, representatives = tables["vmat"], tables["representatives"]
     size = n ** m
-    bases = list(_anchored_walk(m, n, None, None))
+    bases = list(_anchored_walk(m, n, None)[1])
     for chosen in bases:
         assert list(chosen) == sorted(set(chosen)), chosen
         assert set(chosen) <= set(representatives), chosen
@@ -116,30 +116,49 @@ def test_anchored_bases_2_2_count_matches_subset_oracle():
     representatives = _tables(2, 2)["representatives"]
     oracle = [triple for triple in combinations(representatives, 3)
               if fraction_rank([anchor, *(vertices[i] for i in triple)]) == 4]
-    bases = list(_anchored_walk(2, 2, None, None))
+    bases = list(_anchored_walk(2, 2, None)[1])
     assert bases == oracle
     assert len(bases) == 1
 
 
-def test_anchored_bases_budget_and_resume():
-    # budget-1 steps, each resumed from the previous cursor, reassemble the
-    # unbudgeted (2,3) walk
-    full = list(_anchored_walk(2, 3, None, None))
-    collected = []
+def test_anchored_bases_budget_and_resume(set23):
+    # four chained budgets of 700 bases walk the 2304 bases of (2,3): each
+    # cursor names the last basis walked, the fourth run completes, and
+    # the partial sets together are the complete set
+    full = list(_anchored_walk(2, 3, None)[1])
+    assert len(full) == 2304
+    gathered = set()
     resume = None
-    for _ in range(len(full) + 1):
-        try:
-            for chosen in _anchored_walk(2, 3, 1, resume):
-                collected.append(chosen)
-        except BudgetExceeded as stop:
-            resume = stop.resume
-        else:
-            break
-    assert collected == full
+    for k in range(1, 4):
+        with pytest.raises(BudgetExceeded) as info:
+            extreme_points(2, 3, budget=700, resume=resume)
+        resume = info.value.resume
+        assert resume["last_basis"] == list(full[700 * k - 1])
+        assert not info.value.partial.complete
+        gathered |= set(info.value.partial.pairs())
+    last = extreme_points(2, 3, budget=700, resume=resume)
+    assert last.complete
+    gathered |= set(last.pairs())
+    assert gathered == set(set23.pairs())
 
     with pytest.raises(BudgetExceeded) as info:
-        list(_anchored_walk(2, 3, 0, None))
-    assert info.value.resume is not None
+        extreme_points(2, 3, budget=0)
+    assert info.value.resume["last_basis"] is None
+
+
+def test_budget_boundary_of_the_2_3_walk(set23):
+    # a budget of exactly the 2304 bases completes; one basis fewer stops,
+    # and a budget of 1 from its cursor walks the last basis and completes
+    whole = extreme_points(2, 3, budget=2304)
+    assert whole.complete and whole == set23
+    with pytest.raises(BudgetExceeded) as info:
+        extreme_points(2, 3, budget=2303)
+    assert str(info.value) == "pipeline budget 2303 exhausted"
+    assert not info.value.partial.complete
+    rest = extreme_points(2, 3, budget=1, resume=info.value.resume)
+    assert rest.complete
+    assert set(info.value.partial.pairs()) | set(rest.pairs()) \
+        == set(set23.pairs())
 
 
 @pytest.mark.parametrize("bad", ["descending", "repeated", "past-end",
@@ -717,7 +736,7 @@ def test_extreme_points_budget_zero():
 
 def test_resume_at_final_basis_is_empty():
     # a cursor at the last basis leaves nothing to scan
-    *_, last = _anchored_walk(2, 3, None, None)
+    *_, last = _anchored_walk(2, 3, None)[1]
     with pytest.raises(BudgetExceeded) as info:
         extreme_points(2, 3, budget=0)
     cursor = {**info.value.resume, "last_basis": list(last)}
@@ -741,7 +760,7 @@ def test_det_adjugate_exact_branch(m, n, monkeypatch):
     size = n ** m
     vmat = _tables(m, n)["vmat"]
     mats = [vmat[[0, *chosen]]
-            for chosen in islice(_anchored_walk(m, n, None, None), 50)]
+            for chosen in islice(_anchored_walk(m, n, None)[1], 50)]
     float_pairs = [_det_adjugate(h) for h in mats]
     expected = _first_bases_points(m, n, 50)
     monkeypatch.setattr(np.linalg, "det", lambda a: 0.0)
@@ -764,6 +783,17 @@ def test_det_adjugate_exact_branch(m, n, monkeypatch):
 def int_sign_block(size):
     return np.array([(1, *rest) for rest in product((1, -1), repeat=size - 1)],
                     dtype=np.int64)
+
+
+def kernel_keys(m, n, row_indices):
+    """The keys _process_basis returns for one basis, as a set of
+    (d, u) pairs."""
+    dens, nums = _process_basis(m, n, row_indices)
+    assert dens.dtype == nums.dtype == np.int64
+    assert nums.shape == (len(dens), n ** m)
+    keys = set(zip(dens.tolist(), map(tuple, nums.tolist())))
+    assert len(keys) == len(dens), "a key returned twice"
+    return keys
 
 
 def reference_basis_keys(m, n, row_indices):
@@ -791,23 +821,21 @@ def test_process_basis_matches_reference_kernel(m, n, count):
     # (4, 2): no ball row lies outside its one basis, so every prefix passes
     # the slack test on empty partial sums and all 2^15 sign vectors are
     # solved; (1, 10): ten coordinates, each tested on its own
-    bases = list(islice(_anchored_walk(m, n, None, None), count))
+    bases = list(islice(_anchored_walk(m, n, None)[1], count))
     assert len(bases) == count if count else bases
     for chosen in bases:
         rows = [0, *chosen]
-        keys = set()
-        _process_basis(m, n, rows, keys)
-        assert keys == reference_basis_keys(m, n, rows), rows
+        assert kernel_keys(m, n, rows) == reference_basis_keys(m, n, rows), \
+            rows
 
 
 def test_process_basis_matches_reference_on_the_kg_scan():
     # every 10th of the 300 bases that kg --m 4 scans by default
-    bases = list(islice(_anchored_walk(2, 4, None, None), 300))
+    bases = list(islice(_anchored_walk(2, 4, None)[1], 300))
     for chosen in bases[::10]:
         rows = [0, *chosen]
-        keys = set()
-        _process_basis(2, 4, rows, keys)
-        assert keys == reference_basis_keys(2, 4, rows), rows
+        assert kernel_keys(2, 4, rows) == reference_basis_keys(2, 4, rows), \
+            rows
 
 
 def test_kernel_never_materializes_all_sign_vectors():
@@ -815,16 +843,31 @@ def test_kernel_never_materializes_all_sign_vectors():
     # on every 10th basis of the kg scan one call traces at most 1 MB of
     # heap (0.47 MB), where 2^15 sign vectors and their 48 outside products
     # alone take 16.8 MB in float64
-    bases = list(islice(_anchored_walk(2, 4, None, None), 300))
+    bases = list(islice(_anchored_walk(2, 4, None)[1], 300))
     peaks = []
     for chosen in bases[::10]:
         tracemalloc.start()
         try:
-            _process_basis(2, 4, [0, *chosen], set())
+            _process_basis(2, 4, [0, *chosen])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert max(peaks) <= 1 << 20, max(peaks)
+
+
+def test_kernel_with_no_surviving_prefix_returns_empty_keys(monkeypatch):
+    # a negative denominator fails every prefix at the first coordinate:
+    # the early exit returns empty int64 arrays in the shape of the keys
+    det_adjugate = search._det_adjugate
+    monkeypatch.setattr(search, "_det_adjugate",
+                        lambda mat: (-1, det_adjugate(mat)[1]))
+    chosen = next(_anchored_walk(2, 3, None)[1])
+    dens, nums = _process_basis(2, 3, [0, *chosen])
+    assert dens.dtype == nums.dtype == np.int64
+    assert dens.shape == (0,) and nums.shape == (0, 9)
+    keys = set()
+    search._basis_keys(2, 3, chosen, keys, {})
+    assert keys == set()
 
 
 def test_ball_position_pairs_antipodes():
@@ -847,7 +890,7 @@ def test_trace_basis_counter_names_the_kernel():
     func = getattr(importlib.import_module(module), name)
     assert callable(func)
     assert list(inspect.signature(func).parameters) == [
-        "m", "n", "row_indices", "keys"]
+        "m", "n", "row_indices"]
 
 
 def test_partial_2_4_pinned(partial24):
@@ -933,17 +976,17 @@ def test_stabilizer_is_the_coordinate_group(m, n, order):
 
 
 def _orbit_path_keys(m, n, chosen, monkeypatch):
-    """The keys _chunk_keys adds for one basis, and the rows it solved."""
+    """The keys _basis_keys adds for one basis, and the rows it solved."""
     solved = []
     kernel = search._process_basis
 
-    def recording(m, n, row_indices, keys):
+    def recording(m, n, row_indices):
         solved.append(list(row_indices))
-        kernel(m, n, row_indices, keys)
+        return kernel(m, n, row_indices)
 
     monkeypatch.setattr(search, "_process_basis", recording)
     keys = set()
-    search._chunk_keys(m, n, [chosen], keys, {})
+    search._basis_keys(m, n, chosen, keys, {})
     monkeypatch.setattr(search, "_process_basis", kernel)
     return keys, solved
 
@@ -952,13 +995,11 @@ def _orbit_path_keys(m, n, chosen, monkeypatch):
 def test_orbit_keys_match_the_kernel_on_each_basis(m, n, count, monkeypatch):
     # g^-1 applied to the keys of the canonical image of B is keys(B)
     moved = 0
-    for chosen in islice(_anchored_walk(m, n, None, None), count):
+    for chosen in islice(_anchored_walk(m, n, None)[1], count):
         keys, solved = _orbit_path_keys(m, n, chosen, monkeypatch)
         assert len(solved) == 1
         moved += solved[0] != [0, *chosen]
-        direct = set()
-        _process_basis(m, n, [0, *chosen], direct)
-        assert keys == direct, chosen
+        assert keys == kernel_keys(m, n, [0, *chosen]), chosen
     assert moved > 0
 
 
@@ -983,32 +1024,31 @@ def test_orbit_keys_match_the_kernel_off_the_two_scan_classes(monkeypatch):
                 == len(chosen) + 2:
             chosen.append(i)
     assert len(chosen) == 15
-    keys = set()
-    _process_basis(2, 4, [0, *chosen], keys)
-    assert SIXTH_CLASS_2_4 in keys
+    assert SIXTH_CLASS_2_4 in kernel_keys(2, 4, [0, *chosen])
     perms, table = search._stabilizer(2, 4)
     images = [tables["ball_rows"][np.sort(positions[chosen])].tolist()
               for positions in table[::97]]
     key_sets = set()
     for basis in [chosen, *images]:
         found, _ = _orbit_path_keys(2, 4, tuple(basis), monkeypatch)
-        direct = set()
-        _process_basis(2, 4, [0, *basis], direct)
-        assert found == direct, basis
+        assert found == kernel_keys(2, 4, [0, *basis]), basis
         key_sets.add(frozenset(found))
     assert len(key_sets) > 1  # the images do not all share one key set
 
 
 def per_basis_points(m, n, budget=None, resume=None):
     """The pipeline as it ran before orbits of bases: the kernel on every
-    basis of the walk. (points, cursor), cursor None for a complete run."""
-    walk = _anchored_walk(m, n, budget, resume)
+    basis of the walk. (points, cursor), cursor None for a complete run;
+    the cursor names the last basis walked when one is left over."""
+    last, bases = _anchored_walk(m, n, resume)
     keys = set()
-    try:
-        for chosen in walk:
-            _process_basis(m, n, [0, *chosen], keys)
-    except BudgetExceeded as stop:
-        return search._finalize(m, n, keys, complete=False), stop.resume
+    for chosen in islice(bases, budget):
+        keys |= kernel_keys(m, n, [0, *chosen])
+        last = chosen
+    if budget is not None and next(bases, None) is not None:
+        cursor = {"format-version": 1, "kind": "pipeline", "m": m, "n": n,
+                  "last_basis": None if last is None else list(last)}
+        return search._finalize(m, n, keys, complete=False), cursor
     return search._finalize(m, n, keys, complete=True), None
 
 
@@ -1033,7 +1073,8 @@ def orbit_points(m, n, budget=None, resume=None):
 @pytest.mark.parametrize("m, n, budget", [
     (2, 4, 1), (2, 4, 15), (2, 4, 16), (2, 4, 17), (2, 4, 25), (2, 4, 300)])
 def test_orbit_walk_matches_the_per_basis_walk(m, n, budget):
-    # budgets on both sides of the chunk edges, and a resume
+    # budgets of one basis, of a few around 16 and of the kg scan, each
+    # with a resume
     expected, cursor = per_basis_points(m, n, budget)
     points, resume = orbit_points(m, n, budget)
     assert cursor is not None
@@ -1062,7 +1103,7 @@ def test_kernel_runs_once_per_orbit(m, n, budget, runs, monkeypatch):
 
     def counting(*args):
         calls.append(args[2])
-        kernel(*args)
+        return kernel(*args)
 
     monkeypatch.setattr(search, "_process_basis", counting)
     orbit_points(m, n, budget)

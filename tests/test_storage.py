@@ -561,6 +561,10 @@ def test_only_files_past_one_block_reach_the_fast_reader(tmp_path, set23,
     monkeypatch.setattr(search, "BLOCK_ROWS", len(set23) - 1)
     with pytest.raises(Reached):
         read_extreme_set(path)
+    # a CSV file past one block is never mapped for the fast reader
+    csv_path = tmp_path / "points.csv"
+    write_extreme_set(csv_path, set23, fmt="csv")
+    assert read_extreme_set(csv_path) == set23
 
 
 def test_writer_json_whose_block_passes_int64_takes_the_general_path(
