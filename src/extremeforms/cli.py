@@ -4,9 +4,10 @@ Subcommands map one-to-one onto the library operations; every run is
 deterministic given its flags and seed, results are cached by a key built
 from (command, parameters, format version, package version) unless
 --no-cache is passed (verify and oracle accept the cache flags but always
-run fresh), and cache hits reproduce the fresh output byte for
-byte because the cache stores the serialized artifact itself. An enum run
-with --budget or --resume neither reads nor writes the cache. The basis
+run fresh), and cache hits reproduce the fresh output byte for byte: a
+JSON command's entry holds the bytes it printed, an extreme set's its
+rows, which a hit writes out as a fresh run does. An enum run with
+--budget or --resume neither reads nor writes the cache. The basis
 scan runs in one process: enum, bh and mixed accept --workers, which must
 be at least 1, and ignore it. The enum resume file carries its rows in
 the artifact cell codec of storage (format_rows, parse_rows); no value is
@@ -201,7 +202,7 @@ def _emit_cached_json(args: argparse.Namespace, extra: dict, identity: dict,
 
 
 def _cache_store(args: argparse.Namespace, key: str, data) -> None:
-    """Store a delivered answer (bytes, or a FilePayload of its artifact)
+    """Store a delivered answer (bytes, or a SetPayload of an extreme set)
     in the cache; a cache that cannot be written costs a warning, not the
     answer."""
 
@@ -219,24 +220,20 @@ def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path,
 
     Only a plain run, one with neither --budget nor --resume, reads or
     writes the cache: it always completes or raises, and its result
-    depends on its key alone. A hit copies the entry to a private sibling
-    of out, named by storage.scratch_path (storage.cache_load with a
-    target), which must match the entry's sidecar, and reads the copy by
-    its path (storage.read_extreme_set, with the cache entry as the name
-    its errors give); only a valid set of the requested shape is then
-    written through out, as a fresh run writes it (a symlink stays a
-    link), so the bytes in out are the bytes that were checked. A copy
-    that fails the sidecar is a miss; a copy that does not parse raises
-    ValueError. Either way out is untouched and the copy removed. On a
-    miss compute() builds the set, which is written to out, and after the
-    summary the written file is copied into the cache if out is a regular
-    file (or a link to one): a device or a pipe holds no artifact to copy.
-    Neither side holds a whole entry in memory. An out in a missing
-    directory, an out that is a directory, or a sibling of out that cannot
-    be written on a hit, raises OSError before any computation.
+    depends on its key alone, which leaves out --format. A hit copies the
+    entry to a private file in the cache directory (storage.scratch_path),
+    checked against its sidecar (a mismatch is a miss), and reads the set
+    from the copy (storage.read_entry); an entry it refuses raises
+    ValueError that names the entry, and a copy that cannot be written
+    raises OSError. The copy is removed either way. On a miss compute()
+    builds the set. The set is then written through out as a fresh run
+    writes it (a symlink stays a link), and after the summary a miss
+    stores the set's entry, whatever out is. An out in a missing
+    directory or an out that is a directory raises OSError before any
+    computation.
     """
 
-    import shutil
+    import contextlib
 
     from . import storage
 
@@ -245,39 +242,35 @@ def _emit_extreme_set(args: argparse.Namespace, n: int, out: Path,
     if out.is_dir():
         raise OSError(f"cannot write {out}: is a directory")
     started = time.perf_counter()
-    key = storage.cache_key(args.command, args.m, n,
-                            extra={"fmt": args.format})
+    key = storage.cache_key(args.command, args.m, n)
     cached = not args.no_cache and getattr(args, "budget", None) is None \
         and getattr(args, "resume", None) is None
-    part = storage.scratch_path(out)
-    try:
-        copy = storage.cache_load(_cache_dir(args), key, part) \
-            if cached else None
-        hit = copy is not None
-        if hit:
-            try:
-                result = storage.read_extreme_set(
-                    copy, name=_cache_dir(args) / key)
-                if (result.m, result.n) != (args.m, n):
-                    raise ValueError(f"holds (m={result.m}, n={result.n}), "
-                                     f"not (m={args.m}, n={n})")
-            except ValueError as err:
-                raise ValueError(f"cache entry {key}: {err}") from None
-            with open(copy, "rb") as source, open(out, "wb") as target:
-                shutil.copyfileobj(source, target)
-    finally:
-        part.unlink(missing_ok=True)
+    result, entry = None, _cache_dir(args) / key
+    if cached:
+        part = storage.scratch_path(entry)
+        try:
+            if storage.cache_load(entry.parent, key, part) is not None:
+                try:
+                    result = storage.read_entry(part, args.m, n)
+                except ValueError as err:
+                    raise ValueError(f"cache entry {key}: {entry}: {err}") \
+                        from None
+        finally:
+            # never made if the cache directory holds no entry or is none
+            with contextlib.suppress(FileNotFoundError, NotADirectoryError):
+                part.unlink()
+    hit = result is not None
     if not hit:
         result = compute()
-        storage.write_extreme_set(out, result, fmt=args.format)
+    storage.write_extreme_set(out, result, fmt=args.format)
     print(f"count: {len(result)}")
     print(f"max-denominator: {result.max_denominator()}")
     print(f"wall-seconds: {time.perf_counter() - started:.3f}")
     print(f"file: {out}")
     if hit:
         print("cache: hit")
-    elif cached and out.is_file():
-        _cache_store(args, key, storage.FilePayload(out))
+    elif cached:
+        _cache_store(args, key, storage.SetPayload(result))
     return EXIT_OK
 
 

@@ -21,50 +21,40 @@ The JSON layout is byte for byte json.dumps(payload, indent=1), built from
 the _JSON_* pieces below. write_extreme_set joins the cells of a set of at
 most one block of rows (search.BLOCK_ROWS) in Python, and writes a larger
 set's suffixed cells one block of rows at a time, in numpy.
-read_extreme_set opens the file at its path and reads the count in the
-head first. A file past one block is first tried, through a read-only
-mmap, by _read_writer_json, a numpy reader that accepts only a file those
-pieces spell out exactly, checked one block of rows at a time
-(search.row_blocks), and never raises; it fills nums in int8 unless some
-entry does not fit. Every other file, at any size (one of at
-most one block, another JSON layout, a long cell for the numpy reader, a
-fault of any kind, and every CSV file), goes through json.loads or the
-csv module (streamed), then one Python pass over its rows (parse_rows),
-which gives every error message. Each reader checks row order in the
-pass that reads the rows and hands its flat arrays to ExtremeSet, which
-narrows nums to int8 when it can and keeps an array without a copy when
-its type is right.
+read_extreme_set has one path at every size: json.loads or the csv module
+(streamed), then one Python pass over the rows (parse_rows), which gives
+every error message and checks row order in the pass that reads the rows.
+It hands its flat arrays to ExtremeSet, which narrows nums to int8 when it
+can and keeps an array without a copy when its type is right.
 
 The cache stores opaque byte payloads under deterministic keys, next to a
 SHA-256 sidecar. Writes go through a temporary file plus ``os.replace`` so
 concurrent readers never observe a torn entry, and a checksum mismatch is
-treated as a miss rather than an error. A payload is bytes, or for an
-extreme set a FilePayload, which is never held in memory whole:
-cache_store copies the written artifact into the scratch file and hashes
-the copy in a streamed pass, and cache_load with a target copies the
-entry out to a file of the caller's and checks the copy, which
-read_extreme_set then reads by its path. Every scratch file, the CLI's
-private copy of an entry too, is named by scratch_path, beside its
-target, with 128 random bits that no one can guess to plant a link.
+treated as a miss rather than an error. A payload is bytes, a
+FilePayload, a file that cache_store copies, or a SetPayload, an
+extreme set that cache_store writes as its rows (write_entry); either is
+hashed in a streamed pass. cache_load with a target copies an entry out
+and checks the copy, which read_entry reads. An extreme set is thus
+cached as its rows, not as its artifact. Every scratch file is named by
+scratch_path, beside its target, with 128 random bits that no one can
+guess to plant a link.
 
-Only the extreme-set functions (format_rows, parse_rows, write_extreme_set,
-read_extreme_set and their helpers) work on arrays, and they import
-search when called, and numpy only for a set past one block of rows: the
-writer and _read_writer_json. The cache loads nothing heavy, so --help,
-JSON cache hits, the enum resume rows and every extreme set of at most
-one block, fresh or from the cache, run without numpy, and verify loads
-neither numpy nor this module.
+Only the extreme-set functions work on arrays; they import search when
+called, and numpy only in the writer past one block of rows; read_entry
+checks its rows in Python ints. The cache loads nothing heavy, so
+--help, JSON cache hits, the enum resume rows and every extreme set of
+at most one block, fresh or from the cache, run without numpy, and
+verify loads neither numpy nor this module.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
-import mmap
 import os
 import re
 import shutil
+import sys
 from array import array
 from fractions import Fraction
 from pathlib import Path
@@ -83,11 +73,11 @@ FILE_FORMAT_VERSION = 1
 _INTEGER_PATTERN = re.compile(r"-?\d+\Z")
 _KEY_TOKEN_PATTERN = re.compile(r"[^A-Za-z0-9_.+-]")
 
-# The JSON artifact, as write_extreme_set writes it and _read_writer_json
-# checks it: _JSON_HEAD, then "]" for no points or _JSON_OPEN, the cells
-# with _JSON_CELL_SEP between two cells of a row and _JSON_ROW_SEP between
-# rows, and _JSON_CLOSE; then _JSON_INCOMPLETE for a partial set, and
-# _JSON_END. The separators hold the quotes around the cells.
+# The JSON artifact, as write_extreme_set writes it: _JSON_HEAD, then "]"
+# for no points or _JSON_OPEN, the cells with _JSON_CELL_SEP between two
+# cells of a row and _JSON_ROW_SEP between rows, and _JSON_CLOSE; then
+# _JSON_INCOMPLETE for a partial set, and _JSON_END. The separators hold
+# the quotes around the cells.
 _JSON_HEAD = ('{{\n "format-version": {version},\n "m": {m},\n "n": {n},\n'
               ' "count": {count},\n "points": [')
 _JSON_OPEN = '\n  [\n   "'
@@ -96,9 +86,6 @@ _JSON_ROW_SEP = '"\n  ],\n  [\n   "'
 _JSON_CLOSE = '"\n  ]\n ]'
 _JSON_INCOMPLETE = ',\n "complete": false'
 _JSON_END = "\n}\n"
-# the four integers of a head, in order; "format-version", "m", "n" and
-# "count" hold no digit
-_HEAD_NUMBERS = re.compile(rb"\D*(\d{1,18})" * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -264,44 +251,20 @@ def write_extreme_set(path, extreme_set: ExtremeSet, fmt: str = "json") -> None:
                 if fmt == "json" and rows.stop >= count:
                     cells[-1, -1] = cells[-1, -1][:-len(_JSON_ROW_SEP)]
                 handle.write("".join(cells.ravel().tolist()))
+                del cells  # freed before the next block's cells are formed
         handle.write(tail)
 
 
-def read_extreme_set(path, name=None) -> ExtremeSet:
-    """Read the ExtremeSet file at path, validating metadata types and
-    contents; errors name the file as name, when given, else as path.
+def read_extreme_set(path) -> ExtremeSet:
+    """Read the ExtremeSet file at path through _read_general, validating
+    metadata types and contents; errors name the file by path. No command
+    reads an artifact back: a cache hit reads the set's entry."""
 
-    The count in the file's head is read first. A JSON file (its head
-    starts with "{") past one block of rows (search.BLOCK_ROWS) that is
-    exactly as write_extreme_set writes it is read by _read_writer_json,
-    through a read-only mmap of the file; a CSV file is never mapped.
-    Every other file, at any size, is streamed from its start by
-    _read_general, which decodes a JSON file whole, in one Python pass
-    over its rows. Each reader refuses rows that do not strictly ascend in
-    the pass that reads them. A mapped file must not be truncated or
-    rewritten while it is read: touching a page past its new end kills the
-    process with SIGBUS. The CLI reads only a private copy of a cache
-    entry, and names the entry.
-    """
-
-    from .search import BLOCK_ROWS, ExtremeSet
+    from .search import ExtremeSet
 
     path = Path(path)
-    with path.open("rb") as binary:
-        head = binary.read(256)
-        numbers = _HEAD_NUMBERS.match(head)
-        fields = None
-        if head[:1] == b"{" and numbers is not None \
-                and int(numbers[4]) > BLOCK_ROWS:
-            # the head matched, so the file is not empty and can be mapped
-            with mmap.mmap(binary.fileno(), 0,
-                           access=mmap.ACCESS_READ) as view:
-                fields = _read_writer_json(view)
-        if fields is None:
-            binary.seek(0)
-            with io.TextIOWrapper(binary) as text:
-                fields = _read_general(path if name is None else name, text)
-    m, n, dens, nums, complete = fields
+    with path.open() as text:
+        m, n, dens, nums, complete = _read_general(path, text)
     return ExtremeSet(m, n, dens, nums, complete=complete)
 
 
@@ -354,167 +317,6 @@ def _read_general(path, text) -> tuple:
     return m, n, dens, nums, complete
 
 
-def _read_writer_json(data):
-    """(m, n, dens, nums, complete) of a file write_extreme_set would
-    write byte for byte, else None; never raises.
-
-    data is bytes or an mmap; the pages of an mmap are dropped
-    (MADV_DONTNEED) as soon as a block of rows has consumed them. Every
-    byte is checked. The head and the tail must equal the _JSON_* pieces
-    for the counts the head holds, and the file must hold two quotes a
-    cell, so a forged count allocates nothing. The rows go in blocks
-    (row_blocks); a block's quotes are found in a window from the previous
-    block's end that holds them all if no cell is longer than 7 bytes.
-    Neighbouring quotes, across blocks too, must be separated by exactly
-    _JSON_CELL_SEP or, at a row's end, _JSON_ROW_SEP, and the last one
-    must begin the tail. A cell and its length pack into one uint64 key; a
-    block's distinct keys are parsed once each, and each must read back as
-    itself through format_rational. The rows of a block are then written
-    over the lcm of the block's denominators, which with every numerator
-    over it must fit int64; there they must strictly ascend, as must the
-    block's first row over the previous block's last (_ascends). Each row
-    is then gcd-reduced, so it reads as parse_rows reads it. A file that
-    fails any of these checks, including every file the general path
-    would refuse, gives None.
-    """
-
-    import numpy as np
-
-    from .search import array_fits_int8, int_view, row_blocks
-
-    numbers = _HEAD_NUMBERS.match(data[:256])
-    if numbers is None:
-        return None
-    # the version is checked with the whole head below; the bounds keep
-    # n ** m cheap, and other sizes take the general path
-    m, n, count = map(int, numbers.groups()[1:])
-    if not (1 <= m <= 64 and 1 <= n <= 64 and count >= 1):
-        return None
-    head = (_JSON_HEAD.format(version=FILE_FORMAT_VERSION, m=m, n=n,
-                              count=count) + _JSON_OPEN).encode()
-    for complete in (True, False):
-        tail = (_JSON_CLOSE + ("" if complete else _JSON_INCOMPLETE)
-                + _JSON_END).encode()
-        if data[-len(tail):] == tail:
-            break
-    else:
-        return None
-    width = n ** m
-    if len(data) < max(len(head) + len(tail), 2 * count * width) \
-            or data[:len(head)] != head:
-        return None
-    cell_sep, row_sep = _JSON_CELL_SEP.encode(), _JSON_ROW_SEP.encode()
-    # the most bytes a row of 7-byte cells spans, quote to quote
-    row_span = width * (7 + len(cell_sep)) + len(row_sep)
-    buf = np.frombuffer(data, dtype=np.uint8)
-    at, last = len(head) - 1, len(data) - len(tail)
-    # words[p] is the little-endian uint64 of the 8 bytes from position p
-    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data,
-                       strides=(1,))
-    masks = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.uint64)
-    values = {}
-    # nums starts in int8 and is widened to int64, once, when a block does
-    # not fit int8
-    dens, nums = array("q", [0]) * count, array("b", [0]) * (count * width)
-    dens_view = int_view(dens, count, writable=True)
-    nums_view = int_view(nums, (count, width), writable=True)
-    for rows in row_blocks(count):
-        size = len(dens_view[rows])
-        window = buf[at:min(at + size * row_span, last + 1)]
-        quotes = np.flatnonzero(window == ord('"'))[:2 * size * width]
-        if len(quotes) < 2 * size * width:
-            return None
-        quotes = (quotes + at).reshape(size, width, 2)
-        opens, closes = quotes[..., 0], quotes[..., 1]
-        ends, starts = closes[:-1, -1], opens[1:, 0]
-        if rows.start:  # the row separator from the previous block
-            ends, starts = np.append(at - 1, ends), opens[:, 0]
-        if not (_separated(words, closes[:, :-1], opens[:, 1:], cell_sep)
-                and _separated(words, ends, starts, row_sep)):
-            return None
-        at = int(closes[-1, -1]) + 1
-        lengths = closes - opens - 1
-        if lengths.max() > 7:  # an empty cell fails _canonical_cell
-            return None
-        # each array of the block is freed once it is used up, so the
-        # block holds about two int64 arrays of its cells at a time
-        keys = words[opens + 1]
-        del quotes, opens, closes, ends, starts
-        keys &= masks[lengths]
-        keys |= lengths.astype(np.uint64) << np.uint64(56)
-        del lengths
-        if isinstance(data, mmap.mmap):
-            data.madvise(mmap.MADV_DONTNEED, 0, at - at % mmap.PAGESIZE)
-        ordered = np.sort(keys, axis=None)
-        distinct = ordered[np.concatenate(([True],
-                                           ordered[1:] != ordered[:-1]))]
-        del ordered
-        distinct_keys = distinct.tolist()
-        try:
-            values.update((key, _canonical_cell(key))
-                          for key in distinct_keys if key not in values)
-        except ValueError:
-            return None
-        index = distinct.searchsorted(keys)
-        del keys, distinct
-        # the block's cells as numerators over the lcm L of its
-        # denominators, then each row gcd-reduced
-        cells = [values[key] for key in distinct_keys]
-        lcm = math.lcm(*(v.denominator for v in cells))
-        scaled = [v.numerator * (lcm // v.denominator) for v in cells]
-        if lcm >> 63 or any(abs(x) >> 63 for x in scaled):
-            return None
-        common = np.array(scaled, dtype=np.int64)[index]
-        del index
-        # over one denominator rows ascend as their numerators do
-        lead = (common[1:] != common[:-1]).argmax(axis=1)
-        step = np.arange(len(lead))
-        if not (common[1:][step, lead] > common[:-1][step, lead]).all() or (
-                rows.start and not _ascends(last_row,
-                                            (lcm, tuple(common[0].tolist())))):
-            return None
-        last_row = lcm, tuple(common[-1].tolist())
-        g = np.gcd(np.gcd.reduce(common, axis=1), lcm)
-        dens_view[rows] = lcm // g
-        common //= g[:, None]
-        if nums.typecode == "b" and not array_fits_int8(common):
-            nums = array("q", [0]) * (count * width)
-            wide = int_view(nums, (count, width), writable=True)
-            wide[:] = nums_view
-            nums_view = wide
-        nums_view[rows] = common
-        del common
-    return (m, n, dens, nums, complete) if at == last + 1 else None
-
-
-def _separated(words, closes, opens, sep: bytes) -> bool:
-    """Whether sep, quotes included, runs from each closing quote to the
-    opening quote paired with it; words[p] holds the 8 bytes from p."""
-
-    import numpy as np
-
-    if not (opens - closes == len(sep) - 1).all():
-        return False
-    for at in range(0, len(sep), 8):
-        chunk = sep[at:at + 8]
-        mask = np.uint64((1 << 8 * len(chunk)) - 1)
-        if not ((words[closes + at] & mask)
-                == np.uint64(int.from_bytes(chunk, "little"))).all():
-            return False
-    return True
-
-
-def _canonical_cell(key: int) -> Fraction:
-    """The rational a packed cell key spells, or ValueError unless the
-    cell is ASCII and exactly format_rational of its value."""
-
-    text = key.to_bytes(8, "little")[:key >> 56].decode("ascii")
-    value = parse_rational(text)
-    if format_rational(value) != text:
-        raise ValueError(f"not canonical: {text!r}")
-    return value
-
-
 def _read_json(text: str, path: Path) -> tuple:
     """(version, m, n, count, rows, complete) of a JSON extreme-set file."""
     try:
@@ -553,6 +355,83 @@ def _csv_rows(text):
     import csv
 
     return (row for row in csv.reader(text) if row)
+
+
+# ---------------------------------------------------------------------------
+# cache entries of extreme sets
+# ---------------------------------------------------------------------------
+
+def write_entry(path, extreme_set: ExtremeSet) -> None:
+    """Write the rows of a complete extreme_set to path as a cache entry:
+    a one-line head (the shape, the count, the numerators' typecode and
+    this machine's byte order), then its dens and nums arrays' bytes."""
+
+    with open(path, "wb") as handle:
+        handle.write(_entry_head(extreme_set))
+        extreme_set._dens.tofile(handle)
+        extreme_set._nums.tofile(handle)
+
+
+def _entry_head(extreme_set: ExtremeSet) -> bytes:
+    return (f"rows m={extreme_set.m} n={extreme_set.n} "
+            f"count={len(extreme_set)} nums={extreme_set._nums.typecode} "
+            f"byteorder={sys.byteorder}\n").encode()
+
+
+def read_entry(path, m, n) -> ExtremeSet:
+    """The complete ExtremeSet of shape (m, n) that write_entry wrote to
+    path, or a ValueError that does not name the file.
+
+    The head, the shape and the size are checked before the rows are read
+    (readinto), so a forged count allocates nothing. Every row is then
+    checked in Python ints for what the ExtremeSet constructor trusts
+    (_check_rows), so no numpy is loaded.
+    """
+
+    from .search import ExtremeSet
+
+    with open(path, "rb") as handle:
+        head = handle.readline(256)
+        found = re.fullmatch(rb"rows m=(\d{1,9}) n=(\d{1,9}) "
+                             rb"count=(\d{1,18}) nums=([bq]) "
+                             rb"byteorder=(\w+)\n", head)
+        if found is None or found[5].decode() != sys.byteorder:
+            raise ValueError(f"bad head {head[:80]!r}")
+        if (int(found[1]), int(found[2])) != (m, n):
+            raise ValueError(f"holds (m={int(found[1])}, n={int(found[2])}), "
+                             f"not (m={m}, n={n})")
+        count, width = int(found[3]), n ** m
+        dens, nums = array("q", [0]), array(found[4].decode(), [0])
+        size = len(head) + count * (dens.itemsize + width * nums.itemsize)
+        actual = os.fstat(handle.fileno()).st_size
+        if actual != size:
+            raise ValueError(f"{actual} bytes, not the {size} of {count} "
+                             f"points")
+        dens, nums = dens * count, nums * (count * width)
+        handle.readinto(dens)
+        handle.readinto(nums)
+    _check_rows(dens, nums, width)
+    return ExtremeSet(m, n, dens, nums)
+
+
+def _check_rows(dens, nums, width) -> None:
+    """Check in Python ints that each row of the flat arrays has d >= 1,
+    no numerator at its type's minimum (whose negation the type does not
+    hold), is gcd-reduced and is above the row before it; else raise
+    ValueError naming the first fault."""
+
+    low, previous = -1 << 8 * nums.itemsize - 1, None
+    for i, (d, u) in enumerate(zip(dens, zip(*[iter(nums)] * width))):
+        if d < 1:
+            raise ValueError(f"point {i}: denominator {d} is not positive")
+        if low in u:
+            raise ValueError(f"point {i}: numerator {low} is out of range")
+        if math.gcd(d, *u) != 1:
+            raise ValueError(f"point {i}: not gcd-reduced")
+        if previous is not None and not _ascends(previous, (d, u)):
+            raise ValueError(f"point {i} does not strictly follow "
+                             f"point {i - 1}")
+        previous = d, u
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +494,8 @@ def atomic_write(target: Path, data: bytes) -> None:
 class FilePayload(os.PathLike):
     """A cache payload held in a file rather than in memory: cache_store
     copies one into the cache, and cache_load with a target copies an
-    entry out to one. Like a bytes payload, its len() is its size."""
+    entry out to one, such as an extreme set's entry. Like a bytes
+    payload, its len() is its size."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -627,11 +507,26 @@ class FilePayload(os.PathLike):
         return self.path.stat().st_size
 
 
+class SetPayload:
+    """An extreme set as a cache payload: cache_store writes its entry
+    (write_entry) straight into its scratch file. Like a bytes payload,
+    its len() is the size of what is stored."""
+
+    def __init__(self, extreme_set: ExtremeSet):
+        self.extreme_set = extreme_set
+
+    def __len__(self) -> int:
+        rows = self.extreme_set
+        return len(_entry_head(rows)) + len(rows) * (
+            rows._dens.itemsize + rows.n ** rows.m * rows._nums.itemsize)
+
+
 def cache_store(cache_dir, key: str, data) -> Path:
     """Store data under key with a SHA-256 sidecar; returns the path.
 
-    data is bytes or a FilePayload. The entry is written (or copied) to a
-    scratch file, hashed there in a streamed pass, and moved into place.
+    data is bytes, a FilePayload or a SetPayload. The entry is written (or
+    copied) to a scratch file, hashed there in a streamed pass, and moved
+    into place.
     """
 
     cache_dir = Path(cache_dir)
@@ -639,7 +534,9 @@ def cache_store(cache_dir, key: str, data) -> Path:
     entry = cache_dir / key
     scratch = scratch_path(entry)
     try:
-        if isinstance(data, FilePayload):
+        if isinstance(data, SetPayload):
+            write_entry(scratch, data.extreme_set)
+        elif isinstance(data, FilePayload):
             shutil.copyfile(data, scratch)
         else:
             scratch.write_bytes(data)

@@ -6,9 +6,11 @@ rather than against the package, so that agreement between package output
 and these helpers is evidence, not circularity.
 """
 
+from array import array
 from fractions import Fraction
 from functools import reduce
 from itertools import product
+import sys
 
 import numpy as np
 
@@ -97,3 +99,14 @@ def fraction_solve(rows, rhs):
                 factor = mat[r][col]
                 mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
     return tuple(mat[r][size] for r in range(size))
+
+
+def spell_entry(m, n, dens, rows, code="b", count=None):
+    """A cache entry of an extreme set spelled by hand: its one-line head,
+    then dens as int64 and the numerators of rows in typecode code ('b'
+    or 'q'), in this machine's byte order."""
+
+    head = (f"rows m={m} n={n} count={len(dens) if count is None else count}"
+            f" nums={code} byteorder={sys.byteorder}\n")
+    return (head.encode() + array("q", dens).tobytes()
+            + array(code, [x for row in rows for x in row]).tobytes())

@@ -22,6 +22,7 @@ import pytest
 from extremeforms.cli import main
 from extremeforms.core import InternalInvariantError
 from extremeforms.storage import cache_key, cache_store, read_extreme_set
+from support import spell_entry
 
 F = Fraction
 
@@ -415,60 +416,55 @@ def test_convex_constant_ignores_workers_when_planar(tmp_path, cachedir,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_planar_cache_hit_rejects_row_past_int64(tmp_path, cachedir, capsys):
-    from extremeforms.storage import cache_key, cache_store
+def plant_entry(cachedir, command, m, n, data: bytes) -> str:
+    """Store data as the cache entry of command's (m, n) set; its key."""
 
-    out = tmp_path / "p1.json"
-    assert run(capsys, "planar", "--m", "1", "--out", str(out))[0] == 0
-    payload = json.loads(out.read_text())
-    payload["points"][0][0] = "1/9223372036854775808"
-    cache_store(cachedir, cache_key("planar", 1, 2, extra={"fmt": "json"}),
-                json.dumps(payload).encode())
-    code, _, stderr = run(capsys, "planar", "--m", "1", "--out", str(out))
+    key = cache_key(command, m, n)
+    cache_store(cachedir, key, data)
+    return key
+
+
+def test_planar_cache_hit_rejects_row_past_int64(tmp_path, cachedir, capsys):
+    # -2^63 fits int64, but its negation does not
+    key = plant_entry(cachedir, "planar", 1, 2, spell_entry(
+        1, 2, [1, 1], [[-2 ** 63, 1], [0, 1]], code="q"))
+    code, _, stderr = run(capsys, "planar", "--m", "1",
+                          "--out", str(tmp_path / "p1.json"))
     assert code == 2
-    assert "point 0: does not fit int64" in stderr
+    assert stderr == (f"error: cache entry {key}: {cachedir / key}: point 0: "
+                      f"numerator -9223372036854775808 is out of range\n")
 
 
 @pytest.mark.parametrize("planted", ["mistyped", "foreign"])
 def test_planar_rejected_cache_hit_leaves_out_alone(tmp_path, cachedir,
-                                                    capsys, planted):
-    from extremeforms.storage import cache_key, cache_store
-
+                                                    capsys, planted, planar3):
     out = tmp_path / "p1.json"
-    if planted == "mistyped":
-        assert run(capsys, "planar", "--m", "1", "--out", str(out))[0] == 0
-        payload = json.loads(out.read_text())
-        payload["m"] = "1"
-        data = json.dumps(payload).encode()
-    else:  # a valid artifact of another shape
-        assert run(capsys, "planar", "--m", "3", "--out", str(out))[0] == 0
-        data = out.read_bytes()
-    cache_store(cachedir, cache_key("planar", 1, 2, extra={"fmt": "json"}),
-                data)
+    if planted == "mistyped":  # m spelled as a string
+        data = spell_entry(1, 2, [1], [[1, 0]]).replace(b"m=1", b"m='1'")
+    else:  # a valid entry of another shape
+        data = spell_entry(3, 2, planar3.dens.tolist(),
+                           planar3.nums.tolist())
+    plant_entry(cachedir, "planar", 1, 2, data)
     out.write_bytes(b"keep me")
     code, stdout, stderr = run(capsys, "planar", "--m", "1",
                                "--out", str(out))
     assert code == 2
     assert stdout == ""
     assert "Traceback" not in stderr
-    assert ("field 'm' must be an integer" if planted == "mistyped"
+    assert ("bad head b\"rows m='1' n=2" if planted == "mistyped"
             else "holds (m=3, n=2), not (m=1, n=2)") in stderr
     assert out.read_bytes() == b"keep me"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "p1.json"]
 
 
 def test_enum_rejects_cache_hit_with_unordered_rows(tmp_path, cachedir,
-                                                   capsys):
-    # a valid (2,2) artifact with row 1 repeated before row 0
+                                                   capsys, set22):
+    # the (2,2) rows with row 1 repeated before row 0
+    pairs = set22.pairs()
+    pairs.insert(0, pairs[1])
+    plant_entry(cachedir, "enum", 2, 2, spell_entry(
+        2, 2, [d for d, _ in pairs], [u for _, u in pairs]))
     out = tmp_path / "e22.json"
-    assert run(capsys, "enum", "--m", "2", "--n", "2", "--out", str(out),
-               "--no-cache")[0] == 0
-    payload = json.loads(out.read_text())
-    payload["points"].insert(0, payload["points"][1])
-    payload["count"] += 1
-    cache_store(cachedir, cache_key("enum", 2, 2, extra={"fmt": "json"}),
-                json.dumps(payload).encode())
-    out.unlink()
     code, stdout, stderr = run(capsys, "enum", "--m", "2", "--n", "2",
                                "--out", str(out))
     assert (code, stdout) == (2, "")
@@ -479,23 +475,16 @@ def test_enum_rejects_cache_hit_with_unordered_rows(tmp_path, cachedir,
 @pytest.mark.parametrize("rows", [None, 1], ids=["one-block", "past-one"])
 def test_refused_hit_names_the_cache_entry(tmp_path, cachedir, capsys,
                                            monkeypatch, set22, rows):
-    # the writer's own JSON with rows 1 and 2 swapped: read in one block by
-    # the general reader, or past one block, where the fast reader refuses
-    # it first; either way the error names the entry, not the private copy
+    # the (2,2) rows with rows 1 and 2 swapped, in one block or past it;
+    # either way the error names the entry, not the private copy
     from extremeforms import search
-    from extremeforms.search import ExtremeSet
-    from extremeforms.storage import write_extreme_set
 
     if rows:
         monkeypatch.setattr(search, "BLOCK_ROWS", rows)
     pairs = set22.pairs()
     pairs[1], pairs[2] = pairs[2], pairs[1]
-    planted = tmp_path / "planted.json"
-    write_extreme_set(planted, ExtremeSet(2, 2, [d for d, _ in pairs],
-                                          [u for _, u in pairs]))
-    key = cache_key("enum", 2, 2, extra={"fmt": "json"})
-    cache_store(cachedir, key, planted.read_bytes())
-    planted.unlink()
+    key = plant_entry(cachedir, "enum", 2, 2, spell_entry(
+        2, 2, [d for d, _ in pairs], [u for _, u in pairs]))
     out = tmp_path / "e22.json"
     code, stdout, stderr = run(capsys, "enum", "--m", "2", "--n", "2",
                                "--out", str(out))
@@ -505,15 +494,72 @@ def test_refused_hit_names_the_cache_entry(tmp_path, cachedir, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
 
 
+def entry_refusals(set22):
+    """Entries of the (2,2) set that read_entry refuses, each with its
+    kind and the message after the entry's path."""
+
+    pairs = set22.pairs()
+    dens, rows = [d for d, _ in pairs], [u for _, u in pairs]
+    last = len(pairs) - 1
+    d, u = pairs[last]
+
+    def spell(row):
+        return spell_entry(2, 2, dens[:last] + [row[0]], rows[:last]
+                           + [row[1]])
+
+    data = spell_entry(2, 2, dens, rows)
+    head = data[:data.index(b"\n") + 1].replace(b"nums=b", b"nums=h")
+    yield "head", data.replace(b"nums=b", b"nums=h", 1), f"bad head {head!r}"
+    yield "shape", spell_entry(2, 3, [1], [[1] + [0] * 8]), \
+        "holds (m=2, n=3), not (m=2, n=2)"
+    yield "short", data[:-1], \
+        f"{len(data) - 1} bytes, not the {len(data)} of {len(pairs)} points"
+    yield "long", data + b"\0", \
+        f"{len(data) + 1} bytes, not the {len(data)} of {len(pairs)} points"
+    yield "denominator", spell((0, u)), \
+        f"point {last}: denominator 0 is not positive"
+    yield "unreduced", spell((3 * d, tuple(3 * x for x in u))), \
+        f"point {last}: not gcd-reduced"
+    yield "-128", spell((d, (-128, *u[1:]))), \
+        f"point {last}: numerator -128 is out of range"
+    yield "order", spell(pairs[0]), \
+        f"point {last} does not strictly follow point {last - 1}"
+
+
+@pytest.mark.parametrize("rows", [None, 1], ids=["one-block", "past-one"])
+@pytest.mark.parametrize("kind", ["head", "shape", "short", "long",
+                                  "denominator", "unreduced", "-128",
+                                  "order"])
+def test_refused_entry_leaves_out_as_it_was(tmp_path, cachedir, capsys,
+                                            monkeypatch, set22, kind, rows):
+    # each check of the entry, in one block and past it: exit 2 naming the
+    # entry and the fault, out byte for byte as it was, no scratch file
+    from extremeforms import search
+
+    if rows:
+        monkeypatch.setattr(search, "BLOCK_ROWS", rows)
+    data, message = {kind: (data, message) for kind, data, message
+                     in entry_refusals(set22)}[kind]
+    key = plant_entry(cachedir, "enum", 2, 2, data)
+    out = tmp_path / "e22.json"
+    out.write_bytes(b"keep me")
+    code, stdout, stderr = run(capsys, "enum", "--m", "2", "--n", "2",
+                               "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: cache entry {key}: {cachedir / key}: {message}\n"
+    assert out.read_bytes() == b"keep me"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "e22.json"]
+    assert sorted(p.name for p in cachedir.iterdir()) == [key, f"{key}.sha256"]
+
+
 @pytest.mark.parametrize("argv", [("planar", "--m", "3"),
                                   ("enum", "--m", "2", "--n", "2"),
                                   ("planar", "--m", "4")])
 def test_canonical_cache_hit_never_calls_json_loads(tmp_path, cachedir,
                                                     capsys, monkeypatch,
                                                     argv):
-    # a hit on an entry the writer wrote past one block of rows takes the
-    # fast reader: the small sets in blocks of one row, planar m = 4 at
-    # the real block size
+    # a hit reads the set's rows from its entry and parses no text: the
+    # small sets in blocks of one row, planar m = 4 at the real block size
     from extremeforms import search, storage
 
     if argv != ("planar", "--m", "4"):
@@ -1285,7 +1331,7 @@ def test_hit_failing_its_sidecar_is_a_miss_and_leaves_out_alone(
         tmp_path, cachedir, capsys, monkeypatch):
     out = tmp_path / "p1.json"
     assert run(capsys, "planar", "--m", "1", "--out", str(out))[0] == 0
-    entry = cachedir / cache_key("planar", 1, 2, extra={"fmt": "json"})
+    entry = cachedir / cache_key("planar", 1, 2)
     raw = bytearray(entry.read_bytes())
     raw[len(raw) // 2] ^= 1  # the copy no longer matches the sidecar
     entry.write_bytes(bytes(raw))
@@ -1305,8 +1351,8 @@ def test_hit_failing_its_sidecar_is_a_miss_and_leaves_out_alone(
 
 def test_planar_hit_with_unwritable_copy_exits_2_before_computing(
         tmp_path, cachedir, capsys, monkeypatch):
-    # the hit's copy of the entry goes next to --out; a failure to write
-    # it is an error, not a miss that recomputes
+    # the hit's copy of the entry goes into the cache directory; a failure
+    # to write it is an error, not a miss that recomputes
     from extremeforms import storage
 
     out = tmp_path / "p.json"
@@ -1325,6 +1371,21 @@ def test_planar_hit_with_unwritable_copy_exits_2_before_computing(
     assert_os_error(capsys, "planar", "--m", "2", "--out", str(out))
     assert out.read_bytes() == b"keep me"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "p.json"]
+
+
+def test_hit_through_an_out_whose_directory_takes_no_file(tmp_path,
+                                                          cachedir, capsys):
+    # the hit's copy goes into the cache directory, not beside --out:
+    # /proc/self/fd holds no file of ours, yet writes reach the open file
+    out = tmp_path / "p.json"
+    assert run(capsys, "planar", "--m", "2", "--out", str(out))[0] == 0
+    target = tmp_path / "target.json"
+    with open(target, "wb") as handle:
+        code, stdout, stderr = run(capsys, "planar", "--m", "2", "--out",
+                                   f"/proc/self/fd/{handle.fileno()}")
+    assert (code, stderr) == (0, "") and stdout.endswith("cache: hit\n")
+    assert target.read_bytes() == out.read_bytes()
+    assert not list(tmp_path.rglob("*.part"))
 
 
 def test_link_planted_at_a_predictable_copy_name_is_not_followed(
@@ -1346,22 +1407,25 @@ def test_link_planted_at_a_predictable_copy_name_is_not_followed(
         f".p.json.{os.getpid()}.part", "cache", "p.json", "victim.txt"]
 
 
-def test_out_that_is_a_device_is_not_cached(tmp_path, cachedir, capsys):
-    # /dev/null holds no artifact, so its run stores no (empty) entry that
-    # a later run would refuse
+def test_out_that_is_a_device_is_cached(tmp_path, cachedir, capsys):
+    # the entry comes from the set, not from the file /dev/null holds, so
+    # a later hit writes the fresh bytes to a regular file
     argv = ("enum", "--m", "2", "--n", "2")
     code, stdout, stderr = run(capsys, *argv, "--out", os.devnull)
     assert (code, stderr) == (0, "") and "cache: hit" not in stdout
-    assert cache_entries(cachedir) == []
-    out = tmp_path / "points.json"
-    fresh = run(capsys, *argv, "--out", str(out), "--no-cache")[1]
-    out.unlink()
+    key = cache_key("enum", 2, 2)
+    assert [p.name for p in cache_entries(cachedir)] == [key, f"{key}.sha256"]
+    fresh, out = tmp_path / "fresh.json", tmp_path / "points.json"
+    expected = run(capsys, *argv, "--out", str(fresh), "--no-cache")[1]
     code, stdout, stderr = run(capsys, *argv, "--out", str(out))
-    assert (code, stderr) == (0, "") and masked(stdout) == masked(fresh)
+    assert (code, stderr) == (0, "") and stdout.endswith("cache: hit\n")
+    assert masked(stdout) == masked(expected.replace(str(fresh), str(out))) \
+        + ["cache: hit"]
+    assert out.read_bytes() == fresh.read_bytes()
 
 
-def test_out_that_is_a_named_pipe_is_written_and_not_cached(tmp_path,
-                                                            cachedir, capsys):
+def test_out_that_is_a_named_pipe_is_written_and_cached(tmp_path, cachedir,
+                                                        capsys):
     artifact = tmp_path / "points.json"
     run(capsys, "enum", "--m", "2", "--n", "2", "--out", str(artifact),
         "--no-cache")
@@ -1381,7 +1445,12 @@ def test_out_that_is_a_named_pipe_is_written_and_not_cached(tmp_path,
                 pass
     assert (code, stderr) == (0, "") and f"file: {pipe}\n" in stdout
     assert received == [artifact.read_bytes()]
-    assert cache_entries(cachedir) == []
+    # a hit on a regular file writes the bytes the pipe received
+    out = tmp_path / "hit.json"
+    code, stdout, _ = run(capsys, "enum", "--m", "2", "--n", "2",
+                          "--out", str(out))
+    assert code == 0 and stdout.endswith("cache: hit\n")
+    assert out.read_bytes() == artifact.read_bytes()
 
 
 def test_symlinked_out_stays_a_link_after_a_hit(tmp_path, cachedir, capsys):
@@ -1404,7 +1473,8 @@ TRACE_CLI = Path(__file__).resolve().parents[1] / "bench" / "trace_cli.py"
 
 def test_planar_runs_under_the_benchmark_tracer(tmp_path):
     # the tracer records len() of every payload cache_store and
-    # cache_load see, the extreme-set artifact's included
+    # cache_load see, the extreme set's entry included, which is smaller
+    # than its artifact
     env = dict(os.environ, EXTREMEFORMS_CACHE=str(tmp_path / "cache"),
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = tmp_path / "p.json"
@@ -1420,7 +1490,10 @@ def test_planar_runs_under_the_benchmark_tracer(tmp_path):
         assert trace["missing"] == []
         runs.append({span["name"]: span for span in trace["spans"]})
     fresh, hit = runs
-    size = out.stat().st_size
+    [entry] = [p for p in (tmp_path / "cache").iterdir()
+               if p.suffix != ".sha256"]
+    size = entry.stat().st_size
+    assert size < out.stat().st_size
     assert fresh["storage.cache_load"]["hit"] is False
     assert fresh["storage.cache_store"]["bytes"] == size
     assert hit["storage.cache_load"]["hit"] is True

@@ -1,11 +1,13 @@
 """Heap bounds of the scans over the planar m = 4 set (65536 points).
 
-The artifact readers, the Bohnenblust-Hille scan and max_denominator each
-work one block of rows at a time, so beyond their input and result they
-hold one block of temporaries; the cache copies a file to a file, so it
-holds neither the 11 MB artifact nor the set. tracemalloc counts numpy's
-array buffers, and with numpy pinned its counts are deterministic, unlike
-RSS. A scan over the whole set at once peaks at several times each bound.
+The cache entry's reader, the Bohnenblust-Hille scan and max_denominator
+each work one block of rows at a time, so beyond their input and result
+they hold one block of temporaries, and the CSV reader streams its rows;
+the cache copies a file to a file, so it holds neither the 11 MB artifact
+nor the set.
+tracemalloc counts numpy's array buffers, and with numpy pinned its counts
+are deterministic, unlike RSS. A scan over the whole set at once peaks at
+several times each bound.
 """
 
 import tracemalloc
@@ -17,7 +19,9 @@ from extremeforms.storage import (
     cache_key,
     cache_load,
     cache_store,
+    read_entry,
     read_extreme_set,
+    write_entry,
     write_extreme_set,
 )
 
@@ -40,10 +44,11 @@ def test_planar_set_holds_nums_in_int8(planar4):
 
 
 def test_reader_holds_one_block_beyond_its_result(tmp_path, planar4):
-    # the result itself is 1.5 MB: int64 dens and int8 nums of 65536 x 16
-    path = tmp_path / "planar4.json"
-    write_extreme_set(path, planar4)
-    assert heap_peak(lambda: read_extreme_set(path)) <= 4 * MB
+    # the result itself is 1.5 MB: int64 dens and int8 nums of 65536 x 16,
+    # read from the cache entry into arrays of their own
+    path = tmp_path / "planar4.entry"
+    write_entry(path, planar4)
+    assert heap_peak(lambda: read_entry(path, 4, 2)) <= 4 * MB
 
 
 def test_csv_reader_holds_one_block_beyond_its_result(tmp_path, planar4):
@@ -55,7 +60,7 @@ def test_csv_reader_holds_one_block_beyond_its_result(tmp_path, planar4):
 def test_cache_streams_the_artifact(tmp_path, planar4):
     artifact = tmp_path / "planar4.json"
     write_extreme_set(artifact, planar4)
-    key = cache_key("planar", 4, 2, extra={"fmt": "json"})
+    key = cache_key("planar", 4, 2)
     cache = tmp_path / "cache"
     assert heap_peak(lambda: cache_store(cache, key,
                                          FilePayload(artifact))) <= 2 * MB
@@ -66,8 +71,9 @@ def test_cache_streams_the_artifact(tmp_path, planar4):
 
 def test_cli_hit_holds_one_block_beyond_its_set(tmp_path, monkeypatch,
                                                 capsys):
-    # copy, check, parse and summarize: the 1.5 MB set and one block of the
-    # reader, which frees each of its arrays once used (2.22 MB traced)
+    # copy, check and read the entry, write the artifact and summarize: the
+    # 1.5 MB set and one block of the entry check or of the writer, which
+    # frees each block's cells before it forms the next
     monkeypatch.setenv("EXTREMEFORMS_CACHE", str(tmp_path / "cache"))
     argv = ["planar", "--m", "4", "--out", str(tmp_path / "planar4.json")]
     assert main(argv) == 0

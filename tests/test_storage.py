@@ -42,6 +42,7 @@ from extremeforms.storage import (
     read_extreme_set,
     write_extreme_set,
 )
+from support import spell_entry
 
 F = Fraction
 
@@ -367,8 +368,15 @@ def test_read_orders_rows_past_2_62(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the fast reader of the writer's own JSON against the general path
+# the fast reader of a set, its cache entry, against the general path
 # ---------------------------------------------------------------------------
+
+def set_fields(read):
+    """The fields of an ExtremeSet that a reader must give back."""
+
+    return (read.m, read.n, read.dens.dtype, read.dens.tolist(),
+            read.nums.dtype, read.nums.tolist(), read.complete)
+
 
 def read_outcome(path, data=None):
     """What read_extreme_set gives on the file at path, data written there
@@ -377,36 +385,20 @@ def read_outcome(path, data=None):
     if data is not None:
         path.write_bytes(data)
     try:
-        read = read_extreme_set(path)
+        return "set", set_fields(read_extreme_set(path))
     except ValueError as err:
         return "error", str(err)
-    return "set", (read.m, read.n, read.dens.dtype, read.dens.tolist(),
-                   read.nums.dtype, read.nums.tolist(), read.complete)
 
 
-def fast_outcome(fields):
-    """read_outcome's form of a fast reader's fields, or None."""
+def entry_outcome(path, m, n, data=None):
+    """read_outcome's form of what read_entry gives on the entry at path."""
 
-    if fields is None:
-        return None
-    m, n, dens, nums, complete = fields
-    read = ExtremeSet(m, n, dens, nums, complete=complete)
-    return "set", (read.m, read.n, read.dens.dtype, read.dens.tolist(),
-                   read.nums.dtype, read.nums.tolist(), read.complete)
-
-
-def check_fast_reader(path, data, monkeypatch):
-    """The fast reader's answer on data, in a 1-tuple, checked against
-    the general path; read_extreme_set, on data written to path, must give
-    what the general path alone gives."""
-
-    fast = (storage._read_writer_json(data),)
-    with monkeypatch.context() as general_only:
-        general_only.setattr(storage, "_read_writer_json", lambda data: None)
-        expected = read_outcome(path, data)
-    assert read_outcome(path) == expected
-    assert fast_outcome(fast[0]) in (None, expected)
-    return fast, expected
+    if data is not None:
+        path.write_bytes(data)
+    try:
+        return "set", set_fields(storage.read_entry(path, m, n))
+    except ValueError as err:
+        return "error", str(err)
 
 
 LONG_CELLS = ExtremeSet(1, 2, [12345678, 1234], [[-1, 0], [1, 0]])
@@ -417,8 +409,8 @@ def at_block_sizes(name, values, large=()):
     """Parametrize name and rows over values and the block sizes: rows None
     keeps search.BLOCK_ROWS, and that case keeps its value's plain id;
     blocks of 1, 2 and 7 rows put block boundaries everywhere. A value in
-    large skips blocks of 1 and 2 rows: read in one-row blocks, the 65536
-    planar m = 4 rows take about 7 s a pass."""
+    large skips blocks of 1 and 2 rows: the 65536 planar m = 4 rows would
+    take tens of thousands of numpy blocks."""
 
     return pytest.mark.parametrize(f"{name}, rows", [
         pytest.param(value, rows,
@@ -432,25 +424,29 @@ def at_block_sizes(name, values, large=()):
                 large={"planar4"})
 def test_fast_reader_matches_the_general_path(tmp_path, request, monkeypatch,
                                               name, rows):
+    # the fast reader of a set is read_entry, on the bytes write_entry
+    # wrote: it gives the set the general path reads from the artifact,
+    # as a complete set, since only complete sets are cached
     if rows:
         monkeypatch.setattr(search, "BLOCK_ROWS", rows)
     if name == "planar1":
         extreme_set = planar_extreme_points(1)
-    elif name == "long":  # "-1/12345678" is past the 7 bytes of a key
+    elif name == "long":
         extreme_set = LONG_CELLS
-    elif name == "seven":  # "-1/1234" is exactly 7
+    elif name == "seven":
         extreme_set = SEVEN_BYTE_CELLS
     else:
         extreme_set = request.getfixturevalue(name)
-    path = tmp_path / "points.json"
+    path, entry = tmp_path / "points.json", tmp_path / "entry"
     write_extreme_set(path, extreme_set)
-    (numpy_fast,), expected = check_fast_reader(
-        path, path.read_bytes(), monkeypatch)
-    # the numpy reader's keys hold cells of at most 7 bytes
-    assert (numpy_fast is None) == (name == "long")
-    assert expected[0] == "set"
-    assert read_extreme_set(path) == extreme_set
-    assert read_extreme_set(path).complete == (name != "partial24")
+    expected = set_fields(extreme_set)
+    assert read_outcome(path) == ("set", expected)
+    storage.write_entry(entry, extreme_set)
+    m, n = extreme_set.m, extreme_set.n
+    assert entry.read_bytes() == spell_entry(
+        m, n, extreme_set.dens.tolist(), extreme_set.nums.tolist(),
+        extreme_set._nums.typecode)
+    assert entry_outcome(entry, m, n) == ("set", (*expected[:-1], True))
 
 
 def mutations(data: bytes, seed: int):
@@ -482,16 +478,20 @@ def mutations(data: bytes, seed: int):
 def test_fast_reader_on_mutated_artifacts(tmp_path, set23, monkeypatch, seed,
                                           rows):
     # flipped, inserted and deleted bytes, swapped rows and a wrong count:
-    # the fast reader gives None or what the general path reads, and
-    # read_extreme_set errs exactly as the general path does
+    # whatever set the general path still reads from the artifact, its
+    # entry reads back as that set, in one block and past it
     if rows:
         monkeypatch.setattr(search, "BLOCK_ROWS", rows)
-    path = tmp_path / "points.json"
+    path, entry = tmp_path / "points.json", tmp_path / "entry"
     write_extreme_set(path, set23)
     seen = {}
     for kind, data in mutations(path.read_bytes(), seed):
-        # a mutation may spell another valid set, which both then read
-        _, expected = check_fast_reader(path, data, monkeypatch)
+        # a mutation may spell another valid set
+        expected = read_outcome(path, data)
+        if expected[0] == "set":
+            read = read_extreme_set(path)
+            storage.write_entry(entry, read)
+            assert entry_outcome(entry, read.m, read.n) == expected, kind
         seen.setdefault(kind, set()).add(expected[0])
     assert set(seen) == {"flip", "insert", "delete", "swap", "count"}
     assert seen["swap"] == seen["count"] == {"error"}
@@ -499,86 +499,112 @@ def test_fast_reader_on_mutated_artifacts(tmp_path, set23, monkeypatch, seed,
     assert "set" in seen["insert"] | seen["delete"] | seen["flip"]
 
 
-def boundary_mutations(data: bytes, rows: int):
-    """Faults of an artifact read in blocks of rows, each with its kind:
-    at the boundary between its first two blocks, and in its last block."""
+def entry_mutations(data: bytes, seed: int):
+    """Seeded variants of an entry of (2,3) numerators in int8, each with
+    its kind."""
 
-    cell_sep = storage._JSON_CELL_SEP.encode()
-    row_sep = storage._JSON_ROW_SEP.encode()
-    head, opening, body = data.partition(storage._JSON_OPEN.encode())
-    at = body.rindex(storage._JSON_CLOSE.encode())
-    # cells[i] holds the cells of row i, without their outer quotes
-    cells, tail = body[:at].split(row_sep), body[at:]
+    import random
 
-    def spell(cells):
-        return head + opening + row_sep.join(cells) + tail
+    rng = random.Random(seed)
+    head, body = data.split(b"\n", 1)
+    count = int(head.split(b"count=")[1].split()[0])
+    dens = [body[8 * i:8 * i + 8] for i in range(count)]
+    nums = [body[8 * count + 9 * i:8 * count + 9 * i + 9]
+            for i in range(count)]
+    for _ in range(120):
+        at = rng.randrange(len(data))
+        byte = rng.randrange(256)
+        yield "flip", data[:at] + bytes([byte]) + data[at + 1:]
+        yield "insert", data[:at] + bytes([byte]) + data[at:]
+        yield "delete", data[:at] + data[at + 1:]
+    for _ in range(20):
+        i, j = rng.sample(range(count), 2)
+        order = list(range(count))
+        order[i], order[j] = j, i
+        yield "swap", (head + b"\n" + b"".join(dens[k] for k in order)
+                       + b"".join(nums[k] for k in order))
+    for other in (count - 1, count + 1, 0, 10 * count):
+        yield "count", data.replace(b"count=%d" % count,
+                                    b"count=%d" % other, 1)
 
-    swapped = cells[:]
-    swapped[rows - 1], swapped[rows] = cells[rows], cells[rows - 1]
-    yield "swap", spell(swapped)
-    # rows - 1 and rows run together into one row
-    yield "row-sep", spell(cells[:rows - 1]
-                           + [cells[rows - 1] + cell_sep + cells[rows]]
-                           + cells[rows + 1:])
-    # a quote opens the last block's first cell twice
-    last = (len(cells) - 1) // rows * rows
-    yield "quote", spell(cells[:last] + [b'"' + cells[last]]
-                         + cells[last + 1:])
-    # a cell appended to the last row moves its closing quote off the tail
-    yield "tail", spell(cells[:-1] + [cells[-1] + cell_sep + b"0"])
+
+@at_block_sizes("seed", [0, 1])
+def test_fast_reader_on_mutated_entries(tmp_path, set23, monkeypatch, seed,
+                                        rows):
+    # read_entry refuses a mutated entry with the same message in one
+    # block and past it, or reads a set that the general path reads back
+    # from its artifact; every entry of another size is refused
+    path, entry = tmp_path / "points.json", tmp_path / "entry"
+    storage.write_entry(entry, set23)
+    assert set23.nums.dtype == np.int8
+    seen = {}
+    for kind, data in entry_mutations(entry.read_bytes(), seed):
+        outcome = entry_outcome(entry, 2, 3, data)
+        if rows:
+            with monkeypatch.context() as blocks:
+                blocks.setattr(search, "BLOCK_ROWS", rows)
+                assert entry_outcome(entry, 2, 3) == outcome, kind
+        if outcome[0] == "set":
+            write_extreme_set(path, storage.read_entry(entry, 2, 3))
+            assert read_outcome(path) == outcome, kind
+        seen.setdefault(kind, set()).add(outcome[0])
+    assert set(seen) == {"flip", "insert", "delete", "swap", "count"}
+    assert seen["insert"] == seen["delete"] == seen["swap"] \
+        == seen["count"] == {"error"}
+
+
+def entry_faults(extreme_set, rows: int):
+    """The (d, u) rows of extreme_set with one fault each, with its kind
+    and the message that names it: at the boundary between the first two
+    blocks of rows rows, and in the last block."""
+
+    pairs = extreme_set.pairs()
+    last = (len(pairs) - 1) // rows * rows
+    order = f"point {rows} does not strictly follow point {rows - 1}"
+    swapped = pairs[:]
+    swapped[rows - 1], swapped[rows] = pairs[rows], pairs[rows - 1]
+    yield "swap", swapped, order
+    yield "repeat", pairs[:rows] + [pairs[rows - 1]] + pairs[rows + 1:], order
+    d, u = pairs[last]
+    for kind, row, message in (
+            ("unreduced", (2 * d, tuple(2 * x for x in u)), "not gcd-reduced"),
+            ("denominator", (0, u), "denominator 0 is not positive"),
+            ("-128", (d, (-128, *u[1:])), "numerator -128 is out of range")):
+        yield kind, pairs[:last] + [row] + pairs[last + 1:], \
+            f"point {last}: {message}"
 
 
 @pytest.mark.parametrize("rows", [1, 2, 7])
 def test_fast_reader_at_block_boundaries(tmp_path, set23, monkeypatch, rows):
-    # each fault crosses a block boundary or ends the last block; the fast
-    # reader refuses it, and read_extreme_set errs as the general path does
-    monkeypatch.setattr(search, "BLOCK_ROWS", rows)
-    path = tmp_path / "points.json"
-    write_extreme_set(path, set23)
+    # each fault crosses a block boundary or sits in the last block; the
+    # entry is refused past one block as it is in one block
+    entry = tmp_path / "entry"
     kinds = []
-    for kind, data in boundary_mutations(path.read_bytes(), rows):
-        fast, expected = check_fast_reader(path, data, monkeypatch)
-        assert fast == (None,) and expected[0] == "error", kind
+    for kind, pairs, message in entry_faults(set23, rows):
+        data = spell_entry(2, 3, [d for d, _ in pairs], [u for _, u in pairs])
+        assert entry_outcome(entry, 2, 3, data) == ("error", message), kind
+        with monkeypatch.context() as blocks:
+            blocks.setattr(search, "BLOCK_ROWS", rows)
+            assert entry_outcome(entry, 2, 3) == ("error", message), kind
         kinds.append(kind)
-    assert kinds == ["swap", "row-sep", "quote", "tail"]
-
-
-def test_only_files_past_one_block_reach_the_fast_reader(tmp_path, set23,
-                                                         monkeypatch):
-    # a file of at most one block goes straight to the general path
-    path = tmp_path / "points.json"
-    write_extreme_set(path, set23)
-
-    class Reached(Exception):
-        pass
-
-    def reached(data):
-        raise Reached
-
-    monkeypatch.setattr(storage, "_read_writer_json", reached)
-    monkeypatch.setattr(search, "BLOCK_ROWS", len(set23))
-    assert read_extreme_set(path) == set23
-    monkeypatch.setattr(search, "BLOCK_ROWS", len(set23) - 1)
-    with pytest.raises(Reached):
-        read_extreme_set(path)
-    # a CSV file past one block is never mapped for the fast reader
-    csv_path = tmp_path / "points.csv"
-    write_extreme_set(csv_path, set23, fmt="csv")
-    assert read_extreme_set(csv_path) == set23
+    assert kinds == ["swap", "repeat", "unreduced", "denominator", "-128"]
 
 
 def test_writer_json_whose_block_passes_int64_takes_the_general_path(
         tmp_path, monkeypatch):
-    # each row fits int64, but the lcm of the first block's denominators,
-    # over which the fast reader writes a block, does not
+    # each row fits int64, but the lcm of the first block's denominators
+    # does not: the general reader reads the artifact, and the entry,
+    # whose rows are compared in Python ints, reads back the same set
     monkeypatch.setattr(search, "BLOCK_ROWS", 4)
     primes = [99991, 99989, 99971, 99961]
     assert math.lcm(*primes) >> 63
     coprime = ExtremeSet(1, 1, [*primes, 1], [[1]] * 5)
-    path = tmp_path / "points.json"
+    path, entry = tmp_path / "points.json", tmp_path / "entry"
     write_extreme_set(path, coprime)
-    assert storage._read_writer_json(path.read_bytes()) is None
     read = read_extreme_set(path)
+    assert read == coprime and read.dens.tolist() == [*primes, 1]
+    storage.write_entry(entry, coprime)
+    read = storage.read_entry(entry, 1, 1)
     assert read == coprime and read.dens.tolist() == [*primes, 1]
 
 
@@ -588,38 +614,42 @@ def test_writer_json_whose_block_passes_int64_takes_the_general_path(
 def test_fast_reader_orders_rows_across_blocks(tmp_path, set23, monkeypatch,
                                                fault, row):
     # in blocks of 4 rows, rows 3 and 4 straddle a boundary and rows 5 and
-    # 6 share a block: the fast reader refuses each fault, and
-    # read_extreme_set names the point the general reader names
+    # 6 share a block: the entry reader refuses each fault, naming the
+    # point the general reader names in the artifact
     monkeypatch.setattr(search, "BLOCK_ROWS", 4)
     pairs = set23.pairs()
     pairs[row + 1] = pairs[row]
     if fault == "swap":
         pairs[row] = set23.pairs()[row + 1]
-    path = tmp_path / "points.json"
-    write_extreme_set(path, ExtremeSet(2, 3, [d for d, _ in pairs],
-                                       [u for _, u in pairs]))
-    assert storage._read_writer_json(path.read_bytes()) is None
+    faulty = ExtremeSet(2, 3, [d for d, _ in pairs], [u for _, u in pairs])
+    path, entry = tmp_path / "points.json", tmp_path / "entry"
+    write_extreme_set(path, faulty)
+    storage.write_entry(entry, faulty)
     message = f"point {row + 1} does not strictly follow point {row}"
-    with monkeypatch.context() as general_only:
-        general_only.setattr(storage, "_read_writer_json", lambda data: None)
-        with pytest.raises(ValueError, match=message):
-            read_extreme_set(path)
     with pytest.raises(ValueError, match=message):
         read_extreme_set(path)
+    assert entry_outcome(entry, 2, 3) == ("error", message)
 
 
 def test_forged_count_is_refused_before_any_allocation(tmp_path, planar2):
-    # a count the file cannot hold: the fast reader gives None before it
-    # allocates count rows, and the general reader names the count
+    # a count the file cannot hold: the general reader names the count,
+    # and read_entry compares the entry's size with it before it allocates
+    # count rows
     path = tmp_path / "points.json"
     write_extreme_set(path, planar2)
     forged = 10 ** 15
     path.write_bytes(path.read_bytes().replace(b'"count": 16',
                                                b'"count": %d' % forged))
-    assert storage._read_writer_json(path.read_bytes()) is None
     with pytest.raises(ValueError, match=f"count field says {forged} but "
                                          f"16 points present"):
         read_extreme_set(path)
+    entry = tmp_path / "entry"
+    data = spell_entry(2, 2, planar2.dens.tolist(), planar2.nums.tolist(),
+                       count=forged)
+    # 16 rows of 8 bytes of d and 4 of int8 numerators
+    size = len(data) + (forged - 16) * 12
+    assert entry_outcome(entry, 2, 2, data) == (
+        "error", f"{len(data)} bytes, not the {size} of {forged} points")
 
 
 # ---------------------------------------------------------------------------
@@ -698,18 +728,17 @@ def test_nums_dtype_at_the_int8_boundary(tmp_path, edge, dtype):
 @pytest.mark.parametrize("rows", [None, 1, 2, 7])
 def test_readers_widen_when_a_later_block_does_not_fit(tmp_path, monkeypatch,
                                                        fmt, rows):
-    # past one block the writer's JSON takes the fast reader, the others
-    # the general path
+    # the general reader widens the artifact in every layout, and the
+    # entry reader the entry, in one block and past it
     if rows:
         monkeypatch.setattr(search, "BLOCK_ROWS", rows)
-    path = tmp_path / "widening"
+    path, entry = tmp_path / "widening", tmp_path / "entry"
     write_extreme_set(path, WIDENING, fmt="csv" if fmt == "csv" else "json")
     if fmt == "compact-json":
         path.write_text(json.dumps(json.loads(path.read_text())))
-    assert (storage._read_writer_json(path.read_bytes()) is None) \
-        == (fmt != "json")
-    read = read_extreme_set(path)
-    assert read == WIDENING and read.nums.dtype == np.int64
+    storage.write_entry(entry, WIDENING)
+    for read in (read_extreme_set(path), storage.read_entry(entry, 1, 2)):
+        assert read == WIDENING and read.nums.dtype == np.int64
 
 
 def csv_mutations(data: bytes):
@@ -936,6 +965,20 @@ def test_cache_missing_sidecar(tmp_path):
     for sidecar in tmp_path.glob(f"{key}.*"):
         sidecar.unlink()
     assert cache_load(tmp_path, key) is None
+
+
+def test_cache_store_writes_a_set_as_its_entry(tmp_path, set23):
+    # a SetPayload is written as write_entry writes it, straight into the
+    # cache, and its len() is the size of what is stored
+    entry = tmp_path / "entry"
+    storage.write_entry(entry, set23)
+    key = cache_key("enum", 2, 3)
+    payload = storage.SetPayload(set23)
+    stored = cache_store(tmp_path / "cache", key, payload)
+    assert stored.read_bytes() == entry.read_bytes()
+    assert len(payload) == entry.stat().st_size
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
+        key, f"{key}.sha256"]
 
 
 def test_cache_store_copies_a_file(tmp_path, set23):
